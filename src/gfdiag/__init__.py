@@ -5,7 +5,7 @@ sums and by series/recurrence detection, and an identity verification suite.
 
 from .poly import BiPoly, Poly, Rational, poly_gcd, poly_xgcd
 from .ratfunc import RatFunc, compose_rational, identity_equal
-from .textform import ParseError, format_poly, parse_poly, parse_ratfunc
+from .textform import ParseError, parse_poly, parse_ratfunc
 from .series import (
     PoleAtOriginError,
     SequenceSpec,
@@ -59,7 +59,7 @@ __all__ = [
     "binomial_convolution", "binomial_convolution_sequence", "bivariate_series",
     "build_convolution_gf", "catalog_entry", "catalog_ids", "certify_agreement",
     "claim_ids", "classify_poles", "compose_rational", "convolution_grid",
-    "diagonal_rational", "diagonal_series", "find_min_recurrence", "format_poly",
+    "diagonal_rational", "diagonal_series", "find_min_recurrence",
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",
     "identity_equal", "kbonacci", "parse_poly", "parse_ratfunc",
     "partial_fractions", "poly_gcd", "poly_xgcd", "printed_gf",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as gcd_int
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -448,75 +448,6 @@ def unify_pair(p: AnyPoly, q: AnyPoly) -> tuple[AnyPoly, AnyPoly]:
     return p, q
 
 
-# ---------------------------------------------------------------------------
-# Generic field-coefficient list helpers.
-#
-# These operate on ascending coefficient lists over any exact field whose
-# elements support +, -, *, / and compare equal to the supplied zero.  They
-# serve both Fraction coefficients (polynomial gcd below) and the rational
-# function field used for residue traces (see residues.py).
-# ---------------------------------------------------------------------------
-
-def fp_trim(cs: list, zero) -> list:
-    while cs and cs[-1] == zero:
-        cs.pop()
-    return cs
-
-
-def fp_divrem(a: Sequence, b: Sequence, zero) -> tuple[list, list]:
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    db = len(b) - 1
-    if len(a) < len(b):
-        return [], a
-    lead = b[-1]
-    q = [zero] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c != zero:
-            c = c / lead
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = a[i - db + j] - c * b[j]
-    return fp_trim(q, zero), fp_trim(a[:db], zero)
-
-
-def fp_mul(a: Sequence, b: Sequence, zero) -> list:
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            for j, y in enumerate(b):
-                if y != zero:
-                    out[i + j] = out[i + j] + x * y
-    return fp_trim(out, zero)
-
-
-def fp_sub(a: Sequence, b: Sequence, zero) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x - y)
-    return fp_trim(out, zero)
-
-
-def fp_xgcd(a: Sequence, b: Sequence, zero, one) -> tuple[list, list, list]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g (g not normalized)."""
-    r0, r1 = fp_trim(list(a), zero), fp_trim(list(b), zero)
-    u0, u1 = [one], []
-    v0, v1 = [], [one]
-    while r1:
-        q, r = fp_divrem(r0, r1, zero)
-        r0, r1 = r1, r
-        u0, u1 = u1, fp_sub(u0, fp_mul(q, u1, zero), zero)
-        v0, v1 = v1, fp_sub(v0, fp_mul(q, v1, zero), zero)
-    return r0, u0, v0
-
-
 def _int_primitive(p: Poly) -> list[int]:
     """Integer coefficients of p with denominators cleared and content removed."""
     lcm = 1
@@ -575,13 +506,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid with monic gcd: g = u*a + v*b."""
-    zero, one = Fraction(0), Fraction(1)
-    g, u, v = fp_xgcd(a.coeffs, b.coeffs, zero, one)
-    var = a.var
-    if not g:
+    if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    lead = g[-1]
-    gp = Poly(var, [c / lead for c in g])
-    up = Poly(var, [c / lead for c in u])
-    vp = Poly(var, [c / lead for c in v])
-    return gp, up, vp
+    var = a.var
+    r0, r1 = a, b
+    u0, u1 = Poly.one(var), Poly.zero(var)
+    v0, v1 = Poly.zero(var), Poly.one(var)
+    while not r1.is_zero:
+        q, r = r0.divrem(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    inv = 1 / r0.leading
+    return r0.scale(inv), u0.scale(inv), v0.scale(inv)

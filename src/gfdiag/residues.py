@@ -1,18 +1,19 @@
 """Diagonal extraction by exact residue sums, and partial fractions.
 
-Hautus-Klarner style: the diagonal of F(x, y) is read off F(z*t, 1/t)/t.
-Substitute, clear powers of t factor by factor, keep the denominator
-factors whose poles stay bounded as z -> 0, and sum the residues over
-each kept factor's roots.  The residue sum over all roots of a
-squarefree factor p(t, z) is computed without ever naming a root: it
-equals the trace of the multiplication-by-r operator on Q(z)[t]/(p),
-where r = numerator * (dp/dt * other_factors)^(-1).  The result is
-therefore a rational function of z with no algebraic irrationalities.
+Hautus-Klarner style: the diagonal of F(x, y) is the sum of the residues
+of F(z*t, 1/t)/t at its poles in t that stay bounded as z -> 0.
+Substitute, clear powers of t factor by factor, and keep the denominator
+factors whose roots all stay bounded, the pole at t = 0 included.  For a
+kept factor p of t-degree d and multiplicity m, the residue sum over its
+roots is [t^(m*d-1)] A / lc(p)^m, where A / p^m is p's part in the
+partial-fraction decomposition in t.  No root is ever named: the sum is
+evaluated over Q at rational points z0, and the rational function of z is
+rebuilt by Cauchy interpolation (rational reconstruction by extended
+Euclid; von zur Gathen and Gerhard, Modern Computer Algebra, 5.7).
 
-The pole-keeping rule (leading t-coefficient nonzero at z = 0) is not
-proved here in general; diagonal_rational validates it per instance by
-comparing against the series diagonal and reports a violation instead of
-silently trusting the rule.
+The pole-keeping rule is not proved here in general; diagonal_rational
+validates it per instance by comparing against the series diagonal and
+reports a violation instead of silently trusting the rule.
 """
 
 from __future__ import annotations
@@ -20,143 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BiPoly, Poly, fp_divrem, fp_mul, fp_xgcd, poly_gcd, poly_xgcd
+from .poly import BiPoly, Poly, poly_xgcd
 from .ratfunc import RatFunc
 from .series import diagonal_series, series_of_rational
 
 
 class DegeneratePoleError(ArithmeticError):
-    """Degenerate pole configuration (non-squarefree or entangled factors)."""
-
-
-# ---------------------------------------------------------------------------
-# The coefficient field Q(z): reduced fractions of univariate polynomials
-# ---------------------------------------------------------------------------
-
-class RatZ:
-    """Element of the rational function field in one variable.
-
-    Kept reduced (gcd divided out) with a monic denominator, so equality
-    is structural.  Arithmetic cross-cancels before multiplying, which
-    keeps the Euclidean reductions on small operands.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.one(num.var)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = Poly.one(num.var)
-        elif den.degree == 0:
-            c = den.coeff(0)
-            if c != 1:
-                num = num.scale(1 / c)
-            den = Poly.one(num.var)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.divrem(g)[0]
-                den = den.divrem(g)[0]
-            lead = den.leading
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatZ is immutable")
-
-    @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> "RatZ":
-        # Trusted constructor: operands already coprime, den monic nonzero.
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
-
-    @classmethod
-    def from_const(cls, c, var: str = "z") -> "RatZ":
-        return cls(Poly.const(var, c))
-
-    @property
-    def var(self) -> str:
-        return self.num.var if not self.num.is_zero else self.den.var
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RatZ") -> "RatZ":
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RatZ._raw(self.num + other.num, self.den)
-        return RatZ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatZ") -> "RatZ":
-        if self.den.degree == 0 and other.den.degree == 0:
-            return RatZ._raw(self.num - other.num, self.den)
-        return RatZ(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatZ":
-        return RatZ._raw(-self.num, self.den)
-
-    def __mul__(self, other: "RatZ") -> "RatZ":
-        if self.is_zero or other.is_zero:
-            return RatZ._raw(Poly.zero(self.var), Poly.one(self.var))
-        a_num, a_den = self.num, self.den
-        b_num, b_den = other.num, other.den
-        if b_den.degree > 0:
-            g = poly_gcd(a_num, b_den)
-            if g.degree > 0:
-                a_num = a_num.divrem(g)[0]
-                b_den = b_den.divrem(g)[0]
-        if a_den.degree > 0:
-            g = poly_gcd(b_num, a_den)
-            if g.degree > 0:
-                b_num = b_num.divrem(g)[0]
-                a_den = a_den.divrem(g)[0]
-        num = a_num * b_num
-        den = a_den * b_den
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        return RatZ._raw(num, den)
-
-    def __truediv__(self, other: "RatZ") -> "RatZ":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero in Q(z)")
-        inv_lead = 1 / other.num.leading
-        inverse = RatZ._raw(other.den.scale(inv_lead), other.num.scale(inv_lead))
-        return self * inverse
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = RatZ.from_const(other, self.var)
-        if not isinstance(other, RatZ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den.degree == 0 and self.den.coeff(0) == 1:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
-
-
-def _rz_zero(var: str) -> RatZ:
-    return RatZ(Poly.zero(var))
-
-
-def _rz_one(var: str) -> RatZ:
-    return RatZ(Poly.one(var))
+    """Degenerate pole configuration (repeated kept factor, or factors sharing roots)."""
 
 
 # ---------------------------------------------------------------------------
@@ -271,110 +142,134 @@ class PoleClass:
         }
 
 
-def _is_pure_t_power(p: BiPoly) -> bool:
-    return p.degree > 0 and all(c.is_zero for c in p.coeffs[:-1]) and p.leading.degree == 0
-
-
 def classify_poles(h: HKTransform) -> list[PoleClass]:
-    """Keep a factor iff its leading t-coefficient is nonzero at z = 0.
+    """Classify each factor p of t-degree d by e = deg_t p(t, 0).
 
-    Such factors have all their roots bounded as z -> 0.  Factors free of
-    t contribute no poles, and pure t^k factors (the pole at the origin)
-    are excluded from the residue sum by convention; the series
-    cross-check in diagonal_rational guards both choices.
+    As z -> 0, e of p's roots tend to the roots of p(t, 0) and d - e
+    escape to infinity.  A factor is kept when e = d, which includes t^k
+    (the pole at the origin), and discarded when e = 0.  A mixed factor
+    (0 < e < d) is discarded too: the residue sum over part of its roots is
+    in general not a rational function of z, and the series cross-check in
+    diagonal_rational then reports the violation.
     """
     out = []
     for idx, (p, m) in enumerate(h.denom_factors):
-        if p.degree <= 0:
+        d = p.degree
+        if d <= 0:
             out.append(PoleClass(p, m, idx, False, "no dependence on t"))
-        elif _is_pure_t_power(p):
-            out.append(PoleClass(p, m, idx, False, "pure power of t (pole at the origin)",
-                                 p.leading.coeff(0)))
+            continue
+        lead0 = p.leading.coeff(0)
+        e = Poly("t", [c.coeff(0) for c in p.coeffs]).degree
+        if e == d:
+            origin = all(c.is_zero for c in p.coeffs[:-1])
+            reason = "pole at the origin" if origin else "poles bounded as z -> 0"
+            out.append(PoleClass(p, m, idx, True, reason, lead0))
+        elif e <= 0:
+            out.append(PoleClass(p, m, idx, False, "poles escape to infinity as z -> 0",
+                                 lead0))
         else:
-            lead0 = p.leading.coeff(0)
-            if lead0 != 0:
-                out.append(PoleClass(p, m, idx, True, "poles bounded as z -> 0", lead0))
-            else:
-                out.append(PoleClass(p, m, idx, False, "poles escape to infinity as z -> 0",
-                                     lead0))
+            out.append(PoleClass(p, m, idx, False, f"mixed: {e} bounded roots, {d - e} "
+                                 "escaping; diagonal is likely algebraic", lead0))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Residue sums as traces in the quotient ring Q(z)[t]/(p)
+# Residue sums at rational points, rebuilt as rational functions of z
 # ---------------------------------------------------------------------------
 
-def _to_field_poly(p: BiPoly) -> list[RatZ]:
-    # Ascending t-coefficients of p as elements of Q(z); outer var must be t.
-    return [RatZ(c) for c in p.coeffs]
+def _at(p: BiPoly, z0: int) -> Poly:
+    """p(t, z0) as a polynomial in t."""
+    return Poly(p.outer, [c.evaluate(z0) for c in p.coeffs])
 
 
-def _tp_monic(p: list[RatZ]) -> tuple[list[RatZ], RatZ]:
-    lead = p[-1]
-    return [c / lead for c in p], lead
+def _residue_sum_at(h: HKTransform, kept: list[PoleClass], z0: int) -> Fraction | None:
+    """The kept factors' residue sum at z = z0.
+
+    None where a kept factor loses t-degree or shares a root with another
+    factor, since the sum there is not the value of the rational function.
+    """
+    factors = [(_at(p, z0), m) for p, m in h.denom_factors]
+    num = _at(h.numerator, z0)
+    total = Fraction(0)
+    for pole in kept:
+        p, m = factors[pole.index]
+        if p.degree < pole.factor.degree:
+            return None
+        cof = Poly.one(p.var)
+        for idx, (q, k) in enumerate(factors):
+            if idx != pole.index:
+                cof = cof * q ** k
+        a = _part_numerator(num, cof, p ** m)
+        if a is None:
+            return None
+        total += a.coeff(m * p.degree - 1) / p.leading ** m
+    return total
 
 
-def _tp_mod(a: list[RatZ], p_monic: list[RatZ], zero: RatZ) -> list[RatZ]:
-    return fp_divrem(a, p_monic, zero)[1]
+def _cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
+    """Rational reconstruction (r, s) of the values vs at the points zs.
+
+    Newton interpolation gives V with V(zs[i]) = vs[i]; extended Euclid on
+    (prod(z - zs[i]), V) stops at the first remainder r of degree below
+    len(zs)/2, and s is V's cofactor there, so r = s*V modulo the product.
+    """
+    coeffs = list(vs)
+    for j in range(1, len(zs)):                 # divided differences
+        for i in range(len(zs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (zs[i] - zs[i - j])
+    value, basis = Poly.zero("z"), Poly.one("z")
+    for zi, c in zip(zs, coeffs):
+        value = value + basis.scale(c)
+        basis = basis * Poly("z", (-zi, 1))
+    r0, r1, s0, s1 = basis, value, Poly.zero("z"), Poly.one("z")
+    while 2 * r1.degree >= len(zs):
+        q, r = r0.divrem(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return r1, s1
 
 
-def _residue_trace_field(h: HKTransform, kept: PoleClass) -> RatZ:
-    zvar = "z"
-    zero, one = _rz_zero(zvar), _rz_one(zvar)
-    if kept.multiplicity != 1:
-        raise DegeneratePoleError(
-            f"kept factor has multiplicity {kept.multiplicity}; only simple factors are supported")
-    p_raw = _to_field_poly(kept.factor)
-    p_monic, lead = _tp_monic(p_raw)
-    d = len(p_monic) - 1
-    # dp/dt of the monic factor.
-    dp = [p_monic[i] * RatZ.from_const(i, zvar) for i in range(1, d + 1)]
-    g, _, _ = fp_xgcd(p_monic, dp, zero, one)
-    if len(g) - 1 > 0:
-        raise DegeneratePoleError("kept factor is not squarefree in t")
-    # Product of the remaining denominator factors, reduced mod p.
-    q = [one]
-    for idx, (other, m) in enumerate(h.denom_factors):
-        if idx == kept.index:
-            continue
-        reduced = _tp_mod(_to_field_poly(other), p_monic, zero)
-        for _ in range(m):
-            q = _tp_mod(fp_mul(q, reduced, zero), p_monic, zero)
-    denom_elt = _tp_mod(fp_mul(dp, q, zero), p_monic, zero)
-    g, u, _ = fp_xgcd(denom_elt, p_monic, zero, one)
-    if len(g) != 1:
-        raise DegeneratePoleError("degenerate pole configuration: "
-                                  "kept factor shares roots with the other factors")
-    inv = [c / g[0] for c in u]
-    n_red = _tp_mod(_to_field_poly(h.numerator), p_monic, zero)
-    r = _tp_mod(fp_mul(n_red, inv, zero), p_monic, zero)
-    # Trace of multiplication by r in the basis {1, t, ..., t^(d-1)}.
-    trace = zero
-    v = r + [zero] * (d - len(r))
-    for j in range(d):
-        trace = trace + v[j]
-        if j < d - 1:
-            shifted = [zero] + v
-            top = shifted[d]
-            v = [shifted[i] - top * p_monic[i] for i in range(d)]
-    return trace / lead
+def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
+    """Residue sum over all roots of the kept factors, as a function of z.
 
-
-def _ratz_to_ratfunc(value: RatZ) -> RatFunc:
-    if value.is_zero:
-        return RatFunc.zero()
-    num, den = value.num, value.den
-    c0 = den.coeff(0)
-    scale = c0 if c0 != 0 else den.leading
-    num, den = num.scale(1 / scale), den.scale(1 / scale)
-    if den.degree == 0:
-        return RatFunc(1, [(num, 1)])
-    return RatFunc(1, [(num, 1)], [(den, 1)])
+    The sum is evaluated at z0 = 1, -1, 2, -2, ..., skipping degenerate
+    points, and rebuilt from its first n values with n doubling until the
+    candidate reproduces the next two.
+    """
+    for pole in kept:
+        if pole.multiplicity != 1:
+            raise DegeneratePoleError(f"kept factor has multiplicity {pole.multiplicity}; "
+                                      "only simple factors are supported")
+    # A skipped point is a root of a kept factor's leading coefficient or of
+    # its resultant with another factor; more skips than those degrees allow
+    # mean two factors share a root for every z.
+    budget = sum(pole.factor.leading.degree
+                 + sum(pole.factor.degree * q.inner_degree + q.degree * pole.factor.inner_degree
+                       for idx, (q, _) in enumerate(h.denom_factors) if idx != pole.index)
+                 for pole in kept)
+    zs: list[int] = []
+    vs: list[Fraction] = []
+    z0, n = 0, 4
+    while True:
+        while len(zs) < n + 2:
+            z0 = -z0 if z0 > 0 else 1 - z0
+            v = _residue_sum_at(h, kept, z0)
+            if v is not None:
+                zs.append(z0)
+                vs.append(v)
+            elif (budget := budget - 1) < 0:
+                raise DegeneratePoleError("degenerate pole configuration: "
+                                          "kept factor shares roots with the other factors")
+        num, den = _cauchy(zs[:n], vs[:n])
+        if all(den.evaluate(z) != 0 and num.evaluate(z) == v * den.evaluate(z)
+               for z, v in zip(zs[n:], vs[n:])):
+            num, den = RatFunc(1, [(num, 1)], [(den, 1)]).reduced_fraction()
+            return RatFunc(1, [(num, 1)], [(den, 1)])
+        n *= 2
 
 
 def residue_trace(h: HKTransform, kept: PoleClass) -> RatFunc:
     """Sum of residues of h over all roots of the kept factor, in z."""
-    return _ratz_to_ratfunc(_residue_trace_field(h, kept))
+    return _residue_sum(h, [kept])
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +299,14 @@ class DiagnosticReport:
 def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, DiagnosticReport]:
     """Diagonal of a bivariate rational function as a rational function.
 
-    Sums residue traces over the kept factors, reduces and normalizes the
-    result, then cross-checks its series against the series diagonal of f.
+    Sums the residues over the kept factors' roots, reduces and normalizes
+    the result, then cross-checks its series against the series diagonal of f.
     A mismatch is reported as status "method-assumption-violated" together
     with the first disagreeing index and both exact values.
     """
     h = hk_transform(f)
     poles = classify_poles(h)
-    total = _rz_zero("z")
-    for pole in poles:
-        if pole.kept:
-            total = total + _residue_trace_field(h, pole)
-    result = _ratz_to_ratfunc(total)
+    result = _residue_sum(h, [p for p in poles if p.kept])
     status, first, lhs, rhs = "ok", None, None, None
     got = series_of_rational(result, check_terms, var="z")
     want = diagonal_series(f, check_terms)
@@ -439,6 +330,17 @@ class PartialFractions:
     parts: tuple[tuple[Poly, Poly, int], ...]
 
 
+def _part_numerator(num: Poly, cof: Poly, base: Poly) -> Poly | None:
+    """A, of degree below base's, with num/(cof*base) - A/base regular at base's roots.
+
+    A = num * cof^(-1) mod base; None when cof and base share a root.
+    """
+    g, u, _ = poly_xgcd(cof.divrem(base)[1], base)
+    if g.degree > 0:
+        return None
+    return (num.divrem(base)[1] * u).divrem(base)[1]
+
+
 def partial_fractions(f: RatFunc) -> PartialFractions:
     """Unique decomposition over the supplied denominator factors.
 
@@ -449,21 +351,15 @@ def partial_fractions(f: RatFunc) -> PartialFractions:
     if not f.is_univariate:
         raise ValueError("partial fractions requires a univariate function")
     num, den = f.expand_to_single_fraction()
-    factors = [(p, m) for p, m in f.denom]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            g = poly_gcd(factors[i][0], factors[j][0])
-            if g.degree > 0:
-                raise ValueError(
-                    f"denominator factors are not coprime: gcd contains ({g})")
-    if not factors:
+    if not f.denom:
         return PartialFractions(num.scale(1 / den.coeff(0)), ())
     poly_part, rem = num.divrem(den)
     parts = []
-    for p, m in factors:
+    for p, m in f.denom:
         dj = p ** m
-        cof = den.divrem(dj)[0]
-        _, u, _ = poly_xgcd(cof, dj)
-        pj = (rem * u).divrem(dj)[1]
+        pj = _part_numerator(rem, den.divrem(dj)[0], dj)
+        if pj is None:
+            raise ValueError(f"denominator factors are not coprime: ({p}) shares a root "
+                             "with another factor")
         parts.append((pj, p, m))
     return PartialFractions(poly_part, tuple(parts))

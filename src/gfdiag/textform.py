@@ -147,10 +147,7 @@ class _Parser:
             kind, exp = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            n = int(exp)
-            if isinstance(value, Fraction):
-                return value ** n
-            return value ** n
+            return value ** int(exp)
         return value
 
     def atom(self):
@@ -189,8 +186,3 @@ def parse_poly(text: str, var: str | None = None) -> Poly:
     if var is not None and p.var != var:
         p = Poly(var, p.coeffs)
     return p
-
-
-def format_poly(p) -> str:
-    """Canonical text for a Poly or BiPoly (round-trips through parse)."""
-    return str(p)

@@ -121,9 +121,24 @@ def test_diagonal_fib_derived_residue():
 
 
 def test_diagonal_method_violation_exits_4():
-    res = run_cli("diagonal", "--gf-text", "1/(1-x*y)", "--method", "residue",
+    res = run_cli("diagonal", "--gf-text", "1/(1-x-y)", "--method", "residue",
                   "--n", "10")
     assert res.returncode == 4
+
+
+def test_diagonal_function_of_xy_exits_0():
+    res = run_cli("diagonal", "--gf-text", "1/(1-x*y)", "--method", "residue",
+                  "--n", "10")
+    assert res.returncode == 0
+    assert "residue method: (1) / (1 - z)" in res.stdout
+    assert "[pole at the origin]" in res.stdout
+
+
+def test_diagonal_repeated_kept_factor_exits_4():
+    res = run_cli("diagonal", "--gf-text", "1/((1-2*x)*(1-3*y)^2)", "--method", "residue",
+                  "--n", "10")
+    assert res.returncode == 4
+    assert "multiplicity 2" in res.stderr
 
 
 def test_diagonal_requires_bivariate():

@@ -1,10 +1,11 @@
 """Residue-method diagonal extraction: the t-substitution, pole
-classification, quotient-ring traces, and partial fractions."""
+classification, residue sums, and partial fractions."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gfdiag import (
     BiPoly,
@@ -20,6 +21,7 @@ from gfdiag import (
     parse_poly,
     parse_ratfunc,
     partial_fractions,
+    poly_gcd,
     printed_gf,
     residue_trace,
     series_of_rational,
@@ -104,13 +106,19 @@ def test_classification_discards_z_leading_factor():
     assert discarded and discarded[0].leading_at_zero == 0
 
 
-def test_classification_discards_pure_t_power():
+def test_classification_keeps_pure_t_power():
     h = hk_transform(parse_ratfunc("x/(1-x*y)"))
     poles = classify_poles(h)
-    assert any("pure power of t" in p.reason and not p.kept for p in poles)
+    assert any(p.reason == "pole at the origin" and p.kept for p in poles)
 
 
-# -- residue traces -------------------------------------------------------------
+def test_classification_reports_mixed_factor():
+    poles = classify_poles(hk_transform(parse_ratfunc("1/(1-x-y)")))
+    assert [(p.kept, p.reason) for p in poles] == [
+        (False, "mixed: 1 bounded roots, 1 escaping; diagonal is likely algebraic")]
+
+
+# -- residue sums -------------------------------------------------------------
 
 def test_fibonacci_residue_is_twice_the_transcribed_diagonal():
     h = hk_transform(_fib_h())
@@ -164,12 +172,19 @@ def test_multiplicity_two_kept_factor_rejected():
         residue_trace(h, kept)
 
 
-def test_non_squarefree_kept_factor_rejected():
+def test_non_squarefree_kept_factor_summed_exactly():
+    # 1/(1-y)^2 as a single factor: the diagonal is the constant term, 1.
     f = RatFunc(1, denom=[(parse_poly("1-2*y+y^2", "y"), 1)])
     h = hk_transform(f)
     kept = [p for p in classify_poles(h) if p.kept][0]
-    with pytest.raises(DegeneratePoleError, match="squarefree"):
-        residue_trace(h, kept)
+    assert identity_equal(residue_trace(h, kept), RatFunc.one())
+
+
+def test_factors_sharing_a_root_for_every_z_rejected():
+    # 1 - y divides 1 - y^2: after the substitution both vanish at t = 1.
+    f = RatFunc(1, denom=[(parse_poly("1-y", "y"), 1), (parse_poly("1-y^2", "y"), 1)])
+    with pytest.raises(DegeneratePoleError, match="shares roots"):
+        diagonal_rational(f, check_terms=5)
 
 
 # -- diagonal_rational ---------------------------------------------------------
@@ -193,12 +208,72 @@ def test_diagonal_rational_printed_vs_derived_h_reports_both_outcomes():
     assert rat_d.reduced_fraction()[1] == parse_poly("(1-z)*(1-2*z-4*z^2)")
 
 
-def test_diagonal_rational_univariate_in_x_reports_violation():
+def test_diagonal_rational_univariate_in_x_is_one():
+    # The diagonal of 1/(1-x) is its constant term: the residue at t = 0.
     rat, report = diagonal_rational(parse_ratfunc("1/(1-x)"), check_terms=10)
-    assert rat.is_zero
-    assert report.status == "method-assumption-violated"
-    assert report.first_mismatch == 0
-    assert (report.lhs, report.rhs) == ("0", "1")
+    assert identity_equal(rat, RatFunc.one())
+    assert report.status == "ok"
+    assert [(str(p.factor), p.kept) for p in report.poles] == [("1 - t*z", False), ("t", True)]
+
+
+@pytest.mark.parametrize("text, diagonal", [
+    ("1/(1-x*y-x^2*y^2)", "1/(1-z-z^2)"),
+    ("y/(1-x)", "z"),
+    ("1/(1-x)", "1"),
+    ("x^2*y^3/((1-x)*(1-y))", "z^3/(1-z)"),
+    ("1/((1-2*x)*(1-2*y+y^2))", "1/(1-2*z)^2"),
+])
+def test_diagonal_rational_origin_pole_and_repeated_root(text, diagonal):
+    rat, report = diagonal_rational(parse_ratfunc(text), check_terms=30)
+    assert report.status == "ok"
+    assert identity_equal(rat, parse_ratfunc(diagonal))
+
+
+# Monomials x^i*y^j of a denominator factor.  A factor with j >= i in every
+# monomial keeps all its roots bounded as z -> 0, one with i >= j loses them
+# all, and one with i == j (a function of x*y) does not depend on t, so no
+# drawn factor is mixed.
+_FACTOR_SHAPES = {
+    "x*y": lambda i, j: i == j,
+    "y-heavy": lambda i, j: j >= i,
+    "x-heavy": lambda i, j: i >= j,
+}
+
+
+@st.composite
+def _denominator_factor(draw) -> BiPoly:
+    allowed = _FACTOR_SHAPES[draw(st.sampled_from(sorted(_FACTOR_SHAPES)))]
+    exponents = [(i, j) for i in range(3) for j in range(3) if (i or j) and allowed(i, j)]
+    terms = draw(st.dictionaries(st.sampled_from(exponents), st.sampled_from((-2, -1, 1, 2)),
+                                 min_size=1, max_size=2))
+    p = BiPoly.from_monomials("x", "y", {(0, 0): 1, **terms})
+    # A square kept as one factor has repeated roots in t for every z.
+    return p * p if draw(st.integers(0, 3)) == 0 else p
+
+
+def _at_z(p: BiPoly, z0) -> Poly:
+    return Poly("t", [c.evaluate(z0) for c in p.coeffs])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(numer=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=3),
+       denom=st.lists(_denominator_factor(), min_size=1, max_size=3))
+def test_diagonal_rational_matches_series_beyond_convolutions(numer, denom):
+    f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], [(p, 1) for p in denom])
+    h = hk_transform(f)
+    poles = classify_poles(h)
+    assume(not any(p.reason.startswith("mixed") for p in poles))
+    assume(all(p.multiplicity == 1 for p in poles if p.kept))
+    # Factors with a common factor in t share a root for every z, which the
+    # residue route rejects; coprime at z = 7/3 means coprime for all but
+    # finitely many z.
+    in_t = [_at_z(p, Fraction(7, 3)) for p, _ in h.denom_factors if p.degree > 0]
+    assume(all(poly_gcd(a, b).degree == 0
+               for i, a in enumerate(in_t) for b in in_t[i + 1:]))
+    rat, report = diagonal_rational(f, check_terms=12)
+    assert report.status == "ok"
+    assert list(series_of_rational(rat, 12, var="z")) == list(diagonal_series(f, 12))
 
 
 def test_diagonal_rational_master_invariant_randomized():
