@@ -10,7 +10,6 @@ from .series import (
     PoleAtOriginError,
     SequenceSpec,
     Series,
-    binomial_convolution,
     binomial_convolution_sequence,
     bivariate_series,
     convolution_grid,
@@ -22,10 +21,8 @@ from .series import (
 )
 from .recurrences import (
     AgreementReport,
-    LinearRecurrence,
     certify_agreement,
     find_min_recurrence,
-    recurrence_to_gf,
 )
 from .residues import (
     DegeneratePoleError,
@@ -54,15 +51,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementReport", "BiPoly", "CatalogEntry", "Claim", "ClaimReport",
     "ConvolutionGF", "DegeneratePoleError", "DiagnosticReport", "HKTransform",
-    "LinearRecurrence", "ParseError", "PartialFractions", "PoleAtOriginError",
-    "PoleClass", "Poly", "RatFunc", "Rational", "SequenceSpec", "Series",
-    "binomial_convolution", "binomial_convolution_sequence", "bivariate_series",
-    "build_convolution_gf", "catalog_entry", "catalog_ids", "certify_agreement",
-    "claim_ids", "classify_poles", "compose_rational", "convolution_grid",
+    "ParseError", "PartialFractions", "PoleAtOriginError", "PoleClass", "Poly",
+    "RatFunc", "Rational", "SequenceSpec", "Series",
+    "binomial_convolution_sequence", "bivariate_series", "build_convolution_gf",
+    "catalog_entry", "catalog_ids", "certify_agreement", "claim_ids",
+    "classify_poles", "compose_rational", "convolution_grid",
     "diagonal_rational", "diagonal_series", "find_min_recurrence",
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",
     "identity_equal", "kbonacci", "parse_poly", "parse_ratfunc",
     "partial_fractions", "poly_gcd", "poly_xgcd", "printed_gf",
-    "recurrence_to_gf", "residue_trace", "run_all", "run_claim",
-    "series_of_rational",
+    "residue_trace", "run_all", "run_claim", "series_of_rational",
 ]

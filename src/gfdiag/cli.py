@@ -16,13 +16,14 @@ from fractions import Fraction
 
 from .claims import claim_ids, run_all, run_claim
 from .gfbuild import catalog_entry, catalog_ids, printed_gf
-from .recurrences import find_min_recurrence, recurrence_to_gf
+from .recurrences import find_min_recurrence
 from .residues import DegeneratePoleError, diagonal_rational
 from .series import (
     PoleAtOriginError,
     SequenceSpec,
     binomial_convolution_sequence,
     generate_sequence,
+    gf_of_sequence,
     series_of_rational,
 )
 from .textform import ParseError, parse_ratfunc
@@ -79,6 +80,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_convolve(args) -> int:
+    if args.k < 1:
+        raise ParseError("order must be >= 1")
     init = _parse_fraction_list(args.init)
     if len(init) != args.k:
         raise ParseError(f"--init must supply exactly k={args.k} terms, got {len(init)}")
@@ -136,17 +139,18 @@ def cmd_diagonal(args) -> int:
         rec = find_min_recurrence(list(diag))
         if rec is None:
             payload["series"] = {"recurrence_order": None,
-                                 "note": f"no recurrence of order <= {args.n // 2} "
+                                 "note": f"no recurrence of order <= {(args.n - 1) // 2} "
                                          f"fits {args.n} diagonal terms"}
             lines.append(f"series method: no recurrence found within {args.n} terms")
         else:
-            series_gf = recurrence_to_gf(rec)
+            series_gf = gf_of_sequence(rec)
+            confidence = args.n - 2 * rec.order
             payload["series"] = dict(_reduced_text(series_gf),
                                      recurrence_order=rec.order,
                                      recurrence_coeffs=[str(c) for c in rec.coeffs],
-                                     confidence=args.n - 2 * rec.order)
-            lines.append(f"series method: order-{rec.order} recurrence, "
-                         f"{payload['series']['gf']}")
+                                     confidence=confidence)
+            lines.append(f"series method: order-{rec.order} recurrence "
+                         f"(confidence {confidence}), {payload['series']['gf']}")
 
     if args.method == "both":
         from .ratfunc import identity_equal
@@ -172,11 +176,12 @@ def cmd_guess_gf(args) -> int:
     if rec is None:
         if args.json:
             _emit_json("guess-gf", {"terms": [str(t) for t in terms], "order": None,
-                                    "note": f"no recurrence of order <= {len(terms) // 2} fits"})
+                                    "note": f"no recurrence of order <= {(len(terms) - 1) // 2} "
+                                            "fits"})
         else:
-            print(f"no recurrence of order <= {len(terms) // 2} fits the supplied terms")
+            print(f"no recurrence of order <= {(len(terms) - 1) // 2} fits the supplied terms")
         return EXIT_OK
-    gf = recurrence_to_gf(rec)
+    gf = gf_of_sequence(rec)
     confidence = len(terms) - 2 * rec.order
     if args.json:
         _emit_json("guess-gf", dict(_reduced_text(gf),
@@ -303,7 +308,7 @@ def main(argv=None) -> int:
     except PoleAtOriginError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (DegeneratePoleError, ZeroDivisionError) as exc:
+    except DegeneratePoleError as exc:
         print(f"method error: {exc}", file=sys.stderr)
         return EXIT_METHOD
 

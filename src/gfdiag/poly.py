@@ -183,15 +183,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by var^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.var, (0,) * k + self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.var, other)
@@ -384,10 +375,6 @@ class BiPoly:
             acc = acc * outer_value + p.evaluate(inner_value)
         return acc
 
-    def derivative_outer(self) -> "BiPoly":
-        return BiPoly(self.outer, self.inner,
-                      [p.scale(i) for i, p in enumerate(self.coeffs)][1:])
-
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -423,29 +410,36 @@ class BiPoly:
 AnyPoly = Union[Poly, BiPoly]
 
 
-def unify_pair(p: AnyPoly, q: AnyPoly) -> tuple[AnyPoly, AnyPoly]:
-    """Lift two polynomials to a common shape (possibly BiPoly).
+def unify(*values) -> tuple:
+    """Lift Polys, BiPolys and scalars to one common Poly or BiPoly shape.
 
-    Two Polys in distinct variables become BiPolys; the outer variable is
-    the one listed earlier in VARIABLES.
+    The first BiPoly fixes the variable pair.  Without one, Polys in two
+    distinct variables become BiPolys whose outer variable is the one
+    listed earlier in VARIABLES.  Scalars become constants of the shape;
+    values with no polynomial among them are returned as they are.
     """
-    if isinstance(p, Poly) and isinstance(q, Poly):
-        if p.var == q.var:
-            return p, q
-        names = sorted({p.var, q.var},
-                       key=lambda v: VARIABLES.index(v) if v in VARIABLES else len(VARIABLES))
-        outer, inner = names
-        return BiPoly.embed(p, outer, inner), BiPoly.embed(q, outer, inner)
-    if isinstance(p, Poly):
-        assert isinstance(q, BiPoly)
-        return BiPoly.embed(p, q.outer, q.inner), q
-    if isinstance(q, Poly):
-        assert isinstance(p, BiPoly)
-        return p, BiPoly.embed(q, p.outer, p.inner)
-    if p.outer != q.outer or p.inner != q.inner:
-        raise ValueError(
-            f"variable mismatch: ({p.outer},{p.inner}) vs ({q.outer},{q.inner})")
-    return p, q
+    pair = next(((v.outer, v.inner) for v in values if isinstance(v, BiPoly)), None)
+    if pair is None:
+        names = list(dict.fromkeys(v.var for v in values if isinstance(v, Poly)))
+        if not names:
+            return values
+        if len(names) == 1:
+            return tuple(v if isinstance(v, Poly) else Poly.const(names[0], v) for v in values)
+        pair = sorted(names[:2], key=lambda v: VARIABLES.index(v) if v in VARIABLES
+                      else len(VARIABLES))
+    outer, inner = pair
+    out = []
+    for v in values:
+        if isinstance(v, BiPoly):
+            if (v.outer, v.inner) != (outer, inner):
+                raise ValueError(
+                    f"variable mismatch: ({outer},{inner}) vs ({v.outer},{v.inner})")
+            out.append(v)
+        elif isinstance(v, Poly):
+            out.append(BiPoly.embed(v, outer, inner))
+        else:
+            out.append(BiPoly.const(outer, inner, v))
+    return tuple(out)
 
 
 def _int_primitive(p: Poly) -> list[int]:

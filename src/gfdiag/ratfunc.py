@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import AnyPoly, BiPoly, Poly, VARIABLES, as_fraction, poly_gcd, unify_pair
+from .poly import AnyPoly, BiPoly, Poly, as_fraction, poly_gcd, unify
 
 
 def _constant_of(p: AnyPoly) -> Fraction | None:
@@ -74,51 +74,13 @@ class RatFunc:
                 kept_denom.append((p, m))
         if constant == 0:
             kept_numer, kept_denom = [], []
-        numer, denom = self._unify_shapes(kept_numer, kept_denom)
+        lifted = iter(unify(*(p for p, _ in kept_numer + kept_denom)))
         object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "numer", tuple((p, m) for p, m in numer))
-        object.__setattr__(self, "denom", tuple((p, m) for p, m in denom))
+        object.__setattr__(self, "numer", tuple((next(lifted), m) for _, m in kept_numer))
+        object.__setattr__(self, "denom", tuple((next(lifted), m) for _, m in kept_denom))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def _unify_shapes(numer, denom):
-        """Lift all factors to a common Poly or BiPoly shape."""
-        polys = [p for p, _ in numer] + [p for p, _ in denom]
-        if not polys:
-            return numer, denom
-        vars_seen: list[str] = []
-        bivar: tuple[str, str] | None = None
-        for p in polys:
-            if isinstance(p, BiPoly):
-                pair = (p.outer, p.inner)
-                if bivar is None:
-                    bivar = pair
-                elif bivar != pair:
-                    raise ValueError(f"variable mismatch: {bivar} vs {pair}")
-                for v in pair:
-                    if v not in vars_seen:
-                        vars_seen.append(v)
-            else:
-                if p.var not in vars_seen:
-                    vars_seen.append(p.var)
-        if bivar is None:
-            if len(vars_seen) == 1:
-                return numer, denom
-            if len(vars_seen) > 2:
-                raise ValueError(f"too many variables: {vars_seen}")
-            names = sorted(vars_seen,
-                           key=lambda v: VARIABLES.index(v) if v in VARIABLES else len(VARIABLES))
-            bivar = (names[0], names[1])
-        elif len(vars_seen) > 2:
-            raise ValueError(f"too many variables: {vars_seen}")
-        outer, inner = bivar
-
-        def lift(p):
-            return p if isinstance(p, BiPoly) else BiPoly.embed(p, outer, inner)
-
-        return ([(lift(p), m) for p, m in numer], [(lift(p), m) for p, m in denom])
 
     # -- constructors ------------------------------------------------------
 
@@ -206,10 +168,10 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             raise ValueError("negative power; use inverse() first")
-        out = RatFunc.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return RatFunc.one()
+        return RatFunc(self.constant ** n, [(p, m * n) for p, m in self.numer],
+                       [(p, m * n) for p, m in self.denom])
 
     def _expand_pair(self):
         """Expanded (numerator, denominator); polynomials, or Fractions if constant."""
@@ -237,16 +199,8 @@ class RatFunc:
         """Fully expanded (numerator, denominator) polynomials, no cancellation."""
         num, den = self._expand_pair()
         if isinstance(num, Fraction) and isinstance(den, Fraction):
-            var = default_var
-            return Poly.const(var, num / den), Poly.one(var)
-        if isinstance(num, Fraction):
-            num = (BiPoly.const(den.outer, den.inner, num) if isinstance(den, BiPoly)
-                   else Poly.const(den.var, num))
-        if isinstance(den, Fraction):
-            den = (BiPoly.const(num.outer, num.inner, den) if isinstance(num, BiPoly)
-                   else Poly.const(num.var, den))
-        num, den = unify_pair(num, den)
-        return num, den
+            return Poly.const(default_var, num / den), Poly.one(default_var)
+        return unify(num, den)
 
     def reduced_fraction(self) -> tuple[Poly, Poly]:
         """Univariate only: expanded fraction with the gcd divided out.
@@ -276,21 +230,9 @@ class RatFunc:
             return self
         n1, d1 = self._expand_pair()
         n2, d2 = other._expand_pair()
-        values = [v for v in (n1, d1, n2, d2) if not isinstance(v, Fraction)]
-        if not values:
+        if all(isinstance(v, Fraction) for v in (n1, d1, n2, d2)):
             return RatFunc.from_fraction(n1 / d1 + n2 / d2)
-        shape = values[0]
-        for v in values[1:]:
-            shape, _ = unify_pair(shape, v)
-
-        def lift(v):
-            if isinstance(v, Fraction):
-                if isinstance(shape, BiPoly):
-                    return BiPoly.const(shape.outer, shape.inner, v)
-                return Poly.const(shape.var, v)
-            return unify_pair(v, shape)[0]
-
-        n1, d1, n2, d2 = lift(n1), lift(d1), lift(n2), lift(d2)
+        n1, d1, n2, d2 = unify(n1, d1, n2, d2)
         num = n1 * d2 + n2 * d1
         if num.is_zero:
             return RatFunc.zero()
@@ -384,24 +326,9 @@ class RatFunc:
 
 
 def identity_equal(f: RatFunc, g: RatFunc) -> bool:
-    """Exact rational-function equality by cross-multiplied polynomial identity."""
-    nf, df = f._expand_pair()
-    ng, dg = g._expand_pair()
-    values = [v for v in (nf, df, ng, dg) if not isinstance(v, Fraction)]
-    if not values:
-        return nf / df == ng / dg
-    shape = values[0]
-    for v in values[1:]:
-        shape, _ = unify_pair(shape, v)
-
-    def lift(v):
-        if isinstance(v, Fraction):
-            if isinstance(shape, BiPoly):
-                return BiPoly.const(shape.outer, shape.inner, v)
-            return Poly.const(shape.var, v)
-        return unify_pair(v, shape)[0]
-
-    return lift(nf) * lift(dg) == lift(ng) * lift(df)
+    """Exact rational-function equality: f - g has a zero numerator, i.e.
+    the cross-multiplied polynomial identity holds."""
+    return (f - g).is_zero
 
 
 def compose_rational(f: RatFunc, s_numer: AnyPoly, s_denom: AnyPoly) -> RatFunc:
@@ -413,7 +340,7 @@ def compose_rational(f: RatFunc, s_numer: AnyPoly, s_denom: AnyPoly) -> RatFunc:
     """
     if s_denom.is_zero:
         raise ZeroDivisionError("zero substitution denominator")
-    s_numer, s_denom = unify_pair(s_numer, s_denom)
+    s_numer, s_denom = unify(s_numer, s_denom)
     if f.is_zero:
         return RatFunc.zero()
 

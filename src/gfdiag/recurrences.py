@@ -14,34 +14,7 @@ from typing import Sequence
 
 from .poly import as_fraction
 from .ratfunc import RatFunc
-from .series import Series, gf_from_recurrence, series_of_rational
-
-
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """a_n = sum(coeffs[i-1] * a_{n-i}, i=1..order), seeded by initial."""
-
-    coeffs: tuple[Fraction, ...]
-    initial: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(as_fraction(c) for c in self.coeffs)
-        initial = tuple(as_fraction(c) for c in self.initial)
-        if len(initial) != len(coeffs):
-            raise ValueError("need exactly order initial terms")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "initial", initial)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def generate(self, n: int) -> list[Fraction]:
-        terms = list(self.initial[:n])
-        for m in range(len(terms), n):
-            terms.append(sum((self.coeffs[i] * terms[m - 1 - i] for i in range(self.order)),
-                             Fraction(0)))
-        return terms
+from .series import SequenceSpec, Series, series_of_rational
 
 
 def _berlekamp_massey(s: Sequence[Fraction]) -> tuple[list[Fraction], int]:
@@ -75,26 +48,22 @@ def _berlekamp_massey(s: Sequence[Fraction]) -> tuple[list[Fraction], int]:
     return C, L
 
 
-def find_min_recurrence(terms: Sequence[Fraction]) -> LinearRecurrence | None:
+def find_min_recurrence(terms: Sequence[Fraction]) -> SequenceSpec | None:
     """Minimal-order recurrence consistent with ALL supplied terms.
 
-    Returns None when the minimal order exceeds len(terms)//2, i.e. when
-    the terms do not overdetermine the answer.  Callers wanting a margin
-    should supply at least 2*r_max + 20 terms (confidence = len - 2*order).
+    Returns None unless 2*order < len(terms): an order-L recurrence fits
+    almost any 2L terms, so they are no evidence for it.
+    Callers wanting a margin should supply at least 2*r_max + 20 terms
+    (confidence = len - 2*order, always positive here).
     """
     if len(terms) < 4:
         raise ValueError("need at least 4 terms")
     s = [as_fraction(t) for t in terms]
     C, L = _berlekamp_massey(s)
-    if 2 * L > len(s):
+    if 2 * L >= len(s):
         return None
     coeffs = tuple(-C[i] if i < len(C) else Fraction(0) for i in range(1, L + 1))
-    return LinearRecurrence(coeffs, tuple(s[:L]))
-
-
-def recurrence_to_gf(rec: LinearRecurrence, var: str = "z") -> RatFunc:
-    """P(z)/(1 - sum c_i z^i) with deg P < order, matching the initial terms."""
-    return gf_from_recurrence(rec.coeffs, rec.initial, var)
+    return SequenceSpec(L, coeffs, tuple(s[:L]))
 
 
 @dataclass(frozen=True)

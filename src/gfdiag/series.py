@@ -46,7 +46,8 @@ class SequenceSpec:
     """Order-k constant-coefficient recurrence with initial terms.
 
     a_n = initial[n] for n < k, else sum(coeffs[i] * a_{n-1-i}).
-    The all-ones default coefficients give the k-bonacci family.
+    The all-ones default coefficients give the k-bonacci family; order 0
+    is the zero sequence.
     """
 
     order: int
@@ -54,8 +55,8 @@ class SequenceSpec:
     initial: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        if self.order < 0:
+            raise ValueError("order must be >= 0")
         coeffs = tuple(as_fraction(c) for c in (self.coeffs or (1,) * self.order))
         initial = tuple(as_fraction(c) for c in self.initial)
         if len(coeffs) != self.order:
@@ -97,18 +98,13 @@ def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
 
     Only the numerator depends on the initial terms.
     """
-    return gf_from_recurrence(spec.coeffs, spec.initial, var)
-
-
-def gf_from_recurrence(coeffs: Sequence[Fraction], initial: Sequence[Fraction],
-                       var: str = "z") -> RatFunc:
-    r = len(coeffs)
-    den = Poly(var, [Fraction(1)] + [-as_fraction(c) for c in coeffs])
+    c, a = spec.coeffs, spec.initial
+    den = Poly(var, [Fraction(1)] + [-v for v in c])
     num_coeffs = []
-    for n in range(r):
-        v = as_fraction(initial[n])
+    for n in range(spec.order):
+        v = a[n]
         for i in range(1, n + 1):
-            v -= as_fraction(coeffs[i - 1]) * as_fraction(initial[n - i])
+            v -= c[i - 1] * a[n - i]
         num_coeffs.append(v)
     num = Poly(var, num_coeffs)
     if num.is_zero:
@@ -210,14 +206,10 @@ def pascal_rows(limit: int) -> Iterator[list[int]]:
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
 
 
-def binomial_convolution(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> Fraction:
-    """sum_k C(n,k) a_k b_{n-k} with exact binomials."""
-    if len(a) < n + 1 or len(b) < n + 1:
-        raise ValueError(f"need at least {n + 1} terms")
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return sum((Fraction(row[k]) * a[k] * b[n - k] for k in range(n + 1)), Fraction(0))
+def _pascal_sum(row: list[int], a: Sequence[Fraction], b: Sequence[Fraction],
+                m: int) -> Fraction:
+    """sum_k C(n,k) a_k b_{m-k} over k <= min(n, m), for row n of Pascal's triangle."""
+    return sum((row[k] * a[k] * b[m - k] for k in range(min(len(row), m + 1))), Fraction(0))
 
 
 def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
@@ -225,11 +217,7 @@ def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
     """[sum_k C(n,k) a_k b_{n-k} for n in range(count)], sharing Pascal rows."""
     if len(a) < count or len(b) < count:
         raise ValueError(f"need at least {count} terms")
-    out = []
-    for n, row in enumerate(pascal_rows(count)):
-        out.append(sum((Fraction(row[k]) * a[k] * b[n - k] for k in range(n + 1)),
-                       Fraction(0)))
-    return out
+    return [_pascal_sum(row, a, b, n) for n, row in enumerate(pascal_rows(count))]
 
 
 def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
@@ -239,9 +227,4 @@ def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
         raise ValueError(f"need at least {nn} terms of a")
     if len(b) < nm:
         raise ValueError(f"need at least {nm} terms of b")
-    grid = []
-    for n, row in enumerate(pascal_rows(nn)):
-        grid.append([sum((Fraction(row[k]) * a[k] * b[m - k]
-                          for k in range(min(n, m) + 1)), Fraction(0))
-                     for m in range(nm)])
-    return grid
+    return [[_pascal_sum(row, a, b, m) for m in range(nm)] for row in pascal_rows(nn)]

@@ -6,7 +6,9 @@ import sys
 
 from fractions import Fraction
 
-from gfdiag import parse_poly, parse_ratfunc
+import pytest
+
+from gfdiag import cli, parse_poly, parse_ratfunc
 
 
 def run_cli(*args, env=None):
@@ -84,6 +86,12 @@ def test_convolve_malformed_init_exits_2():
     assert res.returncode == 2
 
 
+def test_convolve_order_zero_exits_2():
+    res = run_cli("convolve", "--k", "0", "--init", "")
+    assert res.returncode == 2
+    assert "order must be >= 1" in res.stderr
+
+
 # -- diagonal --------------------------------------------------------------------
 
 def test_diagonal_catalog_both_methods():
@@ -141,6 +149,34 @@ def test_diagonal_repeated_kept_factor_exits_4():
     assert "multiplicity 2" in res.stderr
 
 
+def test_diagonal_series_reports_no_zero_evidence_recurrence():
+    # The diagonal of 1/(1-x-y) is 1/sqrt(1-4z): 40 terms fit an order-20
+    # recurrence exactly, which is no evidence for it.
+    res = run_cli("diagonal", "--gf-text", "1/(1-x-y)", "--n", "40", "--method", "series",
+                  "--json")
+    assert res.returncode == 0
+    series = json.loads(res.stdout)["series"]
+    assert series["recurrence_order"] is None
+    assert series["note"] == "no recurrence of order <= 19 fits 40 diagonal terms"
+
+
+def test_diagonal_series_text_prints_confidence():
+    res = run_cli("diagonal", "--gf-text", "1/((1-x)*(1-y))", "--method", "series",
+                  "--n", "30")
+    assert res.returncode == 0
+    assert "series method: order-1 recurrence (confidence 28), (1) / (1 - z)" in res.stdout
+
+
+def test_internal_zero_division_is_not_a_method_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("internal fault")
+
+    monkeypatch.setattr(cli, "diagonal_rational", broken)
+    with pytest.raises(ZeroDivisionError, match="internal fault"):
+        cli.main(["diagonal", "--gf-text", "1/((1-x)*(1-y))", "--method", "residue",
+                  "--n", "5"])
+
+
 def test_diagonal_requires_bivariate():
     res = run_cli("diagonal", "--gf-text", "1/(1-x)", "--method", "residue")
     assert res.returncode == 2
@@ -162,6 +198,14 @@ def test_guess_gf_insufficient_evidence():
     res = run_cli("guess-gf", "--terms", "1,0,0,1", "--json")
     assert res.returncode == 0
     assert json.loads(res.stdout)["order"] is None
+
+
+def test_guess_gf_zero_evidence():
+    res = run_cli("guess-gf", "--terms", "1,2,3,4", "--json")
+    assert res.returncode == 0
+    data = json.loads(res.stdout)
+    assert data["order"] is None
+    assert data["note"] == "no recurrence of order <= 1 fits"
 
 
 # -- catalog ---------------------------------------------------------------------

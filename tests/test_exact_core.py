@@ -273,6 +273,16 @@ def test_parse_rational_coefficient_binds_tightly():
 def test_parse_keeps_denominator_factored():
     f = parse_ratfunc("z^2/((1-z)*(1-2*z-4*z^2))")
     assert len(f.denom) == 2
+    # Powers scale multiplicities in one step and equal the repeated product.
+    for g in (parse_ratfunc("(2/3)*(x-y)*x^2/((1-x*y)*(1-x-y^2)^2)"), RatFunc(5),
+              RatFunc.zero()):
+        product = RatFunc.one()
+        for n in range(4):
+            assert g ** n == product
+            product = product * g
+    big = parse_ratfunc("1/(1-x)^1000000")
+    assert big.constant == 1 and not big.numer
+    assert big.denom == ((Poly("x", [1, -1]), 10 ** 6),)
 
 
 def test_parse_errors():
@@ -294,3 +304,12 @@ def test_ratfunc_display_round_trips_by_value():
         num_f, den_f = f.expand_to_single_fraction()
         num_g, den_g = g.expand_to_single_fraction()
         assert num_f * den_g == num_g * den_f
+
+
+# -- package surface ---------------------------------------------------------
+
+def test_public_names_resolve_once():
+    import gfdiag
+    assert len(gfdiag.__all__) == len(set(gfdiag.__all__))
+    for name in gfdiag.__all__:
+        assert getattr(gfdiag, name) is not None, name

@@ -7,16 +7,16 @@ from random import Random
 import pytest
 
 from gfdiag import (
-    LinearRecurrence,
+    SequenceSpec,
     build_convolution_gf,
     certify_agreement,
     diagonal_series,
     find_min_recurrence,
     generate_sequence,
+    gf_of_sequence,
     kbonacci,
     parse_poly,
     parse_ratfunc,
-    recurrence_to_gf,
     series_of_rational,
 )
 from helpers import rand_sequence_spec
@@ -42,7 +42,7 @@ def test_tribonacci_diagonal_order_six_with_product_denominator():
     terms = list(diagonal_series(g, 60))
     rec = find_min_recurrence(terms)
     assert rec.order == 6
-    _num, den = recurrence_to_gf(rec).reduced_fraction()
+    _num, den = gf_of_sequence(rec).reduced_fraction()
     assert den == parse_poly("(1-2*z-4*z^2-8*z^3)*(1-2*z+2*z^3)")
 
 
@@ -56,20 +56,34 @@ def test_insufficient_evidence_returns_none():
     assert find_min_recurrence([1, 0, 0, 1]) is None
 
 
+def test_zero_evidence_returns_none():
+    # 1, 2, 3, 4 fits a(n) = 2a(n-1) - a(n-2), but four terms are no
+    # evidence for an order-2 recurrence: 2*order must stay below the count.
+    assert find_min_recurrence([1, 2, 3, 4]) is None
+    assert find_min_recurrence([1, 2, 3, 4, 5]).order == 2
+
+
+def test_all_zero_terms_give_order_zero_spec():
+    rec = find_min_recurrence([0] * 6)
+    assert rec == SequenceSpec(0, (), ())
+    assert gf_of_sequence(rec).is_zero
+    assert list(generate_sequence(rec, 3)) == [0, 0, 0]
+
+
 def test_recurrence_to_gf_fibonacci():
-    gf = recurrence_to_gf(LinearRecurrence((1, 1), (0, 1)))
+    gf = gf_of_sequence(SequenceSpec(2, (1, 1), (0, 1)))
     num, den = gf.reduced_fraction()
     assert num == parse_poly("z") and den == parse_poly("1-z-z^2")
 
 
 def test_recurrence_to_gf_u_sequence():
-    gf = recurrence_to_gf(LinearRecurrence((2, 0, -2), (1, 2, 4)))
+    gf = gf_of_sequence(SequenceSpec(3, (2, 0, -2), (1, 2, 4)))
     num, den = gf.reduced_fraction()
     assert num == parse_poly("1") and den == parse_poly("1-2*z+2*z^3")
 
 
 def test_recurrence_to_gf_constant():
-    gf = recurrence_to_gf(LinearRecurrence((1,), (1,)))
+    gf = gf_of_sequence(SequenceSpec(1, (1,), (1,)))
     num, den = gf.reduced_fraction()
     assert num == parse_poly("1") and den == parse_poly("1-z")
 
@@ -82,7 +96,7 @@ def test_round_trip_randomized():
         rec = find_min_recurrence(terms)
         assert rec is not None
         assert rec.order <= spec.order
-        assert list(series_of_rational(recurrence_to_gf(rec), len(terms))) == terms
+        assert list(series_of_rational(gf_of_sequence(rec), len(terms))) == terms
 
 
 def _order_fits(terms, order) -> bool:
@@ -142,8 +156,8 @@ def test_redetection_is_idempotent():
         spec = rand_sequence_spec(rng, max_order=5)
         terms = list(generate_sequence(spec, 2 * spec.order + 12))
         rec = find_min_recurrence(terms)
-        regenerated = list(series_of_rational(recurrence_to_gf(rec), len(terms))) \
-            if not recurrence_to_gf(rec).is_zero else [Fraction(0)] * len(terms)
+        regenerated = list(series_of_rational(gf_of_sequence(rec), len(terms))) \
+            if not gf_of_sequence(rec).is_zero else [Fraction(0)] * len(terms)
         again = find_min_recurrence(regenerated)
         assert again is not None
         assert again.order == rec.order

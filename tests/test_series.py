@@ -2,6 +2,7 @@
 and the binomial-convolution oracles."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from gfdiag import (
     PoleAtOriginError,
     SequenceSpec,
-    binomial_convolution,
     binomial_convolution_sequence,
     bivariate_series,
     build_convolution_gf,
@@ -166,19 +166,18 @@ def test_gf_of_random_specs_matches_generation():
 
 def test_binomial_convolution_fibonacci_anchors():
     fib = generate_sequence(kbonacci(2, shifted=True), 10)
-    assert binomial_convolution(fib, fib, 2) == 2
-    assert binomial_convolution(fib, fib, 3) == 6
+    assert binomial_convolution_sequence(fib, fib, 4)[2:] == F(2, 6)
 
 
 def test_binomial_convolution_zero_sequence():
     z = [Fraction(0)] * 8
     fib = list(generate_sequence(kbonacci(2, shifted=True), 8))
-    assert binomial_convolution(z, fib, 5) == 0
+    assert binomial_convolution_sequence(z, fib, 6) == F(0, 0, 0, 0, 0, 0)
 
 
 def test_binomial_convolution_needs_enough_terms():
     with pytest.raises(ValueError):
-        binomial_convolution([Fraction(1)] * 3, [Fraction(1)] * 3, 3)
+        binomial_convolution_sequence([Fraction(1)] * 3, [Fraction(1)] * 3, 4)
 
 
 def test_binomial_convolution_symmetry_randomized():
@@ -187,13 +186,15 @@ def test_binomial_convolution_symmetry_randomized():
         n = rng.randint(0, 12)
         a = [Fraction(rng.randint(-5, 5)) for _ in range(n + 1)]
         b = [Fraction(rng.randint(-5, 5)) for _ in range(n + 1)]
-        assert binomial_convolution(a, b, n) == binomial_convolution(b, a, n)
+        assert binomial_convolution_sequence(a, b, n + 1) == \
+            binomial_convolution_sequence(b, a, n + 1)
 
 
 def test_convolution_sequence_matches_single_calls():
     fib = list(generate_sequence(kbonacci(2, shifted=True), 12))
     seq = binomial_convolution_sequence(fib, fib, 12)
-    assert seq[4] == binomial_convolution(fib, fib, 4)
+    assert seq == [sum(comb(n, k) * fib[k] * fib[n - k] for k in range(n + 1))
+                   for n in range(12)]
     assert seq[:4] == F(0, 0, 2, 6)
 
 
@@ -202,7 +203,7 @@ def test_convolution_grid_entries():
     h = convolution_grid(fib, fib, 6, 6)
     assert h[2][3] == 3
     for n in range(6):
-        assert h[n][n] == binomial_convolution(fib, fib, n)
+        assert h[n][n] == sum(comb(n, k) * fib[k] * fib[n - k] for k in range(n + 1))
 
 
 def test_convolution_grid_row_zero_reads_off_b():
