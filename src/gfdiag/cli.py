@@ -294,10 +294,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose values may begin with '-' (a negative term, '-x/(1-x*y)').
+_VALUE_OPTIONS = ("--init", "--coeffs", "--terms", "--gf-text")
+
+
+def _join_option_values(argv: list[str]) -> list[str]:
+    """Rewrite '--init -1,2' as '--init=-1,2'.
+
+    argparse reads a separate value that begins with '-' as an option and
+    rejects it with "expected one argument"; the '--opt=value' form is
+    always read as the value.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,20 @@ def _format_coeff_term(c: Fraction, monomial: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
+def _power(one, base, n: int):
+    """base^n by binary powering (repeated squaring); one is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class Poly:
     """Univariate polynomial with exact rational coefficients."""
 
@@ -143,12 +157,7 @@ class Poly:
         return Poly(self.var, [c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one(self.var)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(Poly.one(self.var), self, n)
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact division with remainder: self = q*other + r, deg r < deg other."""
@@ -361,12 +370,7 @@ class BiPoly:
         return BiPoly(self.outer, self.inner, [p.scale(c) for p in self.coeffs])
 
     def __pow__(self, n: int) -> "BiPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = BiPoly.one(self.outer, self.inner)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(BiPoly.one(self.outer, self.inner), self, n)
 
     def evaluate(self, outer_value, inner_value) -> Fraction:
         outer_value = as_fraction(outer_value)

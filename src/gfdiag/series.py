@@ -1,16 +1,20 @@
 """Truncated power series expansion and brute-force sequence oracles.
 
-Everything here is exact: Taylor coefficients come from the standard
-division recurrence over Fraction, bivariate expansion nests that
-recurrence (outer-variable coefficients are truncated inner-variable
-series), and binomial coefficients come from Pascal-row iteration in
-exact integers.
+Everything here is exact.  The inner loops run on Python ints, not on
+Fraction: each clears the denominators of its inputs once, runs the
+Taylor division recurrence (one or two variables) or the Pascal-row sum
+over integers, and builds the Fraction results only at the end.  Division
+by the constant term d0 of the denominator is deferred by carrying
+e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
+needs no division at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .poly import BiPoly, Poly, as_fraction
@@ -113,19 +117,56 @@ def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
+# Integer kernels
+# ---------------------------------------------------------------------------
+
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(values * L as ints, L), with L the lcm of the values' denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> list[int]:
+    """In place, for m ascending: e[m] -= sum of v * e[m - j] over steps (j, v), j <= m.
+
+    steps is sorted by j, and every j is at least 1.
+    """
+    for m in range(len(e)):
+        acc = e[m]
+        for j, v in steps:
+            if j > m:
+                break
+            acc -= v * e[m - j]
+        e[m] = acc
+    return e
+
+
+def _unscaled(e: list[int], d0: int, shift: int) -> list[Fraction]:
+    """[e[m] / d0^(m + shift)]: the division the integer recurrence deferred."""
+    if d0 == 1:
+        return [Fraction(v) for v in e]
+    out = []
+    power = d0 ** shift
+    for v in e:
+        out.append(Fraction(v, power))
+        power *= d0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Univariate expansion
 # ---------------------------------------------------------------------------
 
 def _series_div(num: Sequence[Fraction], den: Sequence[Fraction], n: int) -> list[Fraction]:
-    # den[0] != 0; standard Taylor division recurrence.
-    d0 = den[0]
-    out: list[Fraction] = []
-    for m in range(n):
-        v = num[m] if m < len(num) else Fraction(0)
-        for i in range(1, min(m, len(den) - 1) + 1):
-            v -= den[i] * out[m - i]
-        out.append(v / d0)
-    return out
+    # den[0] != 0.  With num and den cleared to integers, the recurrence runs
+    # on e[m] = out[m] * d0^(m+1), whose terms are num[m] * d0^m and
+    # den[i] * d0^(i-1).
+    num = num[:n]
+    ints, _ = _cleared([*num, *den])
+    d0 = ints[len(num)]
+    e = [v * d0 ** m for m, v in enumerate(ints[:len(num)])] + [0] * (n - len(num))
+    steps = [(i, v * d0 ** (i - 1)) for i, v in enumerate(ints[len(num):]) if i and v]
+    return _unscaled(_solve_row(e, steps), d0, 1)
 
 
 def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
@@ -141,15 +182,6 @@ def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
         raise PoleAtOriginError("pole at the origin")
     use_var = var or (f.variables[0] if f.variables else "z")
     return Series(use_var, tuple(_series_div(num.coeffs, den.coeffs, n)))
-
-
-def poly_times_series(p: Poly, s: Sequence[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for d, c in enumerate(p.coeffs):
-        if c:
-            for j in range(d, n):
-                out[j] += c * s[j - d]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +204,28 @@ def bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
     if f.is_zero:
         return [[Fraction(0)] * ny for _ in range(nx)]
     num, den = _as_bipoly_pair(f)
-    d0 = den.coeff(0)
-    if d0.coeff(0) == 0:
+    if den.coeff(0).coeff(0) == 0:
         raise PoleAtOriginError("pole at the origin")
+    # With num and den cleared to integers, the 2-D recurrence runs on
+    # e[n][m] = c[n][m] * d00^(n+m+1), whose terms are num[n][m] * d00^(n+m)
+    # and den[i][j] * d00^(i+j-1).  den.monomials() starts at (0, 0).
+    nterms = [t for t in num.monomials() if t[0] < nx and t[1] < ny]
+    dterms = list(den.monomials())
+    ints, _ = _cleared([c for _, _, c in nterms + dterms])
+    d00 = ints[len(nterms)]
+    e = [[0] * ny for _ in range(nx)]
+    for (i, j, _), v in zip(nterms, ints):
+        e[i][j] = v * d00 ** (i + j)
+    steps = [(i, j, v * d00 ** (i + j - 1))
+             for (i, j, _), v in zip(dterms[1:], ints[len(nterms) + 1:])]
+    inner = [(j, v) for i, j, v in steps if i == 0]
+    outer = [(i, j, v) for i, j, v in steps if i > 0]
     rows: list[list[Fraction]] = []
-    dd = den.degree
-    for n in range(nx):
-        r = [num.coeff(n).coeff(j) for j in range(ny)]
-        for i in range(1, min(n, dd) + 1):
-            di = den.coeff(i)
-            if not di.is_zero:
-                prod = poly_times_series(di, rows[n - i], ny)
-                r = [a - b for a, b in zip(r, prod)]
-        rows.append(_series_div(r, d0.coeffs, ny))
+    for n, row in enumerate(e):
+        for i, j, v in outer:
+            if i <= n:
+                row[j:] = [a - v * b for a, b in zip(row[j:], e[n - i])]
+        rows.append(_unscaled(_solve_row(row, inner), d00, n + 1))
     return rows
 
 
@@ -206,10 +247,9 @@ def pascal_rows(limit: int) -> Iterator[list[int]]:
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
 
 
-def _pascal_sum(row: list[int], a: Sequence[Fraction], b: Sequence[Fraction],
-                m: int) -> Fraction:
+def _pascal_sum(row: list[int], a: list[int], b: list[int], m: int) -> int:
     """sum_k C(n,k) a_k b_{m-k} over k <= min(n, m), for row n of Pascal's triangle."""
-    return sum((row[k] * a[k] * b[m - k] for k in range(min(len(row), m + 1))), Fraction(0))
+    return sum(map(mul, row, map(mul, a, b[m::-1])))
 
 
 def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
@@ -217,7 +257,9 @@ def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
     """[sum_k C(n,k) a_k b_{n-k} for n in range(count)], sharing Pascal rows."""
     if len(a) < count or len(b) < count:
         raise ValueError(f"need at least {count} terms")
-    return [_pascal_sum(row, a, b, n) for n, row in enumerate(pascal_rows(count))]
+    (ia, la), (ib, lb) = _cleared(a[:count]), _cleared(b[:count])
+    return [Fraction(_pascal_sum(row, ia, ib, n), la * lb)
+            for n, row in enumerate(pascal_rows(count))]
 
 
 def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
@@ -227,4 +269,6 @@ def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
         raise ValueError(f"need at least {nn} terms of a")
     if len(b) < nm:
         raise ValueError(f"need at least {nm} terms of b")
-    return [[_pascal_sum(row, a, b, m) for m in range(nm)] for row in pascal_rows(nn)]
+    (ia, la), (ib, lb) = _cleared(a[:nn]), _cleared(b[:nm])
+    return [[Fraction(_pascal_sum(row, ia, ib, m), la * lb) for m in range(nm)]
+            for row in pascal_rows(nn)]

@@ -1,4 +1,4 @@
-"""Shared random generators for the property tests.
+"""Shared random generators and reference implementations for the tests.
 
 Everything is seeded so the suite is deterministic run to run.
 """
@@ -58,3 +58,47 @@ def rand_sequence_spec(rng: Random, max_order: int = 3,
             coeffs = (Fraction(1),) + coeffs[1:]
     initial = tuple(Fraction(rng.randint(-3, 3)) for _ in range(k))
     return SequenceSpec(k, coeffs, initial)
+
+
+# -- Fraction references for the integer kernels of gfdiag.series --------------
+#
+# These are the Fraction recurrences that the integer kernels replaced, kept
+# here so that the property tests can compare the kernels with them.
+
+def ref_series_div(num, den, n: int) -> list[Fraction]:
+    """First n Taylor coefficients of num/den over Fraction; den[0] != 0."""
+    d0 = den[0]
+    out: list[Fraction] = []
+    for m in range(n):
+        v = num[m] if m < len(num) else Fraction(0)
+        for i in range(1, min(m, len(den) - 1) + 1):
+            v -= den[i] * out[m - i]
+        out.append(v / d0)
+    return out
+
+
+def ref_bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
+    """Coefficient grid c[n][m] of outer^n * inner^m over Fraction, row by row."""
+    if f.is_zero:
+        return [[Fraction(0)] * ny for _ in range(nx)]
+    num, den = f.expand_to_single_fraction()
+    if isinstance(num, Poly):
+        outer = num.var
+        inner = "y" if outer != "y" else "x"
+        num = BiPoly.embed(num, outer, inner)
+        den = BiPoly.embed(den, outer, inner)
+    d0 = den.coeff(0)
+    rows: list[list[Fraction]] = []
+    for n in range(nx):
+        r = [num.coeff(n).coeff(j) for j in range(ny)]
+        for i in range(1, min(n, den.degree) + 1):
+            for d, c in enumerate(den.coeff(i).coeffs):
+                for j in range(d, ny):
+                    r[j] -= c * rows[n - i][j - d]
+        rows.append(ref_series_div(r, d0.coeffs, ny))
+    return rows
+
+
+def ref_pascal_sum(row: list[int], a, b, m: int) -> Fraction:
+    """sum_k C(n,k) a_k b_{m-k} over k <= min(n, m), for row n of Pascal's triangle."""
+    return sum((row[k] * a[k] * b[m - k] for k in range(min(len(row), m + 1))), Fraction(0))

@@ -92,6 +92,21 @@ def test_convolve_order_zero_exits_2():
     assert "order must be >= 1" in res.stderr
 
 
+@pytest.mark.parametrize("args, want", [
+    (("convolve", "--k", "2", "--init", "-1,2", "--n", "6"), "1 -4 6 6 46 126\n"),
+    (("guess-gf", "--terms", "-1,2,-4,8,-16,32"), "order 1 recurrence: a(n) = (-2)*a(n-1)\n"),
+    (("diagonal", "--gf-text", "-1/(1-x*y)", "--method", "series", "--n", "6"),
+     "series method: order-1 recurrence (confidence 4), (-1) / (1 - z)\n"),
+], ids=["convolve-init", "guess-gf-terms", "diagonal-gf-text"])
+def test_option_value_starting_with_minus(args, want, capsys):
+    # argparse alone reads "-1,2" as an option and exits 2; "--init=-1,2" always worked.
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(want)
+    assert cli.main([args[0], f"{args[1]}={args[2]}", *args[3:]]) == 0
+    assert capsys.readouterr().out == out
+
+
 # -- diagonal --------------------------------------------------------------------
 
 def test_diagonal_catalog_both_methods():

@@ -36,6 +36,18 @@ def test_mul_by_zero_absorbs():
     assert (p * Poly.zero("z")).is_zero
 
 
+def test_power_equals_repeated_product():
+    bipoly = BiPoly.from_monomials("x", "y", {(0, 0): Fraction(-3, 2), (1, 0): Fraction(1, 3),
+                                              (0, 2): Fraction(5, 7), (2, 1): 1})
+    for p, product in ((parse_poly("2/3 - z/5 + 7/2*z^2"), Poly.one("z")),
+                       (bipoly, BiPoly.one("x", "y"))):
+        for n in range(10):
+            assert p ** n == product
+            product = product * p
+    with pytest.raises(ValueError):
+        parse_poly("1-z") ** -1
+
+
 def test_variable_mismatch_raises():
     with pytest.raises(ValueError, match="variable mismatch"):
         parse_poly("1+z") * Poly("t", [1, 1])

@@ -6,9 +6,12 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdiag import (
+    BiPoly,
     PoleAtOriginError,
+    RatFunc,
     SequenceSpec,
     binomial_convolution_sequence,
     bivariate_series,
@@ -22,7 +25,14 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
-from helpers import rand_sequence_spec, rand_univariate_ratfunc
+from gfdiag.series import _series_div, pascal_rows
+from helpers import (
+    rand_sequence_spec,
+    rand_univariate_ratfunc,
+    ref_bivariate_series,
+    ref_pascal_sum,
+    ref_series_div,
+)
 
 
 def F(*vals):
@@ -212,3 +222,47 @@ def test_convolution_grid_row_zero_reads_off_b():
     b = list(generate_sequence(SequenceSpec(2, (1, 1), (2, 1)), 8))
     h = convolution_grid(a, b, 4, 8)
     assert all(h[0][m] == b[m] for m in range(8))
+
+
+# -- integer kernels against their Fraction references ---------------------------
+#
+# Coefficients are rationals with distinct small denominators and constant
+# terms include values other than +-1, negative ones too, so that a wrong
+# power of the constant term or of a cleared denominator shows.
+
+_rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+_constant_term = st.sampled_from((1, -1, 2, -3, 6, Fraction(5, 2), Fraction(-2, 3)))
+_kernel_settings = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+
+
+@_kernel_settings
+@given(num=st.lists(_rational, max_size=6), d0=_constant_term,
+       den_rest=st.lists(_rational, max_size=4), n=st.integers(0, 14))
+def test_series_div_matches_fraction_reference(num, d0, den_rest, n):
+    den = [d0, *den_rest]
+    assert _series_div(num, den, n) == ref_series_div(num, den, n)
+
+
+@_kernel_settings
+@given(numer=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 4)), _rational,
+                             min_size=1, max_size=5),
+       d00=_constant_term,
+       denom=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _rational,
+                             max_size=5),
+       nx=st.integers(0, 8), ny=st.integers(0, 8))
+def test_bivariate_series_matches_fraction_reference(numer, d00, denom, nx, ny):
+    den = BiPoly.from_monomials("x", "y", {**denom, (0, 0): d00})
+    f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], [(den, 1)])
+    assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
+
+
+@_kernel_settings
+@given(a=st.lists(_rational, min_size=10, max_size=10),
+       b=st.lists(_rational, min_size=10, max_size=10),
+       count=st.integers(0, 10), nn=st.integers(0, 10), nm=st.integers(0, 10))
+def test_convolution_oracles_match_fraction_reference(a, b, count, nn, nm):
+    rows = list(pascal_rows(10))
+    assert binomial_convolution_sequence(a, b, count) == [
+        ref_pascal_sum(rows[n], a, b, n) for n in range(count)]
+    assert convolution_grid(a, b, nn, nm) == [
+        [ref_pascal_sum(rows[n], a, b, m) for m in range(nm)] for n in range(nn)]
