@@ -22,7 +22,7 @@ from math import comb
 from typing import Callable
 
 from .gfbuild import build_convolution_gf, printed_gf
-from .poly import Poly
+from .poly import Poly, _cleared
 from .ratfunc import compose_rational, identity_equal
 from .residues import diagonal_rational
 from .series import (
@@ -166,9 +166,8 @@ def _check_trib_first_term(n: int, convention: str) -> CheckResult:
 
 def _check_trib_u_binomial(n: int, convention: str) -> CheckResult:
     u = series_of_rational(printed_gf("trib.U_gf"), n + 1)
-    t = _kbonacci_terms(3, convention, n + 3)
-    rhs = [sum((t[k - 1] * (-1) ** k * comb(m + 2, k) for k in range(1, m + 3)),
-               Fraction(0))
+    t, den = _cleared(_kbonacci_terms(3, convention, n + 3))
+    rhs = [Fraction(sum(t[k - 1] * (-1) ** k * comb(m + 2, k) for k in range(1, m + 3)), den)
            for m in range(n + 1)]
     return _compare_terms(u, rhs)
 

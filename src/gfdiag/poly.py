@@ -6,6 +6,10 @@ Bivariate polynomials (BiPoly) are polynomials in an outer variable whose
 coefficients are Polys in an inner variable.  All scalars are
 fractions.Fraction, so every operation is exact.
 
+The private _int_* kernels work on ascending lists of Python ints with the
+denominators cleared: one pseudo-division, shared by poly_gcd's primitive
+remainder sequence and by the extended one the residue route runs.
+
 Degrees in this toolkit stay small (below ~30), which is why the dense
 representation and the schoolbook algorithms are the right trade-off.
 """
@@ -13,8 +17,8 @@ representation and the schoolbook algorithms are the right trade-off.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as gcd_int
-from typing import Iterable, Union
+from math import gcd as gcd_int, lcm
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -446,32 +450,79 @@ def unify(*values) -> tuple:
     return tuple(out)
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(values * L as ints, L), with L the lcm of the values' denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _int_primitive(p: Poly) -> list[int]:
     """Integer coefficients of p with denominators cleared and content removed."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // gcd_int(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd_int(g, abs(v))
+    ints = _cleared(p.coeffs)[0]
+    g = gcd_int(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    a = list(a)
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of integer coefficient lists (ascending)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_prem(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists (ascending): (q, r, c).
+
+    c * a = q * b + r with deg r < deg b, where c = lc(b)^k for the k
+    elimination steps taken (k = 0 when deg a < deg b).
+    """
+    r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
+    q = [0] * max(len(a) - db, 0)
+    c = 1
+    while r and len(r) - 1 >= db:
+        la = r[-1]
+        shift = len(r) - 1 - db
+        r = [v * lb for v in r]
+        q = [v * lb for v in q]
+        q[shift] = la
+        c *= lb
         for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+            r[shift + j] -= la * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r, c
+
+
+def _int_xprs(a: list[int], b: list[int], bound: int) -> tuple[list[int], list[int]]:
+    """Extended primitive PRS of integer lists a, b, stopped below degree bound.
+
+    Returns the first remainder r of degree below bound together with its
+    cofactor s, so that r = s * b modulo a up to the scalars the sequence
+    carries: only the ratio r / s is determined.  Each step is one
+    pseudo-division, and the common content of (r, s) is removed.  A zero
+    r means gcd(a, b) has degree at least bound.
+    """
+    r0, r1, s0, s1 = a, b, [], [1]
+    while len(r1) > bound:
+        q, r, c = _int_prem(r0, r1)
+        qs = _int_mul(q, s1)
+        s = [c * x for x in s0] + [0] * max(len(qs) - len(s0), 0)
+        for i, v in enumerate(qs):
+            s[i] -= v
+        while s and s[-1] == 0:
+            s.pop()
+        g = gcd_int(*r, *s)
+        if g > 1:
+            r, s = [v // g for v in r], [v // g for v in s]
+        r0, r1, s0, s1 = r1, r, s1, s
+    return r1, s1
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -491,10 +542,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(ca) < len(cb):
         ca, cb = cb, ca
     while cb:
-        r = _int_prem(ca, cb)
-        g = 0
-        for v in r:
-            g = gcd_int(g, abs(v))
+        r = _int_prem(ca, cb)[1]
+        g = gcd_int(*r)
         if g > 1:
             r = [v // g for v in r]
         ca, cb = cb, r

@@ -11,6 +11,14 @@ evaluated over Q at rational points z0, and the rational function of z is
 rebuilt by Cauchy interpolation (rational reconstruction by extended
 Euclid; von zur Gathen and Gerhard, Modern Computer Algebra, 5.7).
 
+Both steps run on Python ints.  The transform's numerator and factors are
+cleared to integer coefficients once, with one rational scale kappa, and
+evaluated at each z0 by integer Horner.  The remainders mod p^m are
+pseudo-remainders, whose powers of lc(p^m) are tracked, and the inverse mod
+p^m and the reconstruction both come from one integer extended primitive
+pseudo-remainder sequence, poly._int_xprs (ibid., 6.10-6.12).  A Fraction is
+built once per kept factor and point, and for the reconstructed function.
+
 The pole-keeping rule is not proved here in general; diagonal_rational
 validates it per instance by comparing against the series diagonal and
 reports a violation instead of silently trusting the rule.
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BiPoly, Poly, poly_xgcd
+from .poly import BiPoly, Poly, _cleared, _int_mul, _int_prem, _int_xprs
 from .ratfunc import RatFunc
 from .series import diagonal_series, series_of_rational
 
@@ -177,55 +185,101 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
 # Residue sums at rational points, rebuilt as rational functions of z
 # ---------------------------------------------------------------------------
 
-def _at(p: BiPoly, z0: int) -> Poly:
-    """p(t, z0) as a polynomial in t."""
-    return Poly(p.outer, [c.evaluate(z0) for c in p.coeffs])
+# Integer coefficients of a polynomial in (t, z), indexed [t power][z power].
+_Rows = list[list[int]]
 
 
-def _residue_sum_at(h: HKTransform, kept: list[PoleClass], z0: int) -> Fraction | None:
-    """The kept factors' residue sum at z = z0.
+def _int_rows(p: BiPoly) -> tuple[_Rows, int]:
+    """(rows, L) with p = rows / L."""
+    ints, den = _cleared([c for row in p.coeffs for c in row.coeffs])
+    it = iter(ints)
+    return [[next(it) for _ in row.coeffs] for row in p.coeffs], den
+
+
+def _int_transform(h: HKTransform) -> tuple[_Rows, list[tuple[_Rows, int]], Fraction]:
+    """h on integers: (numerator, [(factor, multiplicity)], kappa).
+
+    kappa is the one rational scale with h = kappa * numerator / prod factor^m.
+    """
+    num, num_den = _int_rows(h.numerator)
+    factors = []
+    scale = 1
+    for p, m in h.denom_factors:
+        rows, den = _int_rows(p)
+        factors.append((rows, m))
+        scale *= den ** m
+    return num, factors, Fraction(scale, num_den)
+
+
+def _at(rows: _Rows, z0: int) -> list[int]:
+    """rows evaluated at z = z0 by Horner: integer coefficients in t."""
+    out = []
+    for row in rows:
+        acc = 0
+        for c in reversed(row):
+            acc = acc * z0 + c
+        out.append(acc)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _residue_sum_at(rows: tuple[_Rows, list[tuple[_Rows, int]], Fraction],
+                    kept: list[PoleClass], z0: int) -> Fraction | None:
+    """The kept factors' residue sum at z = z0, for h given by _int_transform(h).
 
     None where a kept factor loses t-degree or shares a root with another
     factor, since the sum there is not the value of the rational function.
     """
-    factors = [(_at(p, z0), m) for p, m in h.denom_factors]
-    num = _at(h.numerator, z0)
+    num_rows, factor_rows, kappa = rows
+    factors = [(_at(p, z0), m) for p, m in factor_rows]
+    num = _at(num_rows, z0)
     total = Fraction(0)
     for pole in kept:
         p, m = factors[pole.index]
-        if p.degree < pole.factor.degree:
+        if len(p) - 1 < pole.factor.degree:
             return None
-        cof = Poly.one(p.var)
+        cof = [1]
         for idx, (q, k) in enumerate(factors):
             if idx != pole.index:
-                cof = cof * q ** k
-        a = _part_numerator(num, cof, p ** m)
-        if a is None:
+                for _ in range(k):
+                    cof = _int_mul(cof, q)
+        base = p
+        for _ in range(m - 1):
+            base = _int_mul(base, p)
+        part = _part_numerator(num, cof, base)
+        if part is None:
             return None
-        total += a.coeff(m * p.degree - 1) / p.leading ** m
-    return total
+        a, c = part
+        top = m * (len(p) - 1) - 1
+        if top < len(a):
+            total += Fraction(a[top], c * p[-1] ** m)
+    return total * kappa
 
 
 def _cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
     """Rational reconstruction (r, s) of the values vs at the points zs.
 
-    Newton interpolation gives V with V(zs[i]) = vs[i]; extended Euclid on
-    (prod(z - zs[i]), V) stops at the first remainder r of degree below
-    len(zs)/2, and s is V's cofactor there, so r = s*V modulo the product.
+    Newton interpolation gives V with V(zs[i]) = vs[i]; its cleared Newton
+    form L*V and prod(z - zs[i]) are expanded on ints, and the extended PRS
+    of (prod, L*V) stops at the first remainder r of degree below
+    len(zs)/2, with cofactor s: r = s*L*V modulo the product.
     """
     coeffs = list(vs)
     for j in range(1, len(zs)):                 # divided differences
         for i in range(len(zs) - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (zs[i] - zs[i - j])
-    value, basis = Poly.zero("z"), Poly.one("z")
-    for zi, c in zip(zs, coeffs):
-        value = value + basis.scale(c)
-        basis = basis * Poly("z", (-zi, 1))
-    r0, r1, s0, s1 = basis, value, Poly.zero("z"), Poly.one("z")
-    while 2 * r1.degree >= len(zs):
-        q, r = r0.divrem(r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-    return r1, s1
+    ints, den = _cleared(coeffs)
+    value, basis = [ints[-1]], [1]
+    for zi, c in zip(zs[-2::-1], ints[-2::-1]):
+        value = _int_mul(value, [-zi, 1])
+        value[0] += c
+    for zi in zs:
+        basis = _int_mul(basis, [-zi, 1])
+    while value and value[-1] == 0:
+        value.pop()
+    r, s = _int_xprs(basis, value, (len(zs) + 1) // 2)
+    return Poly("z", r), Poly("z", [v * den for v in s])
 
 
 def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
@@ -246,13 +300,14 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
                  + sum(pole.factor.degree * q.inner_degree + q.degree * pole.factor.inner_degree
                        for idx, (q, _) in enumerate(h.denom_factors) if idx != pole.index)
                  for pole in kept)
+    rows = _int_transform(h)
     zs: list[int] = []
     vs: list[Fraction] = []
     z0, n = 0, 4
     while True:
         while len(zs) < n + 2:
             z0 = -z0 if z0 > 0 else 1 - z0
-            v = _residue_sum_at(h, kept, z0)
+            v = _residue_sum_at(rows, kept, z0)
             if v is not None:
                 zs.append(z0)
                 vs.append(v)
@@ -330,15 +385,22 @@ class PartialFractions:
     parts: tuple[tuple[Poly, Poly, int], ...]
 
 
-def _part_numerator(num: Poly, cof: Poly, base: Poly) -> Poly | None:
-    """A, of degree below base's, with num/(cof*base) - A/base regular at base's roots.
+def _part_numerator(num: list[int], cof: list[int],
+                    base: list[int]) -> tuple[list[int], int] | None:
+    """A = num * cof^(-1) mod base on integer coefficient lists, as (a, c) with A = a / c.
 
-    A = num * cof^(-1) mod base; None when cof and base share a root.
+    A, of degree below base's, makes num/(cof*base) - A/base regular at
+    base's roots.  The reductions mod base are pseudo-remainders, whose
+    powers of lc(base) go into a and c, and cof is inverted by the extended
+    PRS of (base, cof) run to a constant.  None when cof and base share a root.
     """
-    g, u, _ = poly_xgcd(cof.divrem(base)[1], base)
-    if g.degree > 0:
+    _, cof, c1 = _int_prem(cof, base)
+    g, inv = _int_xprs(base, cof, 1)
+    if not g:
         return None
-    return (num.divrem(base)[1] * u).divrem(base)[1]
+    _, num, c2 = _int_prem(num, base)
+    _, a, c3 = _int_prem(_int_mul(num, inv), base)
+    return [v * c1 for v in a], c2 * c3 * g[0]
 
 
 def partial_fractions(f: RatFunc) -> PartialFractions:
@@ -354,12 +416,16 @@ def partial_fractions(f: RatFunc) -> PartialFractions:
     if not f.denom:
         return PartialFractions(num.scale(1 / den.coeff(0)), ())
     poly_part, rem = num.divrem(den)
+    rem_ints, rem_den = _cleared(rem.coeffs)
     parts = []
     for p, m in f.denom:
         dj = p ** m
-        pj = _part_numerator(rem, den.divrem(dj)[0], dj)
-        if pj is None:
+        cof_ints, cof_den = _cleared(den.divrem(dj)[0].coeffs)
+        part = _part_numerator(rem_ints, cof_ints, _cleared(dj.coeffs)[0])
+        if part is None:
             raise ValueError(f"denominator factors are not coprime: ({p}) shares a root "
                              "with another factor")
+        a, c = part
+        pj = Poly(num.var, [Fraction(v * cof_den, c * rem_den) for v in a])
         parts.append((pj, p, m))
     return PartialFractions(poly_part, tuple(parts))

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .poly import BiPoly, Poly, as_fraction
+from .poly import BiPoly, Poly, _cleared, as_fraction
 from .ratfunc import RatFunc
 
 
@@ -119,12 +118,6 @@ def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
 # ---------------------------------------------------------------------------
 # Integer kernels
 # ---------------------------------------------------------------------------
-
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(values * L as ints, L), with L the lcm of the values' denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
 
 def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> list[int]:
     """In place, for m ascending: e[m] -= sum of v * e[m - j] over steps (j, v), j <= m.

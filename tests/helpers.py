@@ -6,7 +6,7 @@ Everything is seeded so the suite is deterministic run to run.
 from fractions import Fraction
 from random import Random
 
-from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec
+from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec, poly_xgcd
 
 
 def rand_fraction(rng: Random, lo: int = -5, hi: int = 5, denom: int = 3) -> Fraction:
@@ -102,3 +102,57 @@ def ref_bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
 def ref_pascal_sum(row: list[int], a, b, m: int) -> Fraction:
     """sum_k C(n,k) a_k b_{m-k} over k <= min(n, m), for row n of Pascal's triangle."""
     return sum((row[k] * a[k] * b[m - k] for k in range(min(len(row), m + 1))), Fraction(0))
+
+
+# -- Fraction references for the integer kernels of gfdiag.residues ------------
+#
+# The residue route's Fraction arithmetic that the integer extended PRS
+# replaced, kept here so that the property tests can compare the kernels
+# with it.
+
+def ref_part_numerator(num: Poly, cof: Poly, base: Poly) -> Poly | None:
+    """A = num * cof^(-1) mod base over Fraction; None when cof and base share a root."""
+    g, u, _ = poly_xgcd(cof.divrem(base)[1], base)
+    if g.degree > 0:
+        return None
+    return (num.divrem(base)[1] * u).divrem(base)[1]
+
+
+def ref_residue_sum_at(h, kept, z0: int) -> Fraction | None:
+    """The kept factors' residue sum [t^(m*d-1)] A / lc(p)^m at z = z0, over Fraction."""
+    def at(p):
+        return Poly(p.outer, [c.evaluate(z0) for c in p.coeffs])
+
+    factors = [(at(p), m) for p, m in h.denom_factors]
+    num = at(h.numerator)
+    total = Fraction(0)
+    for pole in kept:
+        p, m = factors[pole.index]
+        if p.degree < pole.factor.degree:
+            return None
+        cof = Poly.one(p.var)
+        for idx, (q, k) in enumerate(factors):
+            if idx != pole.index:
+                cof = cof * q ** k
+        a = ref_part_numerator(num, cof, p ** m)
+        if a is None:
+            return None
+        total += a.coeff(m * p.degree - 1) / p.leading ** m
+    return total
+
+
+def ref_cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
+    """Newton interpolation, then extended Euclid over Fraction stopped below len(zs)/2."""
+    coeffs = list(vs)
+    for j in range(1, len(zs)):
+        for i in range(len(zs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (zs[i] - zs[i - j])
+    value, basis = Poly.zero("z"), Poly.one("z")
+    for zi, c in zip(zs, coeffs):
+        value = value + basis.scale(c)
+        basis = basis * Poly("z", (-zi, 1))
+    r0, r1, s0, s1 = basis, value, Poly.zero("z"), Poly.one("z")
+    while 2 * r1.degree >= len(zs):
+        q, r = r0.divrem(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return r1, s1

@@ -26,8 +26,23 @@ from gfdiag import (
     residue_trace,
     series_of_rational,
 )
-from gfdiag.residues import HKTransform
-from helpers import rand_fraction, rand_poly, rand_sequence_spec
+from gfdiag.poly import _cleared
+from gfdiag.residues import (
+    HKTransform,
+    PoleClass,
+    _cauchy,
+    _int_transform,
+    _part_numerator,
+    _residue_sum_at,
+)
+from helpers import (
+    rand_fraction,
+    rand_poly,
+    rand_sequence_spec,
+    ref_cauchy,
+    ref_part_numerator,
+    ref_residue_sum_at,
+)
 
 
 def _fib_h() -> RatFunc:
@@ -185,6 +200,90 @@ def test_factors_sharing_a_root_for_every_z_rejected():
     f = RatFunc(1, denom=[(parse_poly("1-y", "y"), 1), (parse_poly("1-y^2", "y"), 1)])
     with pytest.raises(DegeneratePoleError, match="shares roots"):
         diagonal_rational(f, check_terms=5)
+
+
+# -- integer kernels against their Fraction references --------------------------
+
+# Rationals with distinct denominators, zero included.
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5, 7)))
+# The residue sum's evaluation points, negative ones included.
+_POINTS = (1, -1, 2, -2, 3, -3)
+
+
+def _z_poly(draw, min_size: int = 0, max_size: int = 3) -> Poly:
+    return Poly("z", draw(st.lists(_RATIONALS, min_size=min_size, max_size=max_size)))
+
+
+@st.composite
+def _tz_factor(draw, degrees) -> BiPoly:
+    """A factor in (t, z) whose leading coefficient in t is a nonzero Poly in z."""
+    degree = draw(degrees)
+    lead = _z_poly(draw, 1)
+    assume(not lead.is_zero)
+    return BiPoly("t", "z", [_z_poly(draw) for _ in range(degree)] + [lead])
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_residue_sum_at_matches_fraction_reference(data):
+    n_kept = data.draw(st.integers(1, 2))
+    multiplicities = st.integers(1, 2)
+    factors = [(data.draw(_tz_factor(st.sampled_from((1, 2, 3, 4)))), data.draw(multiplicities))
+               for _ in range(n_kept)]
+    factors += [(data.draw(_tz_factor(st.sampled_from((0, 1, 2)))), data.draw(multiplicities))
+                for _ in range(data.draw(st.integers(0, 2)))]
+    if data.draw(st.booleans()):
+        # The first and the last factor share the root t = c at z = c.
+        c = data.draw(st.sampled_from(_POINTS))
+        (p, m), (q, k) = factors[0], factors[-1]
+        factors[0] = (p * BiPoly("t", "z", [Poly("z", [0, -1]), 1]), m)
+        factors[-1] = (q * BiPoly("t", "z", [-c, 1]), k)
+    numer = BiPoly("t", "z", [_z_poly(data.draw, 1) for _ in range(data.draw(st.integers(0, 8)))])
+    h = HKTransform(numer, tuple(factors), (0,) * len(factors), 0)
+    kept = [PoleClass(p, m, i, True, "kept") for i, (p, m) in enumerate(factors[:n_kept])]
+    z0 = data.draw(st.sampled_from(_POINTS))
+    assert _residue_sum_at(_int_transform(h), kept, z0) == ref_residue_sum_at(h, kept, z0)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_part_numerator_matches_fraction_reference(data):
+    num = _z_poly(data.draw, 0, 7)
+    cof = _z_poly(data.draw, 1, 5)
+    base = _z_poly(data.draw, 2, 5)
+    assume(base.degree >= 1)
+    if data.draw(st.booleans()):
+        shared = Poly("z", [data.draw(_RATIONALS), 1])
+        cof, base = cof * shared, base * shared
+    (ni, ln), (ci, lc), (bi, _) = (_cleared(p.coeffs) for p in (num, cof, base))
+    got = _part_numerator(ni, ci, bi)
+    want = ref_part_numerator(num, cof, base)
+    if want is None:
+        assert got is None
+    else:
+        a, c = got
+        assert Poly("z", [Fraction(v * lc, c * ln) for v in a]) == want
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cauchy_matches_fraction_reference(data):
+    count = data.draw(st.integers(1, 24))
+    zs = [(i // 2 + 1) * (-1) ** i for i in range(3 * count)]
+    if data.draw(st.booleans()):
+        vs = data.draw(st.lists(_RATIONALS, min_size=count, max_size=count))
+    else:
+        # Values of a rational function, skipping its poles.
+        num, den = _z_poly(data.draw, 0, 4), _z_poly(data.draw, 1, 4)
+        assume(not den.is_zero)
+        zs = [z for z in zs if den.evaluate(z) != 0]
+        assume(len(zs) >= count)
+        vs = [num.evaluate(z) / den.evaluate(z) for z in zs[:count]]
+    zs = zs[:count]
+    r, s = _cauchy(zs, vs)
+    want_r, want_s = ref_cauchy(zs, vs)
+    assert not s.is_zero
+    assert r * want_s == want_r * s
 
 
 # -- diagonal_rational ---------------------------------------------------------
