@@ -3,7 +3,7 @@ sequences: bivariate generating functions, diagonal extraction by residue
 sums and by series/recurrence detection, and an identity verification suite.
 """
 
-from .poly import BiPoly, Poly, Rational, poly_gcd, poly_xgcd
+from .poly import BiPoly, Poly, Rational, poly_gcd
 from .ratfunc import RatFunc, compose_rational, identity_equal
 from .textform import ParseError, parse_poly, parse_ratfunc
 from .series import (
@@ -59,6 +59,6 @@ __all__ = [
     "diagonal_rational", "diagonal_series", "find_min_recurrence",
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",
     "identity_equal", "kbonacci", "parse_poly", "parse_ratfunc",
-    "partial_fractions", "poly_gcd", "poly_xgcd", "printed_gf",
+    "partial_fractions", "poly_gcd", "printed_gf",
     "residue_trace", "run_all", "run_claim", "series_of_rational",
 ]

@@ -550,19 +550,3 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     lead = ca[-1]
     return Poly(var, [Fraction(v, lead) for v in ca])
 
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid with monic gcd: g = u*a + v*b."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    var = a.var
-    r0, r1 = a, b
-    u0, u1 = Poly.one(var), Poly.zero(var)
-    v0, v1 = Poly.zero(var), Poly.one(var)
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    inv = 1 / r0.leading
-    return r0.scale(inv), u0.scale(inv), v0.scale(inv)

@@ -1,8 +1,10 @@
 """Minimal linear recurrence detection over the rationals.
 
-Berlekamp-Massey over the field of fractions finds the shortest
-constant-coefficient recurrence consistent with all supplied terms.
-Detection never leaves exact arithmetic; pivoting concerns do not arise
+Berlekamp-Massey finds the shortest constant-coefficient recurrence
+consistent with all supplied terms.  It runs fraction-free on the terms
+cleared to integers.  Each update is b*C - d*x^m*B, with the content
+divided out, and only the final connection polynomial becomes Fractions.
+Detection never leaves exact arithmetic.  Pivoting concerns do not arise,
 because every nonzero discrepancy is usable.
 """
 
@@ -10,32 +12,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
-from .poly import as_fraction
+from .poly import _cleared, as_fraction
 from .ratfunc import RatFunc
 from .series import SequenceSpec, Series, series_of_rational
 
 
 def _berlekamp_massey(s: Sequence[Fraction]) -> tuple[list[Fraction], int]:
-    # Connection polynomial C with C[0] = 1 and sum_i C[i] s[n-i] = 0.
-    C = [Fraction(1)]
-    B = [Fraction(1)]
+    # Connection polynomial C with C[0] = 1 and sum_i C[i] s[n-i] = 0, found
+    # fraction-free: on the terms cleared by their common denominator den, C
+    # and B are integer multiples of the field algorithm's polynomials,
+    # b*C - d*x^m*B is a multiple of its update C - (d/b)*x^m*B, and the
+    # content is divided out with C[0] > 0.  The initial b is den, the field
+    # algorithm's 1 at the scale of the cleared terms, so that C also agrees
+    # where too few terms determine it.
+    ints, b = _cleared(s)
+    C = [1]
+    B = [1]
     L = 0
     m = 1
-    b = Fraction(1)
-    for n in range(len(s)):
-        d = s[n]
-        for i in range(1, L + 1):
-            if i < len(C) and C[i]:
-                d += C[i] * s[n - i]
+    for n in range(len(ints)):
+        d = sum(map(mul, C[:L + 1], ints[n::-1]))
         if d == 0:
             m += 1
             continue
-        coef = d / b
-        new_c = C + [Fraction(0)] * max(0, len(B) + m - len(C))
+        new_c = [b * c for c in C] + [0] * max(0, len(B) + m - len(C))
         for i, bi in enumerate(B):
-            new_c[i + m] -= coef * bi
+            new_c[i + m] -= d * bi
+        g = gcd(*new_c) if new_c[0] > 0 else -gcd(*new_c)
+        new_c = [v // g for v in new_c]
         if 2 * L <= n:
             B = C
             C = new_c
@@ -45,7 +53,7 @@ def _berlekamp_massey(s: Sequence[Fraction]) -> tuple[list[Fraction], int]:
         else:
             C = new_c
             m += 1
-    return C, L
+    return [Fraction(c, C[0]) for c in C], L
 
 
 def find_min_recurrence(terms: Sequence[Fraction]) -> SequenceSpec | None:

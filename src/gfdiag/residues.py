@@ -35,7 +35,7 @@ from .series import diagonal_series, series_of_rational
 
 
 class DegeneratePoleError(ArithmeticError):
-    """Degenerate pole configuration (repeated kept factor, or factors sharing roots)."""
+    """Degenerate pole configuration: a kept factor shares roots with another factor."""
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +289,6 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     points, and rebuilt from its first n values with n doubling until the
     candidate reproduces the next two.
     """
-    for pole in kept:
-        if pole.multiplicity != 1:
-            raise DegeneratePoleError(f"kept factor has multiplicity {pole.multiplicity}; "
-                                      "only simple factors are supported")
     # A skipped point is a root of a kept factor's leading coefficient or of
     # its resultant with another factor; more skips than those degrees allow
     # mean two factors share a root for every z.

@@ -7,16 +7,26 @@ over integers, and builds the Fraction results only at the end.  Division
 by the constant term d0 of the denominator is deferred by carrying
 e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
 needs no division at all.
+
+The bivariate grid never expands the denominator.  The numerator product
+is expanded once on the nx x ny box, and the box is divided in place by
+one denominator factor at a time, m times for multiplicity m, each factor
+with its own cleared coefficients.  A few sparse factors cost fewer steps
+per row than their expanded product.  Once the factors' constant terms
+multiply to D, the box carries c * D^(n+m+1): the series at (D*x, D*y),
+times D.  So the next factor enters with its (i, j) coefficient times
+D^(i+j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
-from .poly import BiPoly, Poly, _cleared, as_fraction
+from .poly import AnyPoly, BiPoly, Poly, _cleared, as_fraction
 from .ratfunc import RatFunc
 
 
@@ -134,15 +144,14 @@ def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> list[int]:
     return e
 
 
-def _unscaled(e: list[int], d0: int, shift: int) -> list[Fraction]:
-    """[e[m] / d0^(m + shift)]: the division the integer recurrence deferred."""
+def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
+    """[e[m] / (den * d0^m)]: the division the integer recurrence deferred."""
     if d0 == 1:
-        return [Fraction(v) for v in e]
+        return [Fraction(v) for v in e] if den == 1 else [Fraction(v, den) for v in e]
     out = []
-    power = d0 ** shift
     for v in e:
-        out.append(Fraction(v, power))
-        power *= d0
+        out.append(Fraction(v, den))
+        den *= d0
     return out
 
 
@@ -159,7 +168,7 @@ def _series_div(num: Sequence[Fraction], den: Sequence[Fraction], n: int) -> lis
     d0 = ints[len(num)]
     e = [v * d0 ** m for m, v in enumerate(ints[:len(num)])] + [0] * (n - len(num))
     steps = [(i, v * d0 ** (i - 1)) for i, v in enumerate(ints[len(num):]) if i and v]
-    return _unscaled(_solve_row(e, steps), d0, 1)
+    return _unscaled(_solve_row(e, steps), d0, d0)
 
 
 def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
@@ -181,45 +190,104 @@ def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
 # Bivariate expansion and the diagonal
 # ---------------------------------------------------------------------------
 
-def _as_bipoly_pair(f: RatFunc) -> tuple[BiPoly, BiPoly]:
-    num, den = f.expand_to_single_fraction()
-    if isinstance(num, Poly):
-        # Constant in one variable: lift to a bivariate function.
-        outer = num.var
-        inner = "y" if outer != "y" else "x"
-        num = BiPoly.embed(num, outer, inner)
-        den = BiPoly.embed(den, outer, inner)
-    return num, den
+_Terms = list[tuple[int, int, int]]
+
+
+def _int_terms(p: AnyPoly) -> tuple[_Terms, Fraction]:
+    """(terms, s) with p = s * sum of v * outer^i * inner^j over terms (i, j, v).
+
+    The integer coefficients are primitive; a Poly's variable is the outer one.
+    """
+    mono = list(p.monomials()) if isinstance(p, BiPoly) else [
+        (i, 0, c) for i, c in enumerate(p.coeffs) if c]
+    ints, den = _cleared([c for _, _, c in mono])
+    g = gcd(*ints)
+    return [(i, j, v // g) for (i, j, _), v in zip(mono, ints)], Fraction(g, den)
+
+
+def _numerator_box(factors: Sequence[tuple[_Terms, int]], first: int,
+                   nx: int, ny: int) -> list[list[int]]:
+    """first times the product of the (terms, multiplicity) pairs, truncated to nx x ny."""
+    prod = {(0, 0): first}
+    for terms, m in factors:
+        for _ in range(m):
+            nxt: dict[tuple[int, int], int] = {}
+            for (a, b), u in prod.items():
+                for i, j, v in terms:
+                    if a + i < nx and b + j < ny:
+                        nxt[a + i, b + j] = nxt.get((a + i, b + j), 0) + u * v
+            prod = nxt
+    box = [[0] * ny for _ in range(nx)]
+    for (i, j), v in prod.items():
+        box[i][j] = v
+    return box
+
+
+def _divide_box(box: list[list[int]], terms: _Terms, f0: int, d: int) -> None:
+    """Divide box in place by the factor sum v * outer^i * inner^j over terms.
+
+    f0 is the factor's constant term.  box holds the series at
+    (d*outer, d*inner) times d: entry [n][m] carries c[n][m] * d^(n+m+1).
+    So does the result, with d*f0 in place of d.  At (d*outer, d*inner)
+    the factor's coefficients are v * d^(i+j), and the recurrence runs as
+    in _series_div: on the box scaled by f0^(n+m), with the terms
+    v * d^(i+j) * f0^(i+j-1).
+    """
+    if f0 != 1:
+        powers = [f0 ** k for k in range(len(box) + len(box[0]))]
+        for n, row in enumerate(box):
+            row[:] = [v * powers[n + m] if v else 0 for m, v in enumerate(row)]
+    # monomials() order: the i = 0 terms come sorted by j, as _solve_row needs.
+    steps = [(i, j, v * d ** (i + j) * f0 ** (i + j - 1)) for i, j, v in terms if i + j]
+    inner = [(j, v) for i, j, v in steps if i == 0]
+    outer = [(i, j, v) for i, j, v in steps if i > 0]
+    for n, row in enumerate(box):
+        for i, j, v in outer:
+            if i > n:
+                continue
+            prev = box[n - i]
+            # Most catalog factors have unit coefficients: skip multiplying by them.
+            if v == 1:
+                row[j:] = [a - b for a, b in zip(row[j:], prev)]
+            elif v == -1:
+                row[j:] = [a + b for a, b in zip(row[j:], prev)]
+            else:
+                row[j:] = [a - v * b for a, b in zip(row[j:], prev)]
+        if inner:
+            _solve_row(row, inner)
 
 
 def bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
-    """Coefficient grid c[n][m] of outer^n * inner^m for n < nx, m < ny."""
+    """Coefficient grid c[n][m] of outer^n * inner^m for n < nx, m < ny.
+
+    The numerator product is expanded once on the box, which is then
+    divided by each denominator factor in turn, m times for multiplicity m.
+    """
     if f.is_zero:
         return [[Fraction(0)] * ny for _ in range(nx)]
-    num, den = _as_bipoly_pair(f)
-    if den.coeff(0).coeff(0) == 0:
-        raise PoleAtOriginError("pole at the origin")
-    # With num and den cleared to integers, the 2-D recurrence runs on
-    # e[n][m] = c[n][m] * d00^(n+m+1), whose terms are num[n][m] * d00^(n+m)
-    # and den[i][j] * d00^(i+j-1).  den.monomials() starts at (0, 0).
-    nterms = [t for t in num.monomials() if t[0] < nx and t[1] < ny]
-    dterms = list(den.monomials())
-    ints, _ = _cleared([c for _, _, c in nterms + dterms])
-    d00 = ints[len(nterms)]
-    e = [[0] * ny for _ in range(nx)]
-    for (i, j, _), v in zip(nterms, ints):
-        e[i][j] = v * d00 ** (i + j)
-    steps = [(i, j, v * d00 ** (i + j - 1))
-             for (i, j, _), v in zip(dterms[1:], ints[len(nterms) + 1:])]
-    inner = [(j, v) for i, j, v in steps if i == 0]
-    outer = [(i, j, v) for i, j, v in steps if i > 0]
-    rows: list[list[Fraction]] = []
-    for n, row in enumerate(e):
-        for i, j, v in outer:
-            if i <= n:
-                row[j:] = [a - v * b for a, b in zip(row[j:], e[n - i])]
-        rows.append(_unscaled(_solve_row(row, inner), d00, n + 1))
-    return rows
+    scale = f.constant
+    numer = []
+    for p, m in f.numer:
+        terms, s = _int_terms(p)
+        numer.append((terms, m))
+        scale *= s ** m
+    denom = []
+    for p, m in f.denom:
+        terms, s = _int_terms(p)
+        f0 = next((v for i, j, v in terms if i == j == 0), 0)
+        if f0 == 0:
+            raise PoleAtOriginError("pole at the origin")
+        denom.append((terms, f0, m))
+        scale /= s ** m
+    if not (nx and ny):
+        return [[Fraction(0)] * ny for _ in range(nx)]
+    box = _numerator_box(numer, scale.numerator, nx, ny)
+    d = 1
+    for terms, f0, m in denom:
+        for _ in range(m):
+            _divide_box(box, terms, f0, d)
+            d *= f0
+    return [_unscaled(row, d, scale.denominator * d ** (n + 1)) for n, row in enumerate(box)]
 
 
 def diagonal_series(f: RatFunc, n: int, var: str = "z") -> Series:

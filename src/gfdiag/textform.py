@@ -9,7 +9,8 @@ Grammar (whitespace insensitive):
     atom    := INT | VAR | '(' expr ')'
 
 Variables come from {x, y, z, t, w}; rationals are written p/q, which the
-grammar handles as ordinary division.  Printing (Poly.__str__ and
+grammar handles as ordinary division.  A power above MAX_EXPONENT is a
+ParseError.  Printing (Poly.__str__ and
 BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that parse back to the
 same polynomial.
 """
@@ -25,6 +26,11 @@ from .ratfunc import RatFunc
 
 class ParseError(ValueError):
     pass
+
+
+#: Largest power accepted, after '^' and for any factor of a power of a
+#: power: expanding (1-z)^2000 takes seconds and (1-z)^20000 does not finish.
+MAX_EXPONENT = 1000
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z])|(?P<op>[-+*/^()]))")
@@ -147,7 +153,14 @@ class _Parser:
             kind, exp = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            return value ** int(exp)
+            power = int(exp)
+            if power > MAX_EXPONENT:
+                raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
+            value = value ** power
+            # A power of a power multiplies the factor multiplicities.
+            if isinstance(value, RatFunc) and any(
+                    m > MAX_EXPONENT for _, m in value.numer + value.denom):
+                raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
         return value
 
     def atom(self):

@@ -6,7 +6,7 @@ Everything is seeded so the suite is deterministic run to run.
 from fractions import Fraction
 from random import Random
 
-from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec, poly_xgcd
+from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec
 
 
 def rand_fraction(rng: Random, lo: int = -5, hi: int = 5, denom: int = 3) -> Fraction:
@@ -60,7 +60,7 @@ def rand_sequence_spec(rng: Random, max_order: int = 3,
     return SequenceSpec(k, coeffs, initial)
 
 
-# -- Fraction references for the integer kernels of gfdiag.series --------------
+# -- Fraction references for the integer kernels of gfdiag.series and .recurrences
 #
 # These are the Fraction recurrences that the integer kernels replaced, kept
 # here so that the property tests can compare the kernels with them.
@@ -99,6 +99,37 @@ def ref_bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
     return rows
 
 
+def ref_berlekamp_massey(s) -> tuple[list[Fraction], int]:
+    """Connection polynomial C (C[0] = 1) and order L of s, over Fraction."""
+    C = [Fraction(1)]
+    B = [Fraction(1)]
+    L = 0
+    m = 1
+    b = Fraction(1)
+    for n in range(len(s)):
+        d = s[n]
+        for i in range(1, L + 1):
+            if i < len(C) and C[i]:
+                d += C[i] * s[n - i]
+        if d == 0:
+            m += 1
+            continue
+        coef = d / b
+        new_c = C + [Fraction(0)] * max(0, len(B) + m - len(C))
+        for i, bi in enumerate(B):
+            new_c[i + m] -= coef * bi
+        if 2 * L <= n:
+            B = C
+            C = new_c
+            L = n + 1 - L
+            b = d
+            m = 1
+        else:
+            C = new_c
+            m += 1
+    return C, L
+
+
 def ref_pascal_sum(row: list[int], a, b, m: int) -> Fraction:
     """sum_k C(n,k) a_k b_{m-k} over k <= min(n, m), for row n of Pascal's triangle."""
     return sum((row[k] * a[k] * b[m - k] for k in range(min(len(row), m + 1))), Fraction(0))
@@ -109,6 +140,23 @@ def ref_pascal_sum(row: list[int], a, b, m: int) -> Fraction:
 # The residue route's Fraction arithmetic that the integer extended PRS
 # replaced, kept here so that the property tests can compare the kernels
 # with it.
+
+def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended Euclid over Fraction on Poly.divrem, with monic gcd: g = u*a + v*b."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    var = a.var
+    r0, r1 = a, b
+    u0, u1 = Poly.one(var), Poly.zero(var)
+    v0, v1 = Poly.zero(var), Poly.one(var)
+    while not r1.is_zero:
+        q, r = r0.divrem(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    inv = 1 / r0.leading
+    return r0.scale(inv), u0.scale(inv), v0.scale(inv)
+
 
 def ref_part_numerator(num: Poly, cof: Poly, base: Poly) -> Poly | None:
     """A = num * cof^(-1) mod base over Fraction; None when cof and base share a root."""

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from fractions import Fraction
 
@@ -48,6 +49,14 @@ def test_expand_pole_at_origin_exits_3():
 def test_expand_parse_error_exits_2():
     res = run_cli("expand", "1/(1-q)")
     assert res.returncode == 2
+
+
+def test_expand_hostile_power_exits_2_fast():
+    start = time.perf_counter()
+    res = run_cli("expand", "1/(1-z)^20000", "--n", "3")
+    assert time.perf_counter() - start < 1
+    assert res.returncode == 2
+    assert "exceeds the cap 1000" in res.stderr
 
 
 def test_expand_json_round_trips():
@@ -157,11 +166,14 @@ def test_diagonal_function_of_xy_exits_0():
     assert "[pole at the origin]" in res.stdout
 
 
-def test_diagonal_repeated_kept_factor_exits_4():
+def test_diagonal_repeated_kept_factor_summed():
+    # (1-3*y)^2 is a kept factor of multiplicity 2: the diagonal is
+    # sum (n+1) 6^n z^n = 1/(1-6*z)^2.
     res = run_cli("diagonal", "--gf-text", "1/((1-2*x)*(1-3*y)^2)", "--method", "residue",
                   "--n", "10")
-    assert res.returncode == 4
-    assert "multiplicity 2" in res.stderr
+    assert res.returncode == 0
+    assert "residue method: (1) / (1 - 12*z + 36*z^2)" in res.stdout
+    assert parse_poly("1 - 12*z + 36*z^2") == parse_poly("(1-6*z)^2")
 
 
 def test_diagonal_series_reports_no_zero_evidence_recurrence():

@@ -15,9 +15,8 @@ from gfdiag import (
     parse_poly,
     parse_ratfunc,
     poly_gcd,
-    poly_xgcd,
 )
-from helpers import rand_bipoly, rand_fraction, rand_poly, rand_univariate_ratfunc
+from helpers import poly_xgcd, rand_bipoly, rand_fraction, rand_poly, rand_univariate_ratfunc
 
 
 # -- basic arithmetic --------------------------------------------------------
@@ -292,9 +291,10 @@ def test_parse_keeps_denominator_factored():
         for n in range(4):
             assert g ** n == product
             product = product * g
-    big = parse_ratfunc("1/(1-x)^1000000")
+    big = parse_ratfunc("1/(1-x)^1000")
     assert big.constant == 1 and not big.numer
-    assert big.denom == ((Poly("x", [1, -1]), 10 ** 6),)
+    assert big.denom == ((Poly("x", [1, -1]), 1000),)
+    assert (big ** 1000).denom == ((Poly("x", [1, -1]), 10 ** 6),)
 
 
 def test_parse_errors():
@@ -306,6 +306,11 @@ def test_parse_errors():
         parse_ratfunc("z^(2)")
     with pytest.raises(ParseError):
         parse_ratfunc("1/0")
+    # Powers above MAX_EXPONENT, directly or as a power of a power.
+    with pytest.raises(ParseError, match="cap 1000"):
+        parse_ratfunc("1/(1-x)^1001")
+    with pytest.raises(ParseError, match="cap 1000"):
+        parse_ratfunc("((1-x)^1000*y)^2")
 
 
 def test_ratfunc_display_round_trips_by_value():

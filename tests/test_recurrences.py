@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdiag import (
     SequenceSpec,
@@ -19,7 +20,8 @@ from gfdiag import (
     parse_ratfunc,
     series_of_rational,
 )
-from helpers import rand_sequence_spec
+from gfdiag.recurrences import _berlekamp_massey
+from helpers import rand_sequence_spec, ref_berlekamp_massey
 
 
 def test_fibonacci_detection():
@@ -179,3 +181,27 @@ def test_certify_agreement_printed_tribonacci_diagonal():
     t = list(generate_sequence(kbonacci(3, shifted=True), 60))
     brute = binomial_convolution_sequence(t, t, 50)
     assert certify_agreement(printed_gf("trib.diag.printed"), brute).agrees
+
+
+# -- fraction-free Berlekamp-Massey against its Fraction reference --------------
+
+_rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def _recurrent(draw):
+    """Terms of a random recurrence with rational coefficients and initial terms."""
+    coeffs = draw(st.lists(_rational, min_size=1, max_size=4))
+    terms = draw(st.lists(_rational, min_size=len(coeffs), max_size=len(coeffs)))
+    while len(terms) < 2 * len(coeffs) + 6:
+        terms.append(sum(c * terms[-1 - i] for i, c in enumerate(coeffs)))
+    return terms
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(zeros=st.integers(0, 5),
+       terms=st.one_of(st.lists(_rational, max_size=14),
+                       st.lists(st.just(Fraction(0)), max_size=8), _recurrent()))
+def test_berlekamp_massey_matches_fraction_reference(zeros, terms):
+    s = [Fraction(0)] * zeros + terms
+    assert _berlekamp_massey(s) == ref_berlekamp_massey(s)

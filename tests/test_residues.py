@@ -179,12 +179,13 @@ def test_residue_invariant_under_common_coprime_factor():
     assert identity_equal(residue_trace(h0, kept), residue_trace(scaled, kept))
 
 
-def test_multiplicity_two_kept_factor_rejected():
+def test_multiplicity_two_kept_factor_summed():
+    # 1/(1-y-y^2)^2 depends on y alone: the diagonal is the constant term, 1.
     f = RatFunc(1, denom=[(parse_poly("1-y-y^2", "y"), 2)])
     h = hk_transform(f)
     kept = [p for p in classify_poles(h) if p.kept][0]
-    with pytest.raises(DegeneratePoleError, match="multiplicity"):
-        residue_trace(h, kept)
+    assert kept.multiplicity == 2
+    assert identity_equal(residue_trace(h, kept), RatFunc.one())
 
 
 def test_non_squarefree_kept_factor_summed_exactly():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gfdiag import (
     BiPoly,
     PoleAtOriginError,
+    Poly,
     RatFunc,
     SequenceSpec,
     binomial_convolution_sequence,
@@ -253,6 +254,32 @@ def test_series_div_matches_fraction_reference(num, d0, den_rest, n):
 def test_bivariate_series_matches_fraction_reference(numer, d00, denom, nx, ny):
     den = BiPoly.from_monomials("x", "y", {**denom, (0, 0): d00})
     f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], [(den, 1)])
+    assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
+
+
+@st.composite
+def _factor(draw):
+    """(factor, multiplicity): a Poly in x or in y, or a BiPoly in both."""
+    kind = draw(st.sampled_from(("x", "y", "xy")))
+    c0 = draw(_constant_term)
+    if kind == "xy":
+        key = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+        rest = draw(st.dictionaries(key, _rational, min_size=1, max_size=4))
+        p = BiPoly.from_monomials("x", "y", {**rest, (0, 0): c0})
+    else:
+        p = Poly(kind, [c0, *draw(st.lists(_rational, min_size=1, max_size=2))])
+    return p, draw(st.integers(1, 2))
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((1, -2, Fraction(3, 5))),
+       numer=st.lists(_factor(), max_size=1),
+       denom=st.lists(_factor(), min_size=2, max_size=3),
+       nx=st.integers(0, 7), ny=st.integers(0, 7))
+def test_bivariate_series_per_factor_division_matches_reference(constant, numer, denom, nx, ny):
+    # Several denominator factors with constant terms other than +-1, some
+    # repeated: each division must rescale by the constant terms before it.
+    f = RatFunc(constant, numer, denom)
     assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
 
 
