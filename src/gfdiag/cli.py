@@ -107,10 +107,8 @@ def _diagonal_input(args):
             raise ParseError(f"catalog entry {args.catalog} is {entry.kind}, "
                              "need a bivariate GF")
         return args.catalog, printed_gf(args.catalog)
-    f = parse_ratfunc(args.gf_text)
-    if len(f.variables) != 2:
-        raise ParseError("diagonal requires a bivariate rational function")
-    return args.gf_text, f
+    # A function of at most two variables: the parser refuses a third.
+    return args.gf_text, parse_ratfunc(args.gf_text)
 
 
 def cmd_diagonal(args) -> int:
@@ -128,7 +126,8 @@ def cmd_diagonal(args) -> int:
         lines.append(f"residue method: {payload['residue']['gf']}")
         for pole in report.poles:
             tag = "kept" if pole.kept else "discarded"
-            lines.append(f"  pole factor [{tag:9s}] ({pole.factor})  [{pole.reason}]")
+            power = f"^{pole.multiplicity}" if pole.multiplicity > 1 else ""
+            lines.append(f"  pole factor [{tag:9s}] ({pole.factor}){power}  [{pole.reason}]")
         lines.append(f"  series cross-check ({report.checked_terms} terms): {report.status}")
         if report.status != "ok":
             status = EXIT_METHOD

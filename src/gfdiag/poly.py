@@ -1,17 +1,32 @@
-"""Dense exact polynomials over the rationals.
+"""Dense exact polynomials over the rationals, stored on integers.
 
-Univariate polynomials (Poly) are coefficient tuples indexed by degree,
-trailing zeros trimmed, the empty tuple being the zero polynomial.
-Bivariate polynomials (BiPoly) are polynomials in an outer variable whose
-coefficients are Polys in an inner variable.  All scalars are
-fractions.Fraction, so every operation is exact.
+A Poly is a rational content times a primitive integer polynomial.  Its
+prim is the integer coefficient tuple indexed by degree, trailing zeros
+trimmed, with gcd 1 and a positive leading entry; the content is a
+Fraction that carries the sign.  The zero polynomial has content 0 and
+prim ().  The form is canonical, so == and hash compare (var, content,
+prim).  coeffs, coeff(i), leading, monomials() and str give Fractions,
+built on demand for callers; the arithmetic never reads them.
 
-The private _int_* kernels work on ascending lists of Python ints with the
-denominators cleared: one pseudo-division, shared by poly_gcd's primitive
+The arithmetic runs on the integer tuples (von zur Gathen and Gerhard,
+Modern Computer Algebra, 6.2).  A product is one integer convolution,
+_int_mul, of the primitive parts, with the contents multiplied: by Gauss's
+lemma a product of primitive polynomials is primitive, so it needs no gcd.
+Division is the one integer pseudo-division, _int_prem: c*a = q*b + r
+gives a = (q/c)*b + r/c.  A sum brings the two contents to one
+denominator and divides out the gcd of the result.  Evaluation at p/q is
+integer Horner on the polynomial homogenized by q, with one Fraction at
+the end.
+
+A BiPoly is a polynomial in an outer variable whose coefficients are Polys
+in an inner variable.  Its product scales the rows to integers with one
+common content (int_rows) and runs the 2-D convolution row by row on
+_int_mul.  The pseudo-division is also shared by poly_gcd's primitive
 remainder sequence and by the extended one the residue route runs.
 
-Degrees in this toolkit stay small (below ~30), which is why the dense
-representation and the schoolbook algorithms are the right trade-off.
+Degrees in this toolkit stay small (below ~30) outside of powers, which is
+why the dense representation and the schoolbook algorithms are the right
+trade-off.
 """
 
 from __future__ import annotations
@@ -63,20 +78,60 @@ def _power(one, base, n: int):
     return out
 
 
-class Poly:
-    """Univariate polynomial with exact rational coefficients."""
+def _canonical(ints: Sequence[int], scale) -> tuple[Fraction, tuple[int, ...]]:
+    """(content, prim) of the polynomial scale * sum of ints[i] * var^i."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not (n and scale):
+        return Fraction(0), ()
+    g = gcd_int(*ints[:n])
+    if ints[n - 1] < 0:
+        g = -g
+    content = scale * g if g != 1 else scale
+    if not isinstance(content, Fraction):
+        content = Fraction(content)
+    return content, tuple(v // g for v in ints[:n]) if g != 1 else tuple(ints[:n])
 
-    __slots__ = ("var", "coeffs")
+
+def _horner(ints: Sequence[int], p: int, q: int, n: int) -> int:
+    """q^n times the value at p/q of sum ints[i] * var^i, whose degree is at most n."""
+    acc, qk = 0, q ** (n + 1 - len(ints))
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+class Poly:
+    """Univariate polynomial with exact rational coefficients: content * prim."""
+
+    __slots__ = ("var", "content", "prim")
 
     def __init__(self, var: str, coeffs: Iterable = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        ints, den = _cleared([c if isinstance(c, (int, Fraction)) else as_fraction(c)
+                              for c in coeffs])
+        self._init(var, *_canonical(ints, Fraction(1, den)))
+
+    def _init(self, var: str, content: Fraction, prim: tuple[int, ...]) -> None:
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "prim", prim)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _make(cls, var: str, content: Fraction, prim: tuple[int, ...]) -> "Poly":
+        """The Poly of an already canonical (content, prim)."""
+        self = object.__new__(cls)
+        self._init(var, content, prim)
+        return self
+
+    @classmethod
+    def from_ints(cls, var: str, ints: Sequence[int], scale=1) -> "Poly":
+        """The polynomial scale * sum of ints[i] * var^i, for a rational scale."""
+        return cls._make(var, *_canonical(ints, scale))
 
     @classmethod
     def zero(cls, var: str) -> "Poly":
@@ -95,22 +150,27 @@ class Poly:
         return cls(var, (0,) * degree + (as_fraction(coeff),))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients indexed by degree, as Fractions."""
+        return tuple(self.content * v for v in self.prim)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.content * self.prim[i] if 0 <= i < len(self.prim) else Fraction(0)
 
     def _check_var(self, other: "Poly") -> None:
         if self.var != other.var:
@@ -122,8 +182,13 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.var, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        if not (self.prim and other.prim):
+            return other if not self.prim else self
+        (u, v), den = _cleared((self.content, other.content))
+        g = gcd_int(u, v)
+        u, v = u // g, v // g
+        return Poly.from_ints(self.var, _int_add([u * a for a in self.prim],
+                                                 [v * b for b in other.prim]), Fraction(g, den))
 
     __radd__ = __add__
 
@@ -134,7 +199,7 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.var, [-c for c in self.coeffs])
+        return Poly._make(self.var, -self.content, self.prim)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -142,15 +207,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(self.var, out)
+        return Poly._make(self.var, self.content * other.content,
+                          tuple(_int_mul(self.prim, other.prim)))
 
     __rmul__ = __mul__
 
@@ -158,7 +216,7 @@ class Poly:
         c = as_fraction(c)
         if c == 0:
             return Poly.zero(self.var)
-        return Poly(self.var, [c * a for a in self.coeffs])
+        return Poly._make(self.var, self.content * c, self.prim)
 
     def __pow__(self, n: int) -> "Poly":
         return _power(Poly.one(self.var), self, n)
@@ -168,60 +226,44 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         self._check_var(other)
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        if len(a) < len(b):
+        if len(self.prim) < len(other.prim):
             return Poly.zero(self.var), self
-        lead = b[-1]
-        q = [Fraction(0)] * (len(a) - db)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                c /= lead
-                q[i - db] = c
-                for j in range(db + 1):
-                    a[i - db + j] -= c * b[j]
-        return Poly(self.var, q), Poly(self.var, a[:db])
+        q, r, c = _int_prem(self.prim, other.prim)
+        s = self.content / c
+        return Poly.from_ints(self.var, q, s / other.content), Poly.from_ints(self.var, r, s)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return Poly._make(self.var, Fraction(1, self.prim[-1]), self.prim)
 
     def evaluate(self, value) -> Fraction:
         value = as_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        n, c = self.degree, self.content
+        if n < 0:
+            return Fraction(0)
+        acc = _horner(self.prim, value.numerator, value.denominator, n)
+        return Fraction(c.numerator * acc, c.denominator * value.denominator ** n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.var, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var == other.var and self.content == other.content
+                and self.prim == other.prim)
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.content, self.prim))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        first = True
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                mono = ""
-            elif i == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{i}"
-            parts.append(_format_coeff_term(c, mono, first))
-            first = False
+        parts: list[str] = []
+        for i, v in enumerate(self.prim):
+            if v:
+                mono = "" if i == 0 else self.var if i == 1 else f"{self.var}^{i}"
+                parts.append(_format_coeff_term(self.content * v, mono, not parts))
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -271,7 +313,7 @@ class BiPoly:
         if p.var == inner:
             return cls(outer, inner, (p,))
         if p.var == outer:
-            return cls(outer, inner, tuple(Poly.const(inner, c) for c in p.coeffs))
+            return cls(outer, inner, tuple(Poly.const(inner, p.content * v) for v in p.prim))
         raise ValueError(f"variable mismatch: cannot embed {p.var} into ({outer}, {inner})")
 
     @classmethod
@@ -279,18 +321,11 @@ class BiPoly:
         """Build from {(outer_exp, inner_exp): coeff}."""
         if not terms:
             return cls.zero(outer, inner)
-        deg_o = max(i for i, _ in terms)
-        rows: list[dict] = [dict() for _ in range(deg_o + 1)]
+        width = max(j for _, j in terms) + 1
+        rows = [[0] * width for _ in range(max(i for i, _ in terms) + 1)]
         for (i, j), c in terms.items():
-            rows[i][j] = rows[i].get(j, Fraction(0)) + as_fraction(c)
-        polys = []
-        for row in rows:
-            if row:
-                deg_i = max(row)
-                polys.append(Poly(inner, [row.get(j, 0) for j in range(deg_i + 1)]))
-            else:
-                polys.append(Poly.zero(inner))
-        return cls(outer, inner, polys)
+            rows[i][j] += as_fraction(c)
+        return cls(outer, inner, [Poly(inner, row) for row in rows])
 
     @property
     def is_zero(self) -> bool:
@@ -315,12 +350,21 @@ class BiPoly:
     def coeff(self, i: int) -> Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly.zero(self.inner)
 
+    def int_rows(self) -> tuple[Fraction, list[list[int]]]:
+        """(c, rows) with self = c * sum of rows[i][j] * outer^i * inner^j.
+
+        The integer entries have gcd 1; a zero row is [].
+        """
+        ints, den = _cleared([p.content for p in self.coeffs])
+        g = gcd_int(*ints)
+        return Fraction(g, den), [[k // g * v for v in p.prim] for p, k in zip(self.coeffs, ints)]
+
     def monomials(self):
         """Yield (outer_exp, inner_exp, coeff) for every nonzero term."""
         for i, p in enumerate(self.coeffs):
-            for j, c in enumerate(p.coeffs):
-                if c:
-                    yield i, j, c
+            for j, v in enumerate(p.prim):
+                if v:
+                    yield i, j, p.content * v
 
     def _check_vars(self, other: "BiPoly") -> None:
         if self.outer != other.outer or self.inner != other.inner:
@@ -355,15 +399,13 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check_vars(other)
-        if self.is_zero or other.is_zero:
-            return BiPoly.zero(self.outer, self.inner)
-        out = [Poly.zero(self.inner) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero:
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-        return BiPoly(self.outer, self.inner, out)
+        (ca, ra), (cb, rb) = self.int_rows(), other.int_rows()
+        out: list[list[int]] = [[] for _ in range(len(ra) + len(rb) - 1)]
+        for i, a in enumerate(ra):
+            for j, b in enumerate(rb):
+                out[i + j] = _int_add(out[i + j], _int_mul(a, b))
+        c = ca * cb
+        return BiPoly(self.outer, self.inner, [Poly.from_ints(self.inner, row, c) for row in out])
 
     __rmul__ = __mul__
 
@@ -377,11 +419,15 @@ class BiPoly:
         return _power(BiPoly.one(self.outer, self.inner), self, n)
 
     def evaluate(self, outer_value, inner_value) -> Fraction:
-        outer_value = as_fraction(outer_value)
-        acc = Fraction(0)
-        for p in reversed(self.coeffs):
-            acc = acc * outer_value + p.evaluate(inner_value)
-        return acc
+        x, y = as_fraction(outer_value), as_fraction(inner_value)
+        if self.is_zero:
+            return Fraction(0)
+        c, rows = self.int_rows()
+        n, m = self.degree, self.inner_degree
+        acc = _horner([_horner(row, y.numerator, y.denominator, m) for row in rows],
+                      x.numerator, x.denominator, n)
+        return Fraction(c.numerator * acc,
+                        c.denominator * x.denominator ** n * y.denominator ** m)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -395,8 +441,7 @@ class BiPoly:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        first = True
+        parts: list[str] = []
         for i, j, c in self.monomials():
             factors = []
             if i == 1:
@@ -407,8 +452,7 @@ class BiPoly:
                 factors.append(self.inner)
             elif j > 1:
                 factors.append(f"{self.inner}^{j}")
-            parts.append(_format_coeff_term(c, "*".join(factors), first))
-            first = False
+            parts.append(_format_coeff_term(c, "*".join(factors), not parts))
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -456,30 +500,32 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int_primitive(p: Poly) -> list[int]:
-    """Integer coefficients of p with denominators cleared and content removed."""
-    ints = _cleared(p.coeffs)[0]
-    g = gcd_int(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    """Sum of integer coefficient lists (ascending)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of integer coefficient lists (ascending)."""
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer coefficient lists (ascending): the one multiplication kernel."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in nonzero:
                 out[i + j] += x * y
     return out
 
 
-def _int_prem(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+def _int_prem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Pseudo-division of integer coefficient lists (ascending): (q, r, c).
 
     c * a = q * b + r with deg r < deg b, where c = lc(b)^k for the k
-    elimination steps taken (k = 0 when deg a < deg b).
+    elimination steps taken (k = 0 when deg a < deg b).  This is the one
+    division kernel.
     """
     r = list(a)
     db = len(b) - 1
@@ -489,10 +535,11 @@ def _int_prem(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
     while r and len(r) - 1 >= db:
         la = r[-1]
         shift = len(r) - 1 - db
-        r = [v * lb for v in r]
-        q = [v * lb for v in q]
+        if lb != 1:
+            r = [v * lb for v in r]
+            q = [v * lb for v in q]
+            c *= lb
         q[shift] = la
-        c *= lb
         for j in range(db + 1):
             r[shift + j] -= la * b[j]
         while r and r[-1] == 0:
@@ -512,10 +559,7 @@ def _int_xprs(a: list[int], b: list[int], bound: int) -> tuple[list[int], list[i
     r0, r1, s0, s1 = a, b, [], [1]
     while len(r1) > bound:
         q, r, c = _int_prem(r0, r1)
-        qs = _int_mul(q, s1)
-        s = [c * x for x in s0] + [0] * max(len(qs) - len(s0), 0)
-        for i, v in enumerate(qs):
-            s[i] -= v
+        s = _int_add([c * x for x in s0], [-v for v in _int_mul(q, s1)])
         while s and s[-1] == 0:
             s.pop()
         g = gcd_int(*r, *s)
@@ -528,8 +572,8 @@ def _int_xprs(a: list[int], b: list[int], bound: int) -> tuple[list[int], list[i
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over the rational field.
 
-    Internally a primitive pseudo-remainder sequence over the integers,
-    which keeps the Euclidean loop free of fraction arithmetic.
+    A primitive pseudo-remainder sequence on the integer parts, which keeps
+    the Euclidean loop free of fraction arithmetic.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
@@ -538,7 +582,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     var = a.var if not a.is_zero else b.var
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    ca, cb = _int_primitive(a), _int_primitive(b)
+    ca, cb = a.prim, b.prim
     if len(ca) < len(cb):
         ca, cb = cb, ca
     while cb:
@@ -547,6 +591,4 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if g > 1:
             r = [v // g for v in r]
         ca, cb = cb, r
-    lead = ca[-1]
-    return Poly(var, [Fraction(v, lead) for v in ca])
-
+    return Poly.from_ints(var, ca).monic()

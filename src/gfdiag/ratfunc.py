@@ -17,9 +17,9 @@ from .poly import AnyPoly, BiPoly, Poly, as_fraction, poly_gcd, unify
 def _constant_of(p: AnyPoly) -> Fraction | None:
     """The scalar value of a degree-0 polynomial, else None."""
     if isinstance(p, Poly):
-        return p.coeffs[0] if p.degree == 0 else None
+        return p.content if p.degree == 0 else None
     if p.degree == 0 and p.coeffs[0].degree == 0:
-        return p.coeffs[0].coeffs[0]
+        return p.coeffs[0].content
     return None
 
 
@@ -175,24 +175,11 @@ class RatFunc:
 
     def _expand_pair(self):
         """Expanded (numerator, denominator); polynomials, or Fractions if constant."""
-        if self.is_zero:
-            return Fraction(0), Fraction(1)
-        num: AnyPoly | Fraction | None = None
+        num, den = self.constant, Fraction(1)
         for p, m in self.numer:
-            q = p ** m
-            num = q if num is None else num * q
-        den: AnyPoly | Fraction | None = None
+            num = p ** m * num
         for p, m in self.denom:
-            q = p ** m
-            den = q if den is None else den * q
-        if num is None:
-            num = Fraction(1)
-        if den is None:
-            den = Fraction(1)
-        if isinstance(num, Fraction):
-            num = self.constant * num
-        else:
-            num = num.scale(self.constant)
+            den = p ** m * den
         return num, den
 
     def expand_to_single_fraction(self, default_var: str = "z") -> tuple[AnyPoly, AnyPoly]:
@@ -350,14 +337,12 @@ def compose_rational(f: RatFunc, s_numer: AnyPoly, s_denom: AnyPoly) -> RatFunc:
         d = p.degree
         # sum_i  p_i * s_numer^i * s_denom^(d-i)
         acc = None
-        for i, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            term = (s_numer ** i) * (s_denom ** (d - i))
-            term = term.scale(c)
-            acc = term if acc is None else acc + term
+        for i, c in enumerate(p.prim):
+            if c:
+                term = (s_numer ** i) * (s_denom ** (d - i)) * c
+                acc = term if acc is None else acc + term
         assert acc is not None
-        return acc
+        return acc.scale(p.content)
 
     numer = [(transform(p), m) for p, m in f.numer]
     denom = [(transform(p), m) for p, m in f.denom]

@@ -12,12 +12,15 @@ rebuilt by Cauchy interpolation (rational reconstruction by extended
 Euclid; von zur Gathen and Gerhard, Modern Computer Algebra, 5.7).
 
 Both steps run on Python ints.  The transform's numerator and factors are
-cleared to integer coefficients once, with one rational scale kappa, and
-evaluated at each z0 by integer Horner.  The remainders mod p^m are
-pseudo-remainders, whose powers of lc(p^m) are tracked, and the inverse mod
-p^m and the reconstruction both come from one integer extended primitive
-pseudo-remainder sequence, poly._int_xprs (ibid., 6.10-6.12).  A Fraction is
-built once per kept factor and point, and for the reconstructed function.
+read as integer rows with their contents (BiPoly.int_rows), the contents
+folded into one rational scale kappa, and evaluated at each z0 by integer
+Horner.  Partial fractions read the integer parts of the expanded
+polynomials the same way.  The remainders mod p^m are pseudo-remainders,
+whose powers of lc(p^m) are tracked, and the inverse mod p^m and the
+reconstruction both come from one integer extended primitive
+pseudo-remainder sequence, poly._int_xprs (ibid., 6.10-6.12).  A Fraction
+is built once per kept factor and point, and for the reconstructed
+function.
 
 The pole-keeping rule is not proved here in general; diagonal_rational
 validates it per instance by comparing against the series diagonal and
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import BiPoly, Poly, _cleared, _int_mul, _int_prem, _int_xprs
+from .poly import BiPoly, Poly, _cleared, _horner, _int_mul, _int_prem, _int_xprs
 from .ratfunc import RatFunc
 from .series import diagonal_series, series_of_rational
 
@@ -167,7 +170,7 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
             out.append(PoleClass(p, m, idx, False, "no dependence on t"))
             continue
         lead0 = p.leading.coeff(0)
-        e = Poly("t", [c.coeff(0) for c in p.coeffs]).degree
+        e = max((i for i, c in enumerate(p.coeffs) if c.coeff(0)), default=-1)
         if e == d:
             origin = all(c.is_zero for c in p.coeffs[:-1])
             reason = "pole at the origin" if origin else "poles bounded as z -> 0"
@@ -189,36 +192,23 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
 _Rows = list[list[int]]
 
 
-def _int_rows(p: BiPoly) -> tuple[_Rows, int]:
-    """(rows, L) with p = rows / L."""
-    ints, den = _cleared([c for row in p.coeffs for c in row.coeffs])
-    it = iter(ints)
-    return [[next(it) for _ in row.coeffs] for row in p.coeffs], den
-
-
 def _int_transform(h: HKTransform) -> tuple[_Rows, list[tuple[_Rows, int]], Fraction]:
     """h on integers: (numerator, [(factor, multiplicity)], kappa).
 
     kappa is the one rational scale with h = kappa * numerator / prod factor^m.
     """
-    num, num_den = _int_rows(h.numerator)
+    kappa, num = h.numerator.int_rows()
     factors = []
-    scale = 1
     for p, m in h.denom_factors:
-        rows, den = _int_rows(p)
+        c, rows = p.int_rows()
         factors.append((rows, m))
-        scale *= den ** m
-    return num, factors, Fraction(scale, num_den)
+        kappa /= c ** m
+    return num, factors, kappa
 
 
 def _at(rows: _Rows, z0: int) -> list[int]:
     """rows evaluated at z = z0 by Horner: integer coefficients in t."""
-    out = []
-    for row in rows:
-        acc = 0
-        for c in reversed(row):
-            acc = acc * z0 + c
-        out.append(acc)
+    out = [_horner(row, z0, 1, len(row) - 1) for row in rows]
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -279,7 +269,7 @@ def _cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
     while value and value[-1] == 0:
         value.pop()
     r, s = _int_xprs(basis, value, (len(zs) + 1) // 2)
-    return Poly("z", r), Poly("z", [v * den for v in s])
+    return Poly.from_ints("z", r), Poly.from_ints("z", s, den)
 
 
 def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
@@ -412,16 +402,14 @@ def partial_fractions(f: RatFunc) -> PartialFractions:
     if not f.denom:
         return PartialFractions(num.scale(1 / den.coeff(0)), ())
     poly_part, rem = num.divrem(den)
-    rem_ints, rem_den = _cleared(rem.coeffs)
     parts = []
     for p, m in f.denom:
         dj = p ** m
-        cof_ints, cof_den = _cleared(den.divrem(dj)[0].coeffs)
-        part = _part_numerator(rem_ints, cof_ints, _cleared(dj.coeffs)[0])
+        cof = den.divrem(dj)[0]
+        part = _part_numerator(rem.prim, cof.prim, dj.prim)
         if part is None:
             raise ValueError(f"denominator factors are not coprime: ({p}) shares a root "
                              "with another factor")
         a, c = part
-        pj = Poly(num.var, [Fraction(v * cof_den, c * rem_den) for v in a])
-        parts.append((pj, p, m))
+        parts.append((Poly.from_ints(num.var, a, rem.content / (c * cof.content)), p, m))
     return PartialFractions(poly_part, tuple(parts))

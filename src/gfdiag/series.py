@@ -1,17 +1,19 @@
 """Truncated power series expansion and brute-force sequence oracles.
 
 Everything here is exact.  The inner loops run on Python ints, not on
-Fraction: each clears the denominators of its inputs once, runs the
-Taylor division recurrence (one or two variables) or the Pascal-row sum
-over integers, and builds the Fraction results only at the end.  Division
-by the constant term d0 of the denominator is deferred by carrying
+Fraction, and build the Fraction results only at the end.  A polynomial
+is already an integer part times a rational content (see gfdiag.poly):
+the Taylor division recurrence (one or two variables) reads the integer
+parts and folds the contents into one rational scale.  The Pascal-row
+sums take sequences, whose denominators are cleared once.  Division by
+the constant term d0 of the denominator is deferred by carrying
 e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
 needs no division at all.
 
 The bivariate grid never expands the denominator.  The numerator product
 is expanded once on the nx x ny box, and the box is divided in place by
 one denominator factor at a time, m times for multiplicity m, each factor
-with its own cleared coefficients.  A few sparse factors cost fewer steps
+with its own integer coefficients.  A few sparse factors cost fewer steps
 per row than their expanded product.  Once the factors' constant terms
 multiply to D, the box carries c * D^(n+m+1): the series at (D*x, D*y),
 times D.  So the next factor enters with its (i, j) coefficient times
@@ -22,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
-from .poly import AnyPoly, BiPoly, Poly, _cleared, as_fraction
+from .poly import AnyPoly, Poly, _cleared, as_fraction
 from .ratfunc import RatFunc
 
 
@@ -159,16 +160,18 @@ def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
 # Univariate expansion
 # ---------------------------------------------------------------------------
 
-def _series_div(num: Sequence[Fraction], den: Sequence[Fraction], n: int) -> list[Fraction]:
-    # den[0] != 0.  With num and den cleared to integers, the recurrence runs
-    # on e[m] = out[m] * d0^(m+1), whose terms are num[m] * d0^m and
-    # den[i] * d0^(i-1).
-    num = num[:n]
-    ints, _ = _cleared([*num, *den])
-    d0 = ints[len(num)]
-    e = [v * d0 ** m for m, v in enumerate(ints[:len(num)])] + [0] * (n - len(num))
-    steps = [(i, v * d0 ** (i - 1)) for i, v in enumerate(ints[len(num):]) if i and v]
-    return _unscaled(_solve_row(e, steps), d0, d0)
+def _series_div(num: Poly | Sequence[Fraction], den: Poly | Sequence[Fraction],
+                n: int) -> list[Fraction]:
+    # den(0) != 0.  On the primitive parts, the recurrence runs on
+    # e[m] = out[m] * d0^(m+1) / s, s the ratio of the contents, whose terms
+    # are num[m] * d0^m and den[i] * d0^(i-1).
+    num, den = (p if isinstance(p, Poly) else Poly("z", p) for p in (num, den))
+    s = num.content / den.content
+    d0 = den.prim[0]
+    e = [v * s.numerator * d0 ** m for m, v in enumerate(num.prim[:n])]
+    e += [0] * (n - len(e))
+    steps = [(i, v * d0 ** (i - 1)) for i, v in enumerate(den.prim) if i and v]
+    return _unscaled(_solve_row(e, steps), d0, d0 * s.denominator)
 
 
 def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
@@ -183,7 +186,7 @@ def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
     if den.coeff(0) == 0:
         raise PoleAtOriginError("pole at the origin")
     use_var = var or (f.variables[0] if f.variables else "z")
-    return Series(use_var, tuple(_series_div(num.coeffs, den.coeffs, n)))
+    return Series(use_var, tuple(_series_div(num, den, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +201,10 @@ def _int_terms(p: AnyPoly) -> tuple[_Terms, Fraction]:
 
     The integer coefficients are primitive; a Poly's variable is the outer one.
     """
-    mono = list(p.monomials()) if isinstance(p, BiPoly) else [
-        (i, 0, c) for i, c in enumerate(p.coeffs) if c]
-    ints, den = _cleared([c for _, _, c in mono])
-    g = gcd(*ints)
-    return [(i, j, v // g) for (i, j, _), v in zip(mono, ints)], Fraction(g, den)
+    if isinstance(p, Poly):
+        return [(i, 0, v) for i, v in enumerate(p.prim) if v], p.content
+    s, rows = p.int_rows()
+    return [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v], s
 
 
 def _numerator_box(factors: Sequence[tuple[_Terms, int]], first: int,

@@ -9,10 +9,10 @@ Grammar (whitespace insensitive):
     atom    := INT | VAR | '(' expr ')'
 
 Variables come from {x, y, z, t, w}; rationals are written p/q, which the
-grammar handles as ordinary division.  A power above MAX_EXPONENT is a
-ParseError.  Printing (Poly.__str__ and
-BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that parse back to the
-same polynomial.
+grammar handles as ordinary division.  A factor whose power, after '^',
+'*' or '/', is above MAX_EXPONENT is a ParseError.  Printing
+(Poly.__str__ and BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that
+parse back to the same polynomial.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ class ParseError(ValueError):
     pass
 
 
-#: Largest power accepted, after '^' and for any factor of a power of a
-#: power: expanding (1-z)^2000 takes seconds and (1-z)^20000 does not finish.
+#: Largest multiplicity accepted for a factor, after '^', '*' and '/'.
+#: Expanding (1-z)^e grows about tenfold per doubling of e, since the
+#: coefficients grow too: 0.2 s at e = 1000, 1.9 s at 2000 and 21 s at 4000
+#: (2-core Xeon VM, Python 3.11).
 MAX_EXPONENT = 1000
 
 
@@ -92,6 +94,17 @@ def _neg(a):
     return -a
 
 
+def _capped(value):
+    """value, unless a factor's multiplicity exceeds MAX_EXPONENT.
+
+    A power of a power multiplies the multiplicities, and a product or a
+    quotient adds those of equal factors.
+    """
+    if isinstance(value, RatFunc) and any(m > MAX_EXPONENT for _, m in value.numer + value.denom):
+        raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
+    return value
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
@@ -134,7 +147,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.take()
                 rhs = self.unary()
-                value = _mul(value, rhs) if val == "*" else _div(value, rhs)
+                value = _capped(_mul(value, rhs) if val == "*" else _div(value, rhs))
             else:
                 return value
 
@@ -156,11 +169,7 @@ class _Parser:
             power = int(exp)
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
-            value = value ** power
-            # A power of a power multiplies the factor multiplicities.
-            if isinstance(value, RatFunc) and any(
-                    m > MAX_EXPONENT for _, m in value.numer + value.denom):
-                raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
+            value = _capped(value ** power)
         return value
 
     def atom(self):
@@ -197,5 +206,5 @@ def parse_poly(text: str, var: str | None = None) -> Poly:
     if var is not None and not p.is_zero and p.degree > 0 and p.var != var:
         raise ParseError(f"expected variable {var!r}, found {p.var!r}")
     if var is not None and p.var != var:
-        p = Poly(var, p.coeffs)
+        p = Poly.from_ints(var, p.prim, p.content)
     return p

@@ -5,8 +5,10 @@ Everything is seeded so the suite is deterministic run to run.
 
 from fractions import Fraction
 from random import Random
+from typing import Iterable
 
 from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec
+from gfdiag.poly import VARIABLES, _format_coeff_term, _power, as_fraction
 
 
 def rand_fraction(rng: Random, lo: int = -5, hi: int = 5, denom: int = 3) -> Fraction:
@@ -204,3 +206,393 @@ def ref_cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
         q, r = r0.divrem(r1)
         r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
     return r1, s1
+
+
+# -- Fraction references for gfdiag.poly ----------------------------------------
+#
+# Poly and BiPoly as they were when they stored Fraction coefficient tuples,
+# with their own Fraction loops for every operation, and unify over them.
+# The property tests compare the integer-content classes with these.
+
+class RefPoly:
+    """Univariate polynomial with exact rational coefficients."""
+
+    __slots__ = ("var", "coeffs")
+
+    def __init__(self, var: str, coeffs: Iterable = ()):
+        cs = [as_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefPoly is immutable")
+
+    @classmethod
+    def zero(cls, var: str) -> "RefPoly":
+        return cls(var, ())
+
+    @classmethod
+    def one(cls, var: str) -> "RefPoly":
+        return cls(var, (1,))
+
+    @classmethod
+    def const(cls, var: str, value) -> "RefPoly":
+        return cls(var, (as_fraction(value),))
+
+    @classmethod
+    def monomial(cls, var: str, degree: int, coeff=1) -> "RefPoly":
+        return cls(var, (0,) * degree + (as_fraction(coeff),))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the convention deg 0 = -1."""
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def _check_var(self, other: "RefPoly") -> None:
+        if self.var != other.var:
+            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.const(self.var, other)
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        self._check_var(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly(self.var, [self.coeff(i) + other.coeff(i) for i in range(n)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, RefPoly) else -as_fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return RefPoly(self.var, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        self._check_var(other)
+        if self.is_zero or other.is_zero:
+            return RefPoly.zero(self.var)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] += a * b
+        return RefPoly(self.var, out)
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "RefPoly":
+        c = as_fraction(c)
+        if c == 0:
+            return RefPoly.zero(self.var)
+        return RefPoly(self.var, [c * a for a in self.coeffs])
+
+    def __pow__(self, n: int) -> "RefPoly":
+        return _power(RefPoly.one(self.var), self, n)
+
+    def divrem(self, other: "RefPoly") -> tuple["RefPoly", "RefPoly"]:
+        """Exact division with remainder: self = q*other + r, deg r < deg other."""
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        self._check_var(other)
+        a = list(self.coeffs)
+        b = other.coeffs
+        db = len(b) - 1
+        if len(a) < len(b):
+            return RefPoly.zero(self.var), self
+        lead = b[-1]
+        q = [Fraction(0)] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i]
+            if c:
+                c /= lead
+                q[i - db] = c
+                for j in range(db + 1):
+                    a[i - db + j] -= c * b[j]
+        return RefPoly(self.var, q), RefPoly(self.var, a[:db])
+
+    def monic(self) -> "RefPoly":
+        if self.is_zero:
+            return self
+        return self.scale(1 / self.leading)
+
+    def evaluate(self, value) -> Fraction:
+        value = as_fraction(value)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.const(self.var, other)
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        return self.var == other.var and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.var, self.coeffs))
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        first = True
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                mono = ""
+            elif i == 1:
+                mono = self.var
+            else:
+                mono = f"{self.var}^{i}"
+            parts.append(_format_coeff_term(c, mono, first))
+            first = False
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"RefPoly({self.var!r}, {list(self.coeffs)!r})"
+
+
+class RefBiPoly:
+    """Bivariate polynomial: Polys in the inner variable, indexed by outer degree."""
+
+    __slots__ = ("outer", "inner", "coeffs")
+
+    def __init__(self, outer: str, inner: str, coeffs: Iterable = ()):
+        if outer == inner:
+            raise ValueError("outer and inner variables must differ")
+        cs = []
+        for c in coeffs:
+            if isinstance(c, RefPoly):
+                if c.var != inner:
+                    raise ValueError(f"variable mismatch: coefficient in {c.var}, inner is {inner}")
+                cs.append(c)
+            else:
+                cs.append(RefPoly.const(inner, c))
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefBiPoly is immutable")
+
+    @classmethod
+    def zero(cls, outer: str, inner: str) -> "RefBiPoly":
+        return cls(outer, inner, ())
+
+    @classmethod
+    def one(cls, outer: str, inner: str) -> "RefBiPoly":
+        return cls(outer, inner, (RefPoly.one(inner),))
+
+    @classmethod
+    def const(cls, outer: str, inner: str, value) -> "RefBiPoly":
+        return cls(outer, inner, (RefPoly.const(inner, value),))
+
+    @classmethod
+    def embed(cls, p: RefPoly, outer: str, inner: str) -> "RefBiPoly":
+        """Lift a univariate polynomial whose variable is outer or inner."""
+        if p.var == inner:
+            return cls(outer, inner, (p,))
+        if p.var == outer:
+            return cls(outer, inner, tuple(RefPoly.const(inner, c) for c in p.coeffs))
+        raise ValueError(f"variable mismatch: cannot embed {p.var} into ({outer}, {inner})")
+
+    @classmethod
+    def from_monomials(cls, outer: str, inner: str, terms: dict) -> "RefBiPoly":
+        """Build from {(outer_exp, inner_exp): coeff}."""
+        if not terms:
+            return cls.zero(outer, inner)
+        deg_o = max(i for i, _ in terms)
+        rows: list[dict] = [dict() for _ in range(deg_o + 1)]
+        for (i, j), c in terms.items():
+            rows[i][j] = rows[i].get(j, Fraction(0)) + as_fraction(c)
+        polys = []
+        for row in rows:
+            if row:
+                deg_i = max(row)
+                polys.append(RefPoly(inner, [row.get(j, 0) for j in range(deg_i + 1)]))
+            else:
+                polys.append(RefPoly.zero(inner))
+        return cls(outer, inner, polys)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree in the outer variable."""
+        return len(self.coeffs) - 1
+
+    @property
+    def inner_degree(self) -> int:
+        return max((c.degree for c in self.coeffs), default=-1)
+
+    @property
+    def leading(self) -> RefPoly:
+        """Leading coefficient in the outer variable, a RefPoly in the inner one."""
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, i: int) -> RefPoly:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else RefPoly.zero(self.inner)
+
+    def monomials(self):
+        """Yield (outer_exp, inner_exp, coeff) for every nonzero term."""
+        for i, p in enumerate(self.coeffs):
+            for j, c in enumerate(p.coeffs):
+                if c:
+                    yield i, j, c
+
+    def _check_vars(self, other: "RefBiPoly") -> None:
+        if self.outer != other.outer or self.inner != other.inner:
+            raise ValueError(
+                f"variable mismatch: ({self.outer},{self.inner}) vs ({other.outer},{other.inner})"
+            )
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefBiPoly.const(self.outer, self.inner, other)
+        if not isinstance(other, RefBiPoly):
+            return NotImplemented
+        self._check_vars(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefBiPoly(self.outer, self.inner, [self.coeff(i) + other.coeff(i) for i in range(n)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefBiPoly.const(self.outer, self.inner, other)
+        return self + (-other)
+
+    def __neg__(self):
+        return RefBiPoly(self.outer, self.inner, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, RefPoly):
+            other = RefBiPoly.embed(other, self.outer, self.inner)
+        if not isinstance(other, RefBiPoly):
+            return NotImplemented
+        self._check_vars(other)
+        if self.is_zero or other.is_zero:
+            return RefBiPoly.zero(self.outer, self.inner)
+        out = [RefPoly.zero(self.inner) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for i, a in enumerate(self.coeffs):
+            if not a.is_zero:
+                for j, b in enumerate(other.coeffs):
+                    if not b.is_zero:
+                        out[i + j] = out[i + j] + a * b
+        return RefBiPoly(self.outer, self.inner, out)
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "RefBiPoly":
+        c = as_fraction(c)
+        if c == 0:
+            return RefBiPoly.zero(self.outer, self.inner)
+        return RefBiPoly(self.outer, self.inner, [p.scale(c) for p in self.coeffs])
+
+    def __pow__(self, n: int) -> "RefBiPoly":
+        return _power(RefBiPoly.one(self.outer, self.inner), self, n)
+
+    def evaluate(self, outer_value, inner_value) -> Fraction:
+        outer_value = as_fraction(outer_value)
+        acc = Fraction(0)
+        for p in reversed(self.coeffs):
+            acc = acc * outer_value + p.evaluate(inner_value)
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, RefBiPoly):
+            return NotImplemented
+        return (self.outer == other.outer and self.inner == other.inner
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.outer, self.inner, self.coeffs))
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        first = True
+        for i, j, c in self.monomials():
+            factors = []
+            if i == 1:
+                factors.append(self.outer)
+            elif i > 1:
+                factors.append(f"{self.outer}^{i}")
+            if j == 1:
+                factors.append(self.inner)
+            elif j > 1:
+                factors.append(f"{self.inner}^{j}")
+            parts.append(_format_coeff_term(c, "*".join(factors), first))
+            first = False
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"RefBiPoly({self.outer!r}, {self.inner!r}, {[repr(c) for c in self.coeffs]})"
+
+
+def ref_unify(*values) -> tuple:
+    """Lift Polys, BiPolys and scalars to one common RefPoly or RefBiPoly shape.
+
+    The first RefBiPoly fixes the variable pair.  Without one, Polys in two
+    distinct variables become BiPolys whose outer variable is the one
+    listed earlier in VARIABLES.  Scalars become constants of the shape;
+    values with no polynomial among them are returned as they are.
+    """
+    pair = next(((v.outer, v.inner) for v in values if isinstance(v, RefBiPoly)), None)
+    if pair is None:
+        names = list(dict.fromkeys(v.var for v in values if isinstance(v, RefPoly)))
+        if not names:
+            return values
+        if len(names) == 1:
+            return tuple(v if isinstance(v, RefPoly) else RefPoly.const(names[0], v) for v in values)
+        pair = sorted(names[:2], key=lambda v: VARIABLES.index(v) if v in VARIABLES
+                      else len(VARIABLES))
+    outer, inner = pair
+    out = []
+    for v in values:
+        if isinstance(v, RefBiPoly):
+            if (v.outer, v.inner) != (outer, inner):
+                raise ValueError(
+                    f"variable mismatch: ({outer},{inner}) vs ({v.outer},{v.inner})")
+            out.append(v)
+        elif isinstance(v, RefPoly):
+            out.append(RefBiPoly.embed(v, outer, inner))
+        else:
+            out.append(RefBiPoly.const(outer, inner, v))
+    return tuple(out)

@@ -176,6 +176,13 @@ def test_diagonal_repeated_kept_factor_summed():
     assert parse_poly("1 - 12*z + 36*z^2") == parse_poly("(1-6*z)^2")
 
 
+def test_diagonal_text_pole_report_prints_multiplicity():
+    res = run_cli("diagonal", "--gf-text", "1/((1-2*x)*(1-3*y)^2)", "--method", "residue",
+                  "--n", "10")
+    assert "pole factor [kept     ] (-3 + t)^2  [poles bounded as z -> 0]" in res.stdout
+    assert "pole factor [discarded] (1 - 2*t*z)  [" in res.stdout
+
+
 def test_diagonal_series_reports_no_zero_evidence_recurrence():
     # The diagonal of 1/(1-x-y) is 1/sqrt(1-4z): 40 terms fit an order-20
     # recurrence exactly, which is no evidence for it.
@@ -204,9 +211,14 @@ def test_internal_zero_division_is_not_a_method_error(monkeypatch):
                   "--n", "5"])
 
 
-def test_diagonal_requires_bivariate():
-    res = run_cli("diagonal", "--gf-text", "1/(1-x)", "--method", "residue")
-    assert res.returncode == 2
+def test_diagonal_accepts_one_variable():
+    # 1/(1-x) has no x^n*y^n term past n = 0: its diagonal is 1.
+    res = run_cli("diagonal", "--gf-text", "1/(1-x)", "--method", "residue", "--n", "10")
+    assert res.returncode == 0
+    assert "residue method: (1) / (1)" in res.stdout
+    reserved = run_cli("diagonal", "--gf-text", "1/(1-z)", "--method", "residue")
+    assert reserved.returncode == 2
+    assert "reserved" in reserved.stderr
 
 
 # -- guess-gf --------------------------------------------------------------------

@@ -311,6 +311,11 @@ def test_parse_errors():
         parse_ratfunc("1/(1-x)^1001")
     with pytest.raises(ParseError, match="cap 1000"):
         parse_ratfunc("((1-x)^1000*y)^2")
+    # A product or a quotient adds the multiplicities of equal factors.
+    with pytest.raises(ParseError, match="cap 1000"):
+        parse_ratfunc("1/((1-z)^1000*(1-z)^500)")
+    with pytest.raises(ParseError, match="cap 1000"):
+        parse_ratfunc("1/(1-z)^600/(1-z)^600")
 
 
 def test_ratfunc_display_round_trips_by_value():
