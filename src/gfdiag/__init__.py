@@ -22,6 +22,7 @@ from .series import (
 from .recurrences import (
     AgreementReport,
     certify_agreement,
+    convolution_terms,
     find_min_recurrence,
 )
 from .residues import (
@@ -55,7 +56,7 @@ __all__ = [
     "RatFunc", "Rational", "SequenceSpec", "Series",
     "binomial_convolution_sequence", "bivariate_series", "build_convolution_gf",
     "catalog_entry", "catalog_ids", "certify_agreement", "claim_ids",
-    "classify_poles", "compose_rational", "convolution_grid",
+    "classify_poles", "compose_rational", "convolution_grid", "convolution_terms",
     "diagonal_rational", "diagonal_series", "find_min_recurrence",
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",
     "identity_equal", "kbonacci", "parse_poly", "parse_ratfunc",

@@ -12,17 +12,16 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .claims import claim_ids, run_all, run_claim
 from .gfbuild import catalog_entry, catalog_ids, printed_gf
-from .recurrences import find_min_recurrence
+from .recurrences import convolution_terms, find_min_recurrence
 from .residues import DegeneratePoleError, diagonal_rational
 from .series import (
     PoleAtOriginError,
     SequenceSpec,
-    binomial_convolution_sequence,
-    generate_sequence,
     gf_of_sequence,
     series_of_rational,
 )
@@ -42,6 +41,26 @@ def _default_n() -> int:
         except ValueError:
             raise ParseError(f"GFDIAG_N must be an integer, got {env!r}")
     return 200
+
+
+@contextmanager
+def _output_digits():
+    """Lift Python's limit on the digits of an int printed in decimal.
+
+    Exact results, such as the 5720-digit 2^19000, may exceed the default
+    limit of 4300 digits.  Commands format their output inside this block
+    and parse their input outside it, so an input literal above the limit
+    stays an error.  Python versions without the limit have nothing to lift.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit_json(command: str, payload: dict, status: int = 0) -> None:
@@ -71,7 +90,8 @@ def cmd_expand(args) -> int:
     if not f.is_univariate:
         raise ParseError("expand requires a univariate rational function")
     series = series_of_rational(f, args.n)
-    values = [str(c) for c in series]
+    with _output_digits():
+        values = [str(c) for c in series]
     if args.json:
         _emit_json("expand", {"input": args.gf, "n": args.n, "coefficients": values})
     else:
@@ -89,9 +109,9 @@ def cmd_convolve(args) -> int:
     if len(coeffs) != args.k:
         raise ParseError(f"--coeffs must supply exactly k={args.k} values, got {len(coeffs)}")
     spec = SequenceSpec(args.k, tuple(coeffs), tuple(init))
-    terms = generate_sequence(spec, args.n)
-    conv = binomial_convolution_sequence(list(terms), list(terms), args.n)
-    values = [str(c) for c in conv]
+    conv = convolution_terms(spec, spec, args.n)
+    with _output_digits():
+        values = [str(c) for c in conv]
     if args.json:
         _emit_json("convolve", {"k": args.k, "init": [str(c) for c in init],
                                 "n": args.n, "convolution": values})
@@ -113,6 +133,11 @@ def _diagonal_input(args):
 
 def cmd_diagonal(args) -> int:
     label, f = _diagonal_input(args)
+    return _diagonal_report(args, label, f)
+
+
+@_output_digits()
+def _diagonal_report(args, label, f) -> int:
     payload: dict = {"input": label, "method": args.method, "n": args.n}
     lines = []
     residue_gf = None
@@ -171,6 +196,11 @@ def cmd_guess_gf(args) -> int:
     terms = _parse_fraction_list(args.terms)
     if len(terms) < 4:
         raise ParseError("need at least 4 terms")
+    return _guess_report(args, terms)
+
+
+@_output_digits()
+def _guess_report(args, terms) -> int:
     rec = find_min_recurrence(terms)
     if rec is None:
         if args.json:
@@ -256,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("convolve", help="binomial self-convolution of a recurrence sequence")
+    p = sub.add_parser("convolve", help="binomial self-convolution of a recurrence sequence "
+                                        "(Pascal sums for the first 2*k^2 terms, the rest "
+                                        "from the recurrence they determine)")
     p.add_argument("--k", type=int, required=True, help="recurrence order")
     p.add_argument("--init", required=True, help="comma-separated initial terms")
     p.add_argument("--coeffs", help="comma-separated recurrence coefficients (default all 1)")

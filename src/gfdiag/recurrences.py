@@ -5,7 +5,9 @@ consistent with all supplied terms.  It runs fraction-free on the terms
 cleared to integers.  Each update is b*C - d*x^m*B, with the content
 divided out, and only the final connection polynomial becomes Fractions.
 Detection never leaves exact arithmetic.  Pivoting concerns do not arise,
-because every nonzero discrepancy is usable.
+because every nonzero discrepancy is usable.  convolution_terms uses it to
+extend a binomial convolution of two recurrence sequences from the few
+terms that determine its recurrence.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from typing import Sequence
 
 from .poly import _cleared, as_fraction
 from .ratfunc import RatFunc
-from .series import SequenceSpec, Series, series_of_rational
+from .series import (
+    SequenceSpec,
+    Series,
+    binomial_convolution_sequence,
+    generate_sequence,
+    series_of_rational,
+)
 
 
 def _berlekamp_massey(s: Sequence[Fraction]) -> tuple[list[Fraction], int]:
@@ -67,11 +75,48 @@ def find_min_recurrence(terms: Sequence[Fraction]) -> SequenceSpec | None:
     if len(terms) < 4:
         raise ValueError("need at least 4 terms")
     s = [as_fraction(t) for t in terms]
+    rec = _shortest_recurrence(s)
+    return rec if 2 * rec.order < len(s) else None
+
+
+def _shortest_recurrence(s: Sequence[Fraction]) -> SequenceSpec:
+    """The shortest recurrence that generates all of s, with no evidence rule."""
     C, L = _berlekamp_massey(s)
-    if 2 * L >= len(s):
-        return None
     coeffs = tuple(-C[i] if i < len(C) else Fraction(0) for i in range(1, L + 1))
     return SequenceSpec(L, coeffs, tuple(s[:L]))
+
+
+def convolution_terms(a: SequenceSpec, b: SequenceSpec, n: int) -> list[Fraction]:
+    """First n terms of the binomial convolution sum_k C(j,k) a_k b_{j-k}.
+
+    Only the first 2D terms, D = a.order * b.order, are Pascal sums
+    (binomial_convolution_sequence, O(D^2) products).  Berlekamp-Massey on
+    them gives the convolution's minimal recurrence, of order L <= D, and
+    generate_sequence extends it: the series of N/C, C the connection
+    polynomial and N = C * head truncated below degree L, by the one
+    division kernel at most D steps a term.
+
+    Why D bounds the order: on exponential generating functions the shift
+    of a sequence's index is the derivative d/dz, and the convolution's EGF
+    is the product of the EGFs of a and b.  The EGF of a is killed by the
+    characteristic polynomial P_a(d/dz), so it lies in that operator's
+    solution space, of dimension a.order; likewise for b.  The span of the
+    products f*g of the two solution spaces is closed under d/dz by the
+    product rule and has dimension at most D.  So the minimal polynomial of
+    d/dz on it, of degree at most D, kills the convolution's EGF: the
+    convolution satisfies a recurrence of order at most D.  None of this
+    needs distinct or nonzero roots, and it holds over the rationals.  By
+    Massey's theorem (IEEE Trans. Inf. Theory 15, 1969), a sequence with a
+    recurrence of order L <= D has exactly one shortest recurrence for its
+    first 2D terms, and Berlekamp-Massey returns it: it is the sequence's.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    m = min(n, 2 * a.order * b.order)
+    head = binomial_convolution_sequence(generate_sequence(a, m), generate_sequence(b, m), m)
+    if m == n:
+        return head
+    return list(generate_sequence(_shortest_recurrence(head), n))
 
 
 @dataclass(frozen=True)

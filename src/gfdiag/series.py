@@ -10,6 +10,10 @@ the constant term d0 of the denominator is deferred by carrying
 e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
 needs no division at all.
 
+A linear recurrence is division by its characteristic polynomial: the
+terms of a SequenceSpec are the series of P/Q, Q = 1 - sum c_i z^i, so
+generate_sequence runs the same univariate kernel as series_of_rational.
+
 The bivariate grid never expands the denominator.  The numerator product
 is expanded once on the nx x ny box, and the box is divided in place by
 one denominator factor at a time, m times for multiplicity m, each factor
@@ -87,30 +91,14 @@ def kbonacci(k: int, shifted: bool = False) -> SequenceSpec:
     shifted=False: generating function 1/(1 - z - ... - z^k), a_0 = 1.
     shifted=True:  generating function z/(1 - z - ... - z^k), a_0 = 0.
     """
-    terms = [Fraction(0)] * k
-    seed = 1 if shifted else 0
-    for n in range(k):
-        v = Fraction(1) if n == seed else Fraction(0)
-        v += sum(terms[n - i] for i in range(1, n + 1))
-        terms[n] = v
-    return SequenceSpec(k, (Fraction(1),) * k, tuple(terms))
+    initial = _series_div([0, 1] if shifted else [1], [1] + [-1] * k, k)
+    return SequenceSpec(k, (Fraction(1),) * k, tuple(initial))
 
 
-def generate_sequence(spec: SequenceSpec, n: int, var: str = "z") -> Series:
-    """First n terms of the sequence defined by spec, exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    terms = list(spec.initial[:n])
-    for m in range(len(terms), n):
-        terms.append(sum((spec.coeffs[i] * terms[m - 1 - i] for i in range(spec.order)),
-                         Fraction(0)))
-    return Series(var, tuple(terms))
+def _gf_parts(spec: SequenceSpec, var: str) -> tuple[Poly, Poly]:
+    """(P, Q) with Q = 1 - sum coeffs[i] var^(i+1) and P/Q the GF of spec.
 
-
-def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
-    """Rational generating function P(z)/(1 - sum coeffs[i] z^(i+1)).
-
-    Only the numerator depends on the initial terms.
+    P is Q times the initial terms, truncated below degree spec.order.
     """
     c, a = spec.coeffs, spec.initial
     den = Poly(var, [Fraction(1)] + [-v for v in c])
@@ -120,7 +108,26 @@ def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
         for i in range(1, n + 1):
             v -= c[i - 1] * a[n - i]
         num_coeffs.append(v)
-    num = Poly(var, num_coeffs)
+    return Poly(var, num_coeffs), den
+
+
+def generate_sequence(spec: SequenceSpec, n: int, var: str = "z") -> Series:
+    """First n terms of the sequence defined by spec, exactly.
+
+    They are the series of its generating function P/Q, so they come from
+    the one division kernel; Q(0) = 1, and P/Q needs no reduction.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return Series(var, tuple(_series_div(*_gf_parts(spec, var), n)))
+
+
+def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
+    """Rational generating function P(z)/(1 - sum coeffs[i] z^(i+1)).
+
+    Only the numerator depends on the initial terms.
+    """
+    num, den = _gf_parts(spec, var)
     if num.is_zero:
         return RatFunc.zero()
     return RatFunc(1, [(num, 1)], [(den, 1)])

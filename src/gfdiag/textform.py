@@ -10,7 +10,9 @@ Grammar (whitespace insensitive):
 
 Variables come from {x, y, z, t, w}; rationals are written p/q, which the
 grammar handles as ordinary division.  A factor whose power, after '^',
-'*' or '/', is above MAX_EXPONENT is a ParseError.  Printing
+'*' or '/', is above MAX_EXPONENT is a ParseError, and so is a power of a
+scalar (or of a function's constant factor) whose bits would pass
+MAX_SCALAR_BITS.  Printing
 (Poly.__str__ and BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that
 parse back to the same polynomial.
 """
@@ -33,6 +35,14 @@ class ParseError(ValueError):
 #: coefficients grow too: 0.2 s at e = 1000, 1.9 s at 2000 and 21 s at 4000
 #: (2-core Xeon VM, Python 3.11).
 MAX_EXPONENT = 1000
+
+#: Largest bit length a power of a scalar may reach, judged before it is
+#: computed as the exponent times the bit length of the scalar's numerator
+#: or denominator: the bits of a 4300-digit integer, the largest literal the
+#: parser reads (Python's default int_max_str_digits).
+#: Uncapped, parsing ((2^1000)^1000)^100 took 0.9 s and 80 MB (2-core Xeon
+#: VM, Python 3.11), and one more ^1000 asks for a 10^9-bit integer.
+MAX_SCALAR_BITS = 14285
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[a-zA-Z])|(?P<op>[-+*/^()]))")
@@ -169,6 +179,11 @@ class _Parser:
             power = int(exp)
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
+            scalar = value if isinstance(value, Fraction) else value.constant
+            bits = max(scalar.numerator.bit_length(), scalar.denominator.bit_length())
+            if power * bits > MAX_SCALAR_BITS:
+                raise ParseError(f"a power of a {bits}-bit scalar to {power} exceeds "
+                                 f"the cap of {MAX_SCALAR_BITS} bits")
             value = _capped(value ** power)
         return value
 

@@ -67,6 +67,15 @@ def rand_sequence_spec(rng: Random, max_order: int = 3,
 # These are the Fraction recurrences that the integer kernels replaced, kept
 # here so that the property tests can compare the kernels with them.
 
+def ref_generate_sequence(spec: SequenceSpec, n: int) -> list[Fraction]:
+    """First n terms of spec by its recurrence, over Fraction."""
+    terms = list(spec.initial[:n])
+    for m in range(len(terms), n):
+        terms.append(sum((spec.coeffs[i] * terms[m - 1 - i] for i in range(spec.order)),
+                         Fraction(0)))
+    return terms
+
+
 def ref_series_div(num, den, n: int) -> list[Fraction]:
     """First n Taylor coefficients of num/den over Fraction; den[0] != 0."""
     d0 = den[0]

@@ -116,6 +116,48 @@ def test_option_value_starting_with_minus(args, want, capsys):
     assert capsys.readouterr().out == out
 
 
+# -- exact output past Python's default limit of 4300 digits --------------------
+
+def test_expand_prints_terms_past_the_digit_limit(capsys):
+    assert cli.main(["expand", "1/(1-2^1000*z)", "--n=20"]) == 0
+    last = capsys.readouterr().out.split()[-1]
+    assert len(last) > 4300
+    with cli._output_digits():
+        assert last == str(2 ** 19000)
+
+
+def test_convolve_prints_terms_past_the_digit_limit(capsys):
+    # Order 1, coefficient 1: a_k = a0, so the convolution is 2^n * a0^2.
+    a0 = 10 ** 3000
+    assert cli.main(["convolve", "--k=1", f"--init={a0}", "--n=4"]) == 0
+    out = capsys.readouterr().out.split()
+    with cli._output_digits():
+        assert out == [str(2 ** n * a0 ** 2) for n in range(4)]
+
+
+def test_diagonal_prints_gf_past_the_digit_limit(capsys):
+    # Inputs of 2501 digits; the diagonal 1/(1 - 10^5000*z) has a 5001-digit coefficient.
+    a = 10 ** 2500
+    argv = ["diagonal", f"--gf-text=1/((1-{a}*x)*(1-{a}*y))", "--method=residue", "--n=4"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    with cli._output_digits():
+        assert first == f"residue method: (1) / (1 - {a * a}*z)"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+@pytest.mark.parametrize("argv", [
+    ["expand", f"1/(1-{'7' * 4301}*z)", "--n=3"],
+    ["convolve", "--k=1", f"--init={'7' * 4301}", "--n=3"],
+], ids=["gf-text", "init"])
+def test_input_literal_past_the_digit_limit_exits_2(argv, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(argv) == 2
+    assert "4300 digits" in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == limit
+
+
 # -- diagonal --------------------------------------------------------------------
 
 def test_diagonal_catalog_both_methods():

@@ -316,6 +316,13 @@ def test_parse_errors():
         parse_ratfunc("1/((1-z)^1000*(1-z)^500)")
     with pytest.raises(ParseError, match="cap 1000"):
         parse_ratfunc("1/(1-z)^600/(1-z)^600")
+    # A power of a scalar, or of a function's constant factor, whose bits
+    # (exponent times bit length) would pass MAX_SCALAR_BITS.
+    with pytest.raises(ParseError, match="14285 bits"):
+        parse_ratfunc("((2^1000)^1000)^100")
+    with pytest.raises(ParseError, match="14285 bits"):
+        parse_ratfunc("(2^1000*z)^15")
+    assert parse_ratfunc("(2^1000*z)^14").constant == 2 ** 14000
 
 
 def test_ratfunc_display_round_trips_by_value():

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfdiag import (
+    Poly,
     SequenceSpec,
+    binomial_convolution_sequence,
     build_convolution_gf,
     certify_agreement,
+    convolution_terms,
     diagonal_series,
     find_min_recurrence,
     generate_sequence,
@@ -21,7 +24,7 @@ from gfdiag import (
     series_of_rational,
 )
 from gfdiag.recurrences import _berlekamp_massey
-from helpers import rand_sequence_spec, ref_berlekamp_massey
+from helpers import rand_sequence_spec, ref_berlekamp_massey, ref_generate_sequence
 
 
 def test_fibonacci_detection():
@@ -205,3 +208,41 @@ def _recurrent(draw):
 def test_berlekamp_massey_matches_fraction_reference(zeros, terms):
     s = [Fraction(0)] * zeros + terms
     assert _berlekamp_massey(s) == ref_berlekamp_massey(s)
+
+
+# -- convolution_terms against the Pascal-row oracle ------------------------------
+
+@st.composite
+def _spec(draw):
+    """Order 1..5 recurrence whose characteristic polynomial is (1 - r*z)^m * R(z).
+
+    m >= 2 gives a repeated root; R's last coefficient, and so the
+    recurrence's, is often 0; the initial terms are all 0 about one time
+    in four.
+    """
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(0, k))
+    r = draw(_rational.filter(bool))
+    tail = draw(st.lists(_rational, min_size=k - m, max_size=k - m))
+    if tail and draw(st.booleans()):
+        tail[-1] = Fraction(0)
+    char = Poly("z", [1, -r]) ** m * Poly("z", [1, *tail])
+    coeffs = tuple(-char.coeff(i) for i in range(1, k + 1))
+    initial = draw(st.lists(_rational, min_size=k, max_size=k))
+    if draw(st.sampled_from((False, False, False, True))):
+        initial = [Fraction(0)] * k
+    elif not any(initial):
+        initial[-1] = Fraction(1)
+    return SequenceSpec(k, coeffs, tuple(initial))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(a=_spec(), b=_spec(), data=st.data())
+def test_convolution_terms_match_pascal_oracle(a, b, data):
+    # a and b are drawn independently, so the order bound a.order * b.order
+    # is exercised, not only k(k+1)/2 of a self-convolution; n runs on both
+    # sides of the 2 * a.order * b.order Pascal sums.
+    n = max(0, 2 * a.order * b.order + data.draw(st.integers(-8, 12), label="offset"))
+    want = binomial_convolution_sequence(ref_generate_sequence(a, n),
+                                         ref_generate_sequence(b, n), n)
+    assert convolution_terms(a, b, n) == want
