@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .series import (
     gf_of_sequence,
     series_of_rational,
 )
-from .textform import ParseError, parse_ratfunc
+from .textform import MAX_LITERAL_DIGITS, ParseError, parse_ratfunc
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,10 +71,15 @@ def _emit_json(command: str, payload: dict, status: int = 0) -> None:
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:
+    shown = text if len(text) <= 60 else f"{text[:40]}...({len(text)} characters)"
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    if digits > MAX_LITERAL_DIGITS:
+        raise ParseError(f"malformed rational list {shown!r}: an integer of {digits} digits "
+                         f"exceeds the limit of {MAX_LITERAL_DIGITS} digits")
     try:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed rational list {text!r}: {exc}")
+        raise ParseError(f"malformed rational list {shown!r}: {exc}")
 
 
 def _reduced_text(f) -> dict:

@@ -82,6 +82,15 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
+    @classmethod
+    def _make(cls, constant: Fraction, numer: tuple, denom: tuple) -> "RatFunc":
+        """The RatFunc of factor tuples already in the constructor's form, as they are."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "numer", numer)
+        object.__setattr__(self, "denom", denom)
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

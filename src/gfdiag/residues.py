@@ -247,19 +247,30 @@ def _residue_sum_at(rows: tuple[_Rows, list[tuple[_Rows, int]], Fraction],
     return total * kappa
 
 
-def _cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
-    """Rational reconstruction (r, s) of the values vs at the points zs.
+def _newton_extend(table: list[Fraction], zs: list[int], z: int, v: Fraction) -> None:
+    """Extend the Newton table of the first k = len(table) points of zs by the point z, value v.
 
-    Newton interpolation gives V with V(zs[i]) = vs[i]; its cleared Newton
-    form L*V and prod(z - zs[i]) are expanded on ints, and the extended PRS
-    of (prod, L*V) stops at the first remainder r of degree below
-    len(zs)/2, with cofactor s: r = s*L*V modulo the product.
+    table[i] is the divided difference f[zs[0], ..., zs[i]], so the first n
+    entries are the table of the first n points, whatever points follow.
+    The new entry f[zs[0], ..., zs[k-1], z] takes one difference and one
+    division per entry before it: f[zs[0..i-1], z] - table[i], over
+    z - zs[i], is f[zs[0..i], z].
     """
-    coeffs = list(vs)
-    for j in range(1, len(zs)):                 # divided differences
-        for i in range(len(zs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (zs[i] - zs[i - j])
-    ints, den = _cleared(coeffs)
+    for zi, c in zip(zs, table):
+        v = (v - c) / (z - zi)
+    table.append(v)
+
+
+def _cauchy(zs: list[int], table: list[Fraction]) -> tuple[Poly, Poly]:
+    """Rational reconstruction (r, s) of the values at the points zs, given their Newton table.
+
+    The table gives the Newton form of V with V(zs[i]) = the value there;
+    the table is cleared to integers once, L*V and prod(z - zs[i]) are
+    expanded on ints, and the extended PRS of (prod, L*V) stops at the first
+    remainder r of degree below len(zs)/2, with cofactor s: r = s*L*V
+    modulo the product.
+    """
+    ints, den = _cleared(table)
     value, basis = [ints[-1]], [1]
     for zi, c in zip(zs[-2::-1], ints[-2::-1]):
         value = _int_mul(value, [-zi, 1])
@@ -277,7 +288,10 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
 
     The sum is evaluated at z0 = 1, -1, 2, -2, ..., skipping degenerate
     points, and rebuilt from its first n values with n doubling until the
-    candidate reproduces the next two.
+    candidate reproduces the next two.  The Newton table of the values is
+    built once, one entry per point as the prefixes need them, and each
+    reconstruction reads the first n entries; the two check points are
+    compared by their values.
     """
     # A skipped point is a root of a kept factor's leading coefficient or of
     # its resultant with another factor; more skips than those degrees allow
@@ -289,6 +303,7 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     rows = _int_transform(h)
     zs: list[int] = []
     vs: list[Fraction] = []
+    table: list[Fraction] = []
     z0, n = 0, 4
     while True:
         while len(zs) < n + 2:
@@ -300,7 +315,9 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
             elif (budget := budget - 1) < 0:
                 raise DegeneratePoleError("degenerate pole configuration: "
                                           "kept factor shares roots with the other factors")
-        num, den = _cauchy(zs[:n], vs[:n])
+        while len(table) < n:
+            _newton_extend(table, zs, zs[len(table)], vs[len(table)])
+        num, den = _cauchy(zs[:n], table[:n])
         if all(den.evaluate(z) != 0 and num.evaluate(z) == v * den.evaluate(z)
                for z, v in zip(zs[n:], vs[n:])):
             num, den = RatFunc(1, [(num, 1)], [(den, 1)]).reduced_fraction()

@@ -8,21 +8,33 @@ Grammar (whitespace insensitive):
     primary := atom ('^' INT)?
     atom    := INT | VAR | '(' expr ')'
 
-Variables come from {x, y, z, t, w}; rationals are written p/q, which the
-grammar handles as ordinary division.  A factor whose power, after '^',
-'*' or '/', is above MAX_EXPONENT is a ParseError, and so is a power of a
-scalar (or of a function's constant factor) whose bits would pass
-MAX_SCALAR_BITS.  Printing
-(Poly.__str__ and BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that
-parse back to the same polynomial.
+Variables come from {x, y, z, t, w}, at most two in one function;
+rationals are written p/q, which the grammar handles as ordinary division.
+A factor whose power, after '^', '*' or '/', is above MAX_EXPONENT is a
+ParseError, and so is a power of a scalar (or of a function's constant
+factor) whose bits would pass MAX_SCALAR_BITS, and an integer literal
+longer than MAX_LITERAL_DIGITS.  Printing (Poly.__str__ and
+BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that parse back to the
+same polynomial.
+
+Products and quotients stay factored: a term is a RatFunc whose factors
+are the parenthesized sums it multiplies, or, while it is a scalar times
+powers of variables, a _Mono that holds the factor list such a RatFunc
+would hold without building it.  A sum is accumulated once: each term is
+expanded (a factor's power by poly's repeated squaring on _int_mul) and
+added into integer rows over one common denominator, and one Poly or
+BiPoly is built at the end.  Only a sum that has a denominator adds through
+RatFunc.add.  The result equals folding the terms left to right through
+RatFunc.add, down to the factor order and the variable pair.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from .poly import BiPoly, Poly, VARIABLES
+from .poly import BiPoly, Poly, VARIABLES, _int_add
 from .ratfunc import RatFunc
 
 
@@ -36,10 +48,14 @@ class ParseError(ValueError):
 #: (2-core Xeon VM, Python 3.11).
 MAX_EXPONENT = 1000
 
+#: Longest integer literal the parser reads, in digits: Python's default
+#: int_max_str_digits, past which int() refuses a decimal string.
+MAX_LITERAL_DIGITS = 4300
+
 #: Largest bit length a power of a scalar may reach, judged before it is
 #: computed as the exponent times the bit length of the scalar's numerator
-#: or denominator: the bits of a 4300-digit integer, the largest literal the
-#: parser reads (Python's default int_max_str_digits).
+#: or denominator: the bits of a MAX_LITERAL_DIGITS-digit integer, the
+#: largest literal the parser reads.
 #: Uncapped, parsing ((2^1000)^1000)^100 took 0.9 s and 80 MB (2-core Xeon
 #: VM, Python 3.11), and one more ^1000 asks for a 10^9-bit integer.
 MAX_SCALAR_BITS = 14285
@@ -70,18 +86,111 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+_SLOT = {v: i for i, v in enumerate(VARIABLES)}
+
+
+def _joined(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The variables of a and b in VARIABLES order, at most two of them."""
+    names = tuple(sorted(set(a) | set(b), key=_SLOT.__getitem__))
+    if len(names) > 2:
+        raise ParseError(f"at most two variables are supported, found {', '.join(names)}")
+    return names
+
+
+def _merged(factors) -> tuple[tuple[str, int], ...]:
+    """(variable, multiplicity) pairs with equal variables combined, first-seen order."""
+    out: dict[str, int] = {}
+    for v, e in factors:
+        out[v] = out.get(v, 0) + e
+    return tuple(out.items())
+
+
+class _Mono:
+    """A scalar times powers of variables: a product the parser keeps unbuilt.
+
+    factors holds the (variable, multiplicity) list of the RatFunc that the
+    same product would build, in the same order.  That RatFunc merges equal
+    factors at each step, but a factor in one variable does not equal the
+    same factor lifted to two, so a two-variable product times a
+    one-variable one keeps them apart: x*y*x holds x twice.
+    """
+
+    __slots__ = ("constant", "factors")
+
+    def __init__(self, constant: Fraction, factors: tuple = ()):
+        self.constant = constant
+        self.factors = factors if constant else ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.constant
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return _joined((), tuple(v for v, _ in self.factors))
+
+    def scale(self, c: Fraction) -> "_Mono":
+        return _Mono(self.constant * c, _merged(self.factors))
+
+    def __neg__(self) -> "_Mono":
+        return self.scale(Fraction(-1))
+
+    def __pow__(self, n: int) -> "_Mono":
+        if n == 0:
+            return _Mono(Fraction(1))
+        return _Mono(self.constant ** n, _merged((v, e * n) for v, e in self.factors))
+
+    def __mul__(self, other: "_Mono") -> "_Mono":
+        if self.is_zero or other.is_zero:
+            return _Mono(Fraction(0))
+        a, b = self.variables, other.variables
+        _joined(a, b)
+        if len(a) == len(b) or not (a and b):
+            factors = _merged(self.factors + other.factors)
+        else:   # the one-variable factors are Polys, the others BiPolys
+            factors = _merged(self.factors) + _merged(other.factors)
+        return _Mono(self.constant * other.constant, factors)
+
+    def ratfunc(self) -> RatFunc:
+        if self.is_zero:
+            return RatFunc.zero()
+        names = self.variables
+        polys = {v: Poly.monomial(v, 1) for v in names}
+        if len(names) == 2:
+            polys = {v: BiPoly.embed(p, *names) for v, p in polys.items()}
+        return RatFunc._make(self.constant, tuple((polys[v], e) for v, e in self.factors), ())
+
+
 def _as_ratfunc(v) -> RatFunc:
+    if isinstance(v, _Mono):
+        return v.ratfunc()
     return v if isinstance(v, RatFunc) else RatFunc.from_fraction(v)
+
+
+def _variables(v) -> tuple[str, ...]:
+    return () if isinstance(v, Fraction) else v.variables
+
+
+def _is_zero(v) -> bool:
+    return v == 0 if isinstance(v, Fraction) else v.is_zero
+
+
+def _has_denom(v) -> bool:
+    return isinstance(v, RatFunc) and bool(v.denom)
 
 
 def _mul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     if isinstance(a, Fraction):
-        return _as_ratfunc(b).scale(a)
+        return b.scale(a)
     if isinstance(b, Fraction):
         return a.scale(b)
-    return a * b
+    if isinstance(a, _Mono) and isinstance(b, _Mono):
+        return a * b
+    if not (a.is_zero or b.is_zero):
+        _joined(a.variables, b.variables)
+    return _as_ratfunc(a) * _as_ratfunc(b)
 
 
 def _div(a, b):
@@ -91,17 +200,110 @@ def _div(a, b):
         return _mul(a, Fraction(1) / b)
     if b.is_zero:
         raise ParseError("division by the zero function")
-    return _mul(a, b.inverse())
+    return _mul(a, _as_ratfunc(b).inverse())
 
 
-def _add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return _as_ratfunc(a) + _as_ratfunc(b)
+class _Sum:
+    """The sum of an expression's terms, equal to folding them left to right.
 
+    The fold a + b through RatFunc.add keeps a when b is zero and b when a
+    is zero, adds two constants as scalars, and otherwise expands both and
+    holds their sum as one factor, in the variables of both, or as a
+    constant.  _Sum gives the same value, but holds an expanded sum as rows
+    of integer numerators over one common denominator, adds each term into
+    them once, and builds its one Poly or BiPoly at the end.  A sum with a
+    denominator folds through RatFunc.add.
+    """
 
-def _neg(a):
-    return -a
+    def __init__(self, first):
+        self.scalar = isinstance(first, Fraction)   # every term a Fraction
+        self.held = first       # the sum as a term, or None while it is expanded
+        # The expanded sum: rows[i][j] / den is its coefficient of
+        # names[0]^i * names[1]^j, or of names[0]^j with one variable.
+        self.names: tuple[str, ...] = ()
+        self.rows: list[list[int]] = []
+        self.den = 1
+
+    def add(self, b) -> None:
+        self.scalar = self.scalar and isinstance(b, Fraction)
+        a = self.held
+        if _is_zero(b):
+            return
+        if a is not None and _is_zero(a):
+            self.held = b
+            return
+        names = _joined(self.names if a is None else _variables(a), _variables(b))
+        if not names:
+            self.held = (a if isinstance(a, Fraction) else a.constant) + \
+                (b if isinstance(b, Fraction) else b.constant)
+        elif _has_denom(a) or _has_denom(b):
+            self.held = _as_ratfunc(self.value() if a is None else a).add(_as_ratfunc(b))
+        else:
+            if a is not None:
+                self.names, self.rows, self.den, self.held = names, [], 1, None
+                self._put(a)
+            elif len(names) > len(self.names) and names[0] == self.names[0]:
+                # The one variable becomes the outer one.
+                self.rows = [[c] if c else [] for c in self.rows[0]]
+            self.names = names
+            self._put(b)
+            if not self.rows:
+                self.held = RatFunc.zero()
+            elif len(self.rows) == 1 and len(self.rows[0]) == 1:
+                self.held = Fraction(self.rows[0][0], self.den)
+
+    def value(self):
+        if self.held is None:
+            return RatFunc(1, [(self._poly(), 1)])
+        if isinstance(self.held, Fraction) and not self.scalar:
+            return RatFunc.from_fraction(self.held)
+        return self.held
+
+    def _put(self, v) -> None:
+        """Add the expansion of a term without a denominator, in self.names."""
+        outer = self.names[0] if len(self.names) == 2 else None
+        if isinstance(v, _Mono):
+            exps = dict(_merged(v.factors))
+            self._add_rows(v.constant, [[]] * exps.get(outer, 0)
+                           + [[0] * exps.get(self.names[-1], 0) + [1]])
+            return
+        if isinstance(v, RatFunc):
+            v = v._expand_pair()[0]
+        if isinstance(v, Fraction):
+            self._add_rows(v, [[1]])
+        elif isinstance(v, BiPoly):
+            self._add_rows(*v.int_rows())
+        elif v.var == outer:
+            self._add_rows(v.content, [[c] for c in v.prim])
+        else:
+            self._add_rows(v.content, [list(v.prim)])
+
+    def _add_rows(self, scale: Fraction, rows) -> None:
+        """Add scale * rows[i][j] at each [i][j], trimming zeros at the ends."""
+        d = scale.denominator
+        if self.den % d:
+            f = d // gcd(self.den, d)
+            self.den *= f
+            self.rows = [[f * c for c in row] for row in self.rows]
+        s = scale.numerator * (self.den // d)
+        out = self.rows
+        out.extend([] for _ in range(len(rows) - len(out)))
+        for i, row in enumerate(rows):
+            if any(row):
+                new = _int_add(out[i], [s * c for c in row])
+                while new and not new[-1]:
+                    new.pop()
+                out[i] = new
+        while out and not out[-1]:
+            out.pop()
+
+    def _poly(self):
+        """The expanded sum as a Poly or BiPoly in its variables."""
+        scale = Fraction(1, self.den)
+        if len(self.names) == 1:
+            return Poly.from_ints(self.names[0], self.rows[0], scale)
+        outer, inner = self.names
+        return BiPoly(outer, inner, [Poly.from_ints(inner, row, scale) for row in self.rows])
 
 
 def _capped(value):
@@ -110,9 +312,22 @@ def _capped(value):
     A power of a power multiplies the multiplicities, and a product or a
     quotient adds those of equal factors.
     """
-    if isinstance(value, RatFunc) and any(m > MAX_EXPONENT for _, m in value.numer + value.denom):
+    if isinstance(value, RatFunc):
+        factors = value.numer + value.denom
+    elif isinstance(value, _Mono):
+        factors = value.factors
+    else:
+        return value
+    if any(m > MAX_EXPONENT for _, m in factors):
         raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
     return value
+
+
+def _literal(digits: str) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"an integer literal of {len(digits)} digits exceeds the limit "
+                         f"of {MAX_LITERAL_DIGITS} digits")
+    return int(digits)
 
 
 class _Parser:
@@ -140,15 +355,15 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        total = _Sum(self.term())
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                value = _add(value, _neg(rhs) if val == "-" else rhs)
+                total.add(-rhs if val == "-" else rhs)
             else:
-                return value
+                return total.value()
 
     def term(self):
         value = self.unary()
@@ -165,7 +380,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return _neg(self.unary())
+            return -self.unary()
         return self.primary()
 
     def primary(self):
@@ -176,7 +391,7 @@ class _Parser:
             kind, exp = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            power = int(exp)
+            power = _literal(exp)
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
             scalar = value if isinstance(value, Fraction) else value.constant
@@ -190,9 +405,9 @@ class _Parser:
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return Fraction(int(val))
+            return Fraction(_literal(val))
         if kind == "var":
-            return RatFunc.from_poly(Poly.monomial(val, 1))
+            return _Mono(Fraction(1), ((val, 1),))
         if kind == "op" and val == "(":
             value = self.expr()
             self.expect_op(")")

@@ -9,6 +9,7 @@ from typing import Iterable
 
 from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec
 from gfdiag.poly import VARIABLES, _format_coeff_term, _power, as_fraction
+from gfdiag.textform import MAX_EXPONENT, MAX_SCALAR_BITS, ParseError, _tokenize
 
 
 def rand_fraction(rng: Random, lo: int = -5, hi: int = 5, denom: int = 3) -> Fraction:
@@ -200,14 +201,19 @@ def ref_residue_sum_at(h, kept, z0: int) -> Fraction | None:
     return total
 
 
-def ref_cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
-    """Newton interpolation, then extended Euclid over Fraction stopped below len(zs)/2."""
+def ref_divided_differences(zs: list[int], vs: list[Fraction]) -> list[Fraction]:
+    """Newton coefficients of the values vs at the points zs: the triangular table over Fraction."""
     coeffs = list(vs)
     for j in range(1, len(zs)):
         for i in range(len(zs) - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (zs[i] - zs[i - j])
+    return coeffs
+
+
+def ref_cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
+    """Newton interpolation, then extended Euclid over Fraction stopped below len(zs)/2."""
     value, basis = Poly.zero("z"), Poly.one("z")
-    for zi, c in zip(zs, coeffs):
+    for zi, c in zip(zs, ref_divided_differences(zs, vs)):
         value = value + basis.scale(c)
         basis = basis * Poly("z", (-zi, 1))
     r0, r1, s0, s1 = basis, value, Poly.zero("z"), Poly.one("z")
@@ -605,3 +611,139 @@ def ref_unify(*values) -> tuple:
         else:
             out.append(RefBiPoly.const(outer, inner, v))
     return tuple(out)
+
+
+# -- Fold reference for gfdiag.textform ------------------------------------------
+#
+# The parser as it was when it folded every '+' through RatFunc.add and built
+# a RatFunc for every variable, kept so that the property tests can compare
+# the one-pass sums with it.  A third variable fails here with the
+# ValueError of unify, where textform raises a ParseError.
+
+def _ref_as_ratfunc(v) -> RatFunc:
+    return v if isinstance(v, RatFunc) else RatFunc.from_fraction(v)
+
+
+def _ref_mul(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a * b
+    if isinstance(a, Fraction):
+        return _ref_as_ratfunc(b).scale(a)
+    if isinstance(b, Fraction):
+        return a.scale(b)
+    return a * b
+
+
+def _ref_div(a, b):
+    if isinstance(b, Fraction):
+        if b == 0:
+            raise ParseError("division by zero")
+        return _ref_mul(a, Fraction(1) / b)
+    if b.is_zero:
+        raise ParseError("division by the zero function")
+    return _ref_mul(a, b.inverse())
+
+
+def _ref_add(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    return _ref_as_ratfunc(a) + _ref_as_ratfunc(b)
+
+
+def _ref_capped(value):
+    if isinstance(value, RatFunc) and any(m > MAX_EXPONENT for _, m in value.numer + value.denom):
+        raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
+    return value
+
+
+class _RefParser:
+    def __init__(self, tokens: list[tuple[str, str]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val = self.take()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}, found {val!r}")
+
+    def parse(self):
+        value = self.expr()
+        if self.pos != len(self.tokens):
+            raise ParseError(f"trailing input near token {self.pos}")
+        return value
+
+    def expr(self):
+        value = self.term()
+        while True:
+            kind, val = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                rhs = self.term()
+                value = _ref_add(value, -rhs if val == "-" else rhs)
+            else:
+                return value
+
+    def term(self):
+        value = self.unary()
+        while True:
+            kind, val = self.peek()
+            if kind == "op" and val in "*/":
+                self.take()
+                rhs = self.unary()
+                value = _ref_capped(_ref_mul(value, rhs) if val == "*" else _ref_div(value, rhs))
+            else:
+                return value
+
+    def unary(self):
+        kind, val = self.peek()
+        if kind == "op" and val == "-":
+            self.take()
+            return -self.unary()
+        return self.primary()
+
+    def primary(self):
+        value = self.atom()
+        kind, val = self.peek()
+        if kind == "op" and val == "^":
+            self.take()
+            kind, exp = self.take()
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer")
+            power = int(exp)
+            if power > MAX_EXPONENT:
+                raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
+            scalar = value if isinstance(value, Fraction) else value.constant
+            bits = max(scalar.numerator.bit_length(), scalar.denominator.bit_length())
+            if power * bits > MAX_SCALAR_BITS:
+                raise ParseError(f"a power of a {bits}-bit scalar to {power} exceeds "
+                                 f"the cap of {MAX_SCALAR_BITS} bits")
+            value = _ref_capped(value ** power)
+        return value
+
+    def atom(self):
+        kind, val = self.take()
+        if kind == "int":
+            return Fraction(int(val))
+        if kind == "var":
+            return RatFunc.from_poly(Poly.monomial(val, 1))
+        if kind == "op" and val == "(":
+            value = self.expr()
+            self.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {val!r}")
+
+
+def ref_parse_ratfunc(text: str) -> RatFunc:
+    """parse_ratfunc by the left-to-right fold of every sum through RatFunc.add."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty input")
+    return _ref_as_ratfunc(_RefParser(tokens).parse())

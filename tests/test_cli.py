@@ -158,7 +158,25 @@ def test_input_literal_past_the_digit_limit_exits_2(argv, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", f"1/(1-{'7' * 4301}*z)", "--n=3"],
+    ["convolve", "--k=1", f"--init={'7' * 4301}", "--n=3"],
+], ids=["gf-text", "init"])
+def test_input_literal_past_the_digit_limit_error_is_short(argv, capsys):
+    # The message names the digit count and the limit; it neither echoes the
+    # literal nor suggests an interpreter setting a user cannot reach.
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "4301 digits exceeds the limit of 4300 digits" in err
+    assert len(err) < 300 and "set_int_max_str_digits" not in err
+
+
 # -- diagonal --------------------------------------------------------------------
+
+def test_diagonal_third_variable_exits_2(capsys):
+    assert cli.main(["diagonal", "--gf-text=x+y+z"]) == 2
+    assert capsys.readouterr().err == "error: at most two variables are supported, found x, y, z\n"
+
 
 def test_diagonal_catalog_both_methods():
     res = run_cli("diagonal", "--catalog", "trib.G", "--method", "both", "--n", "60",

@@ -1,10 +1,13 @@
 """Exact scalar and polynomial algebra: arithmetic, divrem, gcd, factored
 rational functions, composition, and the text format."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfdiag import (
     BiPoly,
@@ -16,7 +19,17 @@ from gfdiag import (
     parse_ratfunc,
     poly_gcd,
 )
-from helpers import poly_xgcd, rand_bipoly, rand_fraction, rand_poly, rand_univariate_ratfunc
+from gfdiag.poly import VARIABLES
+from helpers import (
+    poly_xgcd,
+    rand_bipoly,
+    rand_fraction,
+    rand_poly,
+    rand_univariate_ratfunc,
+    ref_parse_ratfunc,
+)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 # -- basic arithmetic --------------------------------------------------------
@@ -323,6 +336,114 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="14285 bits"):
         parse_ratfunc("(2^1000*z)^15")
     assert parse_ratfunc("(2^1000*z)^14").constant == 2 ** 14000
+    # A third variable, in a sum, a product or a quotient.
+    for text in ("x+y+z", "x*y*z", "x*y + z", "(1-x)*(1-y)/(1-z)", "x/(y*z)", "1/(1-x-y) + z"):
+        with pytest.raises(ParseError, match="at most two variables are supported, found x, y, z"):
+            parse_ratfunc(text)
+    # A literal longer than Python's default 4300-digit limit of int().
+    for text in (f"1/(1-{'7' * 4301}*z)", f"z^{'0' * 4300}1"):
+        with pytest.raises(ParseError, match="literal of 4301 digits exceeds the limit of 4300 digits"):
+            parse_ratfunc(text)
+
+
+# -- the parser against the fold through RatFunc.add ------------------------------
+
+def _same_parse(text: str) -> None:
+    """parse_ratfunc(text) equals ref_parse_ratfunc(text), or both raise one ParseError."""
+    try:
+        want = ref_parse_ratfunc(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_ratfunc(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_ratfunc(text)
+    # RatFunc equality compares the constant and the factor tuples in
+    # order, and a factor's type, variable or variable pair with it.
+    assert got == want, text
+    assert str(got) == str(want)
+
+
+def _atom(draw, names: list[str], depth: int) -> str:
+    kind = draw(st.integers(0, 3 if depth else 2))
+    if kind == 0:
+        return str(draw(st.integers(0, 9)))
+    if kind == 1:
+        return draw(st.sampled_from(names))
+    if kind == 2:
+        return f"{draw(st.sampled_from(names))}^{draw(st.integers(0, 3))}"
+    power = draw(st.sampled_from(["", "", "^0", "^1", "^2"]))
+    return f"({_expression(draw, names, depth - 1)}){power}"
+
+
+def _expression(draw, names: list[str], depth: int) -> str:
+    """A sum of products and quotients of scalars, variables, powers and nested sums."""
+    text = ""
+    for k in range(draw(st.integers(1, 3))):
+        term = _atom(draw, names, depth)
+        for _ in range(draw(st.integers(0, 2))):
+            term += draw(st.sampled_from("**/")) + _atom(draw, names, depth)
+        sign = draw(st.sampled_from(["", "", "-"]))
+        text += (sign if k == 0 else draw(st.sampled_from("+-")) + sign) + term
+    return text
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_parse_matches_fold_through_ratfunc_add(data):
+    names = data.draw(st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=2, unique=True))
+    _same_parse(_expression(data.draw, names, data.draw(st.integers(0, 2))))
+
+
+@pytest.mark.parametrize("text", [
+    # Cancellation to zero, or to a constant, starts the variables afresh.
+    "x - x + y", "x*y - x*y + y", "x*y + y - x*y", "x*y + 1 - x*y + z", "3 + x - x",
+    # A zero term keeps the other one factored.
+    "0 + (1-x)*(1-y)", "(1-x)^2 + 0", "1 - 1 + (1-x)^2", "x - x + (1-y)^2", "0*x*y*z",
+    # A power 0 of a function is a function, not a scalar.
+    "x^0 + 1", "(x-x+3)^2", "1/(x^0 - 1)", "1/(1 - 1)",
+    # A two-variable factor does not merge with the one-variable one.
+    "x*y*x", "x*y*x*y", "(x*y*x)^2", "-(x*y*x)", "x*y*x/(1-x-y)", "2*x*y/(1-x)",
+    # Sums with denominators, and rational scalars.
+    "1/x + 1/y + x", "x + 1/(1-x) - 1/(1-x)", "(1/2)*x + (1/3)*y - x/2", "w - x", "t*z - 1",
+])
+def test_parse_matches_fold_on_edge_cases(text):
+    _same_parse(text)
+
+
+def _catalog_texts() -> list[str]:
+    """Every literal text the package passes to parse_ratfunc."""
+    texts = []
+    for path in sorted((REPO / "src" / "gfdiag").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "parse_ratfunc"
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                texts.append(node.args[0].value)
+    return texts
+
+
+def _bench_texts(monkeypatch) -> list[str]:
+    """The function texts of the residue and univariate benchmark passes, seeds 1-3."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import oracles
+    import workloads
+    # Only the argv lists are read: skip the order-5 convolution oracle at n = 1000.
+    monkeypatch.setattr(oracles, "binomial_convolution", lambda *args: [])
+    texts = []
+    for workload in ("residue", "univariate"):
+        for seed in (1, 2, 3):
+            for op in workloads.build(workload, seed):
+                if op.argv[0] == "expand":
+                    texts.append(op.argv[1])
+                texts += [a.split("=", 1)[1] for a in op.argv if a.startswith("--gf-text=")]
+    return texts
+
+
+def test_parse_matches_fold_on_catalog_and_bench_texts(monkeypatch):
+    catalog, bench = _catalog_texts(), _bench_texts(monkeypatch)
+    assert len(catalog) >= 10 and len(bench) == 96
+    for text in catalog + bench:
+        _same_parse(text)
 
 
 def test_ratfunc_display_round_trips_by_value():

@@ -32,6 +32,7 @@ from gfdiag.residues import (
     PoleClass,
     _cauchy,
     _int_transform,
+    _newton_extend,
     _part_numerator,
     _residue_sum_at,
 )
@@ -40,6 +41,7 @@ from helpers import (
     rand_poly,
     rand_sequence_spec,
     ref_cauchy,
+    ref_divided_differences,
     ref_part_numerator,
     ref_residue_sum_at,
 )
@@ -281,10 +283,24 @@ def test_cauchy_matches_fraction_reference(data):
         assume(len(zs) >= count)
         vs = [num.evaluate(z) / den.evaluate(z) for z in zs[:count]]
     zs = zs[:count]
-    r, s = _cauchy(zs, vs)
+    r, s = _cauchy(zs, ref_divided_differences(zs, vs))
     want_r, want_s = ref_cauchy(zs, vs)
     assert not s.is_zero
     assert r * want_s == want_r * s
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_newton_table_prefixes_match_fraction_reference(data):
+    # The table grows one point at a time; every prefix is the table of
+    # its own points, as _residue_sum reads it at n = 4, 8, 16, 32.
+    count = data.draw(st.integers(1, 24))
+    zs = [(i // 2 + 1) * (-1) ** i for i in range(count)]
+    vs = data.draw(st.lists(_RATIONALS, min_size=count, max_size=count))
+    table: list[Fraction] = []
+    for k, (z, v) in enumerate(zip(zs, vs)):
+        _newton_extend(table, zs[:k], z, v)
+        assert table == ref_divided_differences(zs[:k + 1], vs[:k + 1])
 
 
 # -- diagonal_rational ---------------------------------------------------------
