@@ -9,7 +9,6 @@ from .textform import ParseError, parse_poly, parse_ratfunc
 from .series import (
     PoleAtOriginError,
     SequenceSpec,
-    Series,
     binomial_convolution_sequence,
     bivariate_series,
     convolution_grid,
@@ -53,8 +52,8 @@ __all__ = [
     "AgreementReport", "BiPoly", "CatalogEntry", "Claim", "ClaimReport",
     "ConvolutionGF", "DegeneratePoleError", "DiagnosticReport", "HKTransform",
     "ParseError", "PartialFractions", "PoleAtOriginError", "PoleClass", "Poly",
-    "RatFunc", "Rational", "SequenceSpec", "Series",
-    "binomial_convolution_sequence", "bivariate_series", "build_convolution_gf",
+    "RatFunc", "Rational", "SequenceSpec", "binomial_convolution_sequence",
+    "bivariate_series", "build_convolution_gf",
     "catalog_entry", "catalog_ids", "certify_agreement", "claim_ids",
     "classify_poles", "compose_rational", "convolution_grid", "convolution_terms",
     "diagonal_rational", "diagonal_series", "find_min_recurrence",

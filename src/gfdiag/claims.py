@@ -104,7 +104,7 @@ def _compare_terms(lhs, rhs) -> CheckResult:
 
 
 def _kbonacci_terms(k: int, convention: str, count: int) -> list[Fraction]:
-    return list(generate_sequence(kbonacci(k, shifted=_SHIFTED[convention]), count))
+    return generate_sequence(kbonacci(k, shifted=_SHIFTED[convention]), count)
 
 
 def _self_convolution(k: int, convention: str, count: int) -> list[Fraction]:
@@ -174,7 +174,7 @@ def _check_trib_u_binomial(n: int, convention: str) -> CheckResult:
 
 def _check_trib_second_term(n: int, convention=None) -> CheckResult:
     lhs = series_of_rational(printed_gf("trib.second_term"), n + 1)
-    u = list(series_of_rational(printed_gf("trib.U_gf"), n + 1))
+    u = series_of_rational(printed_gf("trib.U_gf"), n + 1)
 
     def uu(i):
         return u[i] if i >= 0 else Fraction(0)
@@ -200,7 +200,7 @@ def _check_trib_arbitrary_init(n: int, convention=None) -> CheckResult:
     result, report = diagonal_rational(gf, check_terms=depth)
     if report.status != "ok":
         return CheckResult(False, report.first_mismatch, report.lhs, report.rhs)
-    terms = list(generate_sequence(spec, depth + 1))
+    terms = generate_sequence(spec, depth + 1)
     brute = binomial_convolution_sequence(terms, terms, depth + 1)
     got = series_of_rational(result, depth + 1)
     return _compare_terms(got, brute)

@@ -166,7 +166,7 @@ def _diagonal_report(args, label, f) -> int:
     if args.method in ("series", "both"):
         from .series import diagonal_series
         diag = diagonal_series(f, args.n)
-        rec = find_min_recurrence(list(diag))
+        rec = find_min_recurrence(diag)
         if rec is None:
             payload["series"] = {"recurrence_order": None,
                                  "note": f"no recurrence of order <= {(args.n - 1) // 2} "

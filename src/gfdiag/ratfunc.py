@@ -23,17 +23,17 @@ def _constant_of(p: AnyPoly) -> Fraction | None:
     return None
 
 
-def _merge_factors(factors: Iterable) -> list:
-    """Combine structurally equal factors, keeping first-seen order."""
-    out: list[list] = []
+def _merge_factors(factors: Iterable) -> tuple:
+    """Add the multiplicities of equal factors, keeping first-seen order.
+
+    RatFunc merges its factors once they are lifted to one shape, so x in
+    one variable and x lifted to two are one factor by then; the parser's
+    _Mono merges its variables by the same rule.
+    """
+    out: dict = {}
     for p, m in factors:
-        for entry in out:
-            if entry[0] == p:
-                entry[1] += m
-                break
-        else:
-            out.append([p, m])
-    return out
+        out[p] = out.get(p, 0) + m
+    return tuple(out.items())
 
 
 class RatFunc:
@@ -42,10 +42,17 @@ class RatFunc:
     __slots__ = ("constant", "numer", "denom")
 
     def __init__(self, constant, numer: Iterable = (), denom: Iterable = ()):
+        """Check, lift and merge the factors.
+
+        Constant factors go into the scalar, the others are lifted to one
+        shape by unify and then merged: equal factors add their
+        multiplicities, in first-seen order.  Every multiplicity given must
+        be positive, and no denominator factor may be zero; a zero numerator
+        factor makes the function zero.
+        """
         constant = as_fraction(constant)
-        numer = _merge_factors(numer)
-        denom = _merge_factors(denom)
-        for p, m in list(numer):
+        numer, denom = list(numer), list(denom)
+        for p, m in numer:
             if m < 1:
                 raise ValueError("factor multiplicity must be positive")
             if p.is_zero:
@@ -76,8 +83,8 @@ class RatFunc:
             kept_numer, kept_denom = [], []
         lifted = iter(unify(*(p for p, _ in kept_numer + kept_denom)))
         object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "numer", tuple((next(lifted), m) for _, m in kept_numer))
-        object.__setattr__(self, "denom", tuple((next(lifted), m) for _, m in kept_denom))
+        object.__setattr__(self, "numer", _merge_factors((next(lifted), m) for _, m in kept_numer))
+        object.__setattr__(self, "denom", _merge_factors((next(lifted), m) for _, m in kept_denom))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")

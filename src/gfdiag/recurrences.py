@@ -22,7 +22,6 @@ from .poly import _cleared, as_fraction
 from .ratfunc import RatFunc
 from .series import (
     SequenceSpec,
-    Series,
     binomial_convolution_sequence,
     generate_sequence,
     series_of_rational,
@@ -116,7 +115,7 @@ def convolution_terms(a: SequenceSpec, b: SequenceSpec, n: int) -> list[Fraction
     head = binomial_convolution_sequence(generate_sequence(a, m), generate_sequence(b, m), m)
     if m == n:
         return head
-    return list(generate_sequence(_shortest_recurrence(head), n))
+    return generate_sequence(_shortest_recurrence(head), n)
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class AgreementReport:
 def certify_agreement(f: RatFunc, terms: Sequence[Fraction]) -> AgreementReport:
     """Compare the series of f against the given terms, exactly."""
     expected = [as_fraction(t) for t in terms]
-    got: Series = series_of_rational(f, len(expected))
+    got = series_of_rational(f, len(expected))
     for i, (a, b) in enumerate(zip(got, expected)):
         if a != b:
             return AgreementReport(False, i, a, b)

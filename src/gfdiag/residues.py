@@ -50,17 +50,16 @@ class HKTransform:
     """F(z*t, 1/t)/t in cleared form: numerator and factored denominator.
 
     cleared records the power of t multiplied into each denominator factor
-    (aligned with denom_factors) and numer_cleared the total multiplied into
-    the numerator product; balance_power is the residual power of t moved
-    into the numerator (when positive) or appended to the denominator as a
-    t^k factor (when negative).
+    (aligned with denom_factors); balance_power is the residual power of t,
+    the denominator's cleared powers less the numerator's and the extra 1/t,
+    moved into the numerator (when positive) or appended to the denominator
+    as a t^k factor (when negative).
     """
 
     numerator: BiPoly                       # variables (t, z)
     denom_factors: tuple[tuple[BiPoly, int], ...]
     cleared: tuple[int, ...]
     balance_power: int
-    numer_cleared: int = 0
 
     def evaluate(self, t0, z0) -> Fraction:
         acc = self.numerator.evaluate(t0, z0)
@@ -72,7 +71,7 @@ class HKTransform:
         return acc
 
 
-def _substitute_factor(p: BiPoly, t: str = "t", z: str = "z") -> tuple[BiPoly, int]:
+def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
     """p(z*t, 1/t) * t^k with k minimal so the result is polynomial in t."""
     k = 0
     for i, j, _c in p.monomials():
@@ -81,7 +80,7 @@ def _substitute_factor(p: BiPoly, t: str = "t", z: str = "z") -> tuple[BiPoly, i
     for i, j, c in p.monomials():
         key = (i - j + k, i)   # (t exponent, z exponent)
         terms[key] = terms.get(key, Fraction(0)) + c
-    return BiPoly.from_monomials(t, z, terms), k
+    return BiPoly.from_monomials("t", "z", terms), k
 
 
 def hk_transform(f: RatFunc) -> HKTransform:
@@ -127,7 +126,7 @@ def hk_transform(f: RatFunc) -> HKTransform:
     elif balance < 0:
         denom.append((BiPoly.from_monomials("t", "z", {(-balance, 0): Fraction(1)}), 1))
         cleared.append(0)
-    return HKTransform(numer, tuple(denom), tuple(cleared), balance, num_cleared)
+    return HKTransform(numer, tuple(denom), tuple(cleared), balance)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,7 @@ def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, Diag
     poles = classify_poles(h)
     result = _residue_sum(h, [p for p in poles if p.kept])
     status, first, lhs, rhs = "ok", None, None, None
-    got = series_of_rational(result, check_terms, var="z")
+    got = series_of_rational(result, check_terms)
     want = diagonal_series(f, check_terms)
     for i, (a, b) in enumerate(zip(got, want)):
         if a != b:

@@ -1,5 +1,9 @@
 """Truncated power series expansion and brute-force sequence oracles.
 
+Every sequence here, a Taylor series, a diagonal, the terms of a
+recurrence or of a convolution, is a plain list of Fractions: entry n is
+the coefficient of var^n, and the variable is the caller's to name.
+
 Everything here is exact.  The inner loops run on Python ints, not on
 Fraction, and build the Fraction results only at the end.  A polynomial
 is already an integer part times a rational content (see gfdiag.poly):
@@ -40,26 +44,6 @@ class PoleAtOriginError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Series:
-    """Truncated power series: coeffs[n] is the coefficient of var^n."""
-
-    var: str
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
-
-
-@dataclass(frozen=True)
 class SequenceSpec:
     """Order-k constant-coefficient recurrence with initial terms.
 
@@ -91,7 +75,8 @@ def kbonacci(k: int, shifted: bool = False) -> SequenceSpec:
     shifted=False: generating function 1/(1 - z - ... - z^k), a_0 = 1.
     shifted=True:  generating function z/(1 - z - ... - z^k), a_0 = 0.
     """
-    initial = _series_div([0, 1] if shifted else [1], [1] + [-1] * k, k)
+    num = Poly("z", [0, 1] if shifted else [1])
+    initial = _series_div(num, Poly("z", [1] + [-1] * k), k)
     return SequenceSpec(k, (Fraction(1),) * k, tuple(initial))
 
 
@@ -100,18 +85,12 @@ def _gf_parts(spec: SequenceSpec, var: str) -> tuple[Poly, Poly]:
 
     P is Q times the initial terms, truncated below degree spec.order.
     """
-    c, a = spec.coeffs, spec.initial
-    den = Poly(var, [Fraction(1)] + [-v for v in c])
-    num_coeffs = []
-    for n in range(spec.order):
-        v = a[n]
-        for i in range(1, n + 1):
-            v -= c[i - 1] * a[n - i]
-        num_coeffs.append(v)
-    return Poly(var, num_coeffs), den
+    den = Poly(var, [Fraction(1)] + [-v for v in spec.coeffs])
+    num = den * Poly(var, spec.initial)
+    return Poly.from_ints(var, num.prim[:spec.order], num.content), den
 
 
-def generate_sequence(spec: SequenceSpec, n: int, var: str = "z") -> Series:
+def generate_sequence(spec: SequenceSpec, n: int) -> list[Fraction]:
     """First n terms of the sequence defined by spec, exactly.
 
     They are the series of its generating function P/Q, so they come from
@@ -119,7 +98,7 @@ def generate_sequence(spec: SequenceSpec, n: int, var: str = "z") -> Series:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Series(var, tuple(_series_div(*_gf_parts(spec, var), n)))
+    return _series_div(*_gf_parts(spec, "z"), n)
 
 
 def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
@@ -167,12 +146,10 @@ def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
 # Univariate expansion
 # ---------------------------------------------------------------------------
 
-def _series_div(num: Poly | Sequence[Fraction], den: Poly | Sequence[Fraction],
-                n: int) -> list[Fraction]:
+def _series_div(num: Poly, den: Poly, n: int) -> list[Fraction]:
     # den(0) != 0.  On the primitive parts, the recurrence runs on
     # e[m] = out[m] * d0^(m+1) / s, s the ratio of the contents, whose terms
     # are num[m] * d0^m and den[i] * d0^(i-1).
-    num, den = (p if isinstance(p, Poly) else Poly("z", p) for p in (num, den))
     s = num.content / den.content
     d0 = den.prim[0]
     e = [v * s.numerator * d0 ** m for m, v in enumerate(num.prim[:n])]
@@ -181,19 +158,18 @@ def _series_div(num: Poly | Sequence[Fraction], den: Poly | Sequence[Fraction],
     return _unscaled(_solve_row(e, steps), d0, d0 * s.denominator)
 
 
-def series_of_rational(f: RatFunc, n: int, var: str | None = None) -> Series:
+def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
     """First n Taylor coefficients of a univariate rational function."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if not f.is_univariate:
         raise ValueError("series_of_rational requires a univariate function")
     if f.is_zero:
-        return Series(var or "z", (Fraction(0),) * n)
+        return [Fraction(0)] * n
     num, den = f.reduced_fraction()
     if den.coeff(0) == 0:
         raise PoleAtOriginError("pole at the origin")
-    use_var = var or (f.variables[0] if f.variables else "z")
-    return Series(use_var, tuple(_series_div(num, den, n)))
+    return _series_div(num, den, n)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +275,10 @@ def bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
     return [_unscaled(row, d, scale.denominator * d ** (n + 1)) for n, row in enumerate(box)]
 
 
-def diagonal_series(f: RatFunc, n: int, var: str = "z") -> Series:
-    """Series whose entry n is the coefficient of outer^n * inner^n."""
+def diagonal_series(f: RatFunc, n: int) -> list[Fraction]:
+    """The first n diagonal terms: entry i is the coefficient of outer^i * inner^i."""
     grid = bivariate_series(f, n, n)
-    return Series(var, tuple(grid[i][i] for i in range(n)))
+    return [grid[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 from .poly import BiPoly, Poly, VARIABLES, _int_add
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _merge_factors
 
 
 class ParseError(ValueError):
@@ -97,22 +97,13 @@ def _joined(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return names
 
 
-def _merged(factors) -> tuple[tuple[str, int], ...]:
-    """(variable, multiplicity) pairs with equal variables combined, first-seen order."""
-    out: dict[str, int] = {}
-    for v, e in factors:
-        out[v] = out.get(v, 0) + e
-    return tuple(out.items())
-
-
 class _Mono:
     """A scalar times powers of variables: a product the parser keeps unbuilt.
 
-    factors holds the (variable, multiplicity) list of the RatFunc that the
-    same product would build, in the same order.  That RatFunc merges equal
-    factors at each step, but a factor in one variable does not equal the
-    same factor lifted to two, so a two-variable product times a
-    one-variable one keeps them apart: x*y*x holds x twice.
+    factors holds the (variable, multiplicity) pairs of the RatFunc that the
+    same product would build, each variable once, in first-seen order:
+    RatFunc lifts its factors to one shape before it merges equal ones, so
+    x*y*x holds x once, squared, as x^2*y does.
     """
 
     __slots__ = ("constant", "factors")
@@ -130,7 +121,7 @@ class _Mono:
         return _joined((), tuple(v for v, _ in self.factors))
 
     def scale(self, c: Fraction) -> "_Mono":
-        return _Mono(self.constant * c, _merged(self.factors))
+        return _Mono(self.constant * c, self.factors)
 
     def __neg__(self) -> "_Mono":
         return self.scale(Fraction(-1))
@@ -138,18 +129,13 @@ class _Mono:
     def __pow__(self, n: int) -> "_Mono":
         if n == 0:
             return _Mono(Fraction(1))
-        return _Mono(self.constant ** n, _merged((v, e * n) for v, e in self.factors))
+        return _Mono(self.constant ** n, tuple((v, e * n) for v, e in self.factors))
 
     def __mul__(self, other: "_Mono") -> "_Mono":
         if self.is_zero or other.is_zero:
             return _Mono(Fraction(0))
-        a, b = self.variables, other.variables
-        _joined(a, b)
-        if len(a) == len(b) or not (a and b):
-            factors = _merged(self.factors + other.factors)
-        else:   # the one-variable factors are Polys, the others BiPolys
-            factors = _merged(self.factors) + _merged(other.factors)
-        return _Mono(self.constant * other.constant, factors)
+        _joined(self.variables, other.variables)
+        return _Mono(self.constant * other.constant, _merge_factors(self.factors + other.factors))
 
     def ratfunc(self) -> RatFunc:
         if self.is_zero:
@@ -263,7 +249,7 @@ class _Sum:
         """Add the expansion of a term without a denominator, in self.names."""
         outer = self.names[0] if len(self.names) == 2 else None
         if isinstance(v, _Mono):
-            exps = dict(_merged(v.factors))
+            exps = dict(v.factors)
             self._add_rows(v.constant, [[]] * exps.get(outer, 0)
                            + [[0] * exps.get(self.names[-1], 0) + [1]])
             return

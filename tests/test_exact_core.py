@@ -2,6 +2,9 @@
 rational functions, composition, and the text format."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -184,6 +187,25 @@ def test_zero_factor_collapses_to_zero():
 def test_zero_denominator_factor_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(1, denom=[(Poly.zero("z"), 1)])
+
+
+# Factors are lifted to one shape before equal ones merge, so a factor in
+# one variable and its lift to two are one factor.
+def test_ratfunc_merges_a_poly_with_its_bipoly_lift():
+    x, u, v = Poly("x", [0, 1]), Poly("x", [1, -1]), Poly("y", [1, -1])
+    x2, u2, v2 = (BiPoly.embed(p, "x", "y") for p in (x, u, v))
+    f = RatFunc(1, [(x, 1), (x2, 1)], [(u, 1), (v, 1), (u2, 2)])
+    assert f.numer == ((x2, 2),)
+    assert f.denom == ((u2, 3), (v2, 1))
+
+
+def test_parse_merges_a_variable_repeated_across_shapes():
+    assert parse_ratfunc("x*y*x") == parse_ratfunc("x^2*y")
+    assert str(parse_ratfunc("x*y*x")) == "(x)^2*(y)"
+
+
+def test_parse_merges_a_factor_repeated_across_shapes():
+    assert str(parse_ratfunc("(1-x)*(1-y)*(1-x)")) == "(1 - x)^2*(1 - y)"
 
 
 def test_factored_vs_expanded_evaluation_randomized():
@@ -402,7 +424,7 @@ def test_parse_matches_fold_through_ratfunc_add(data):
     "0 + (1-x)*(1-y)", "(1-x)^2 + 0", "1 - 1 + (1-x)^2", "x - x + (1-y)^2", "0*x*y*z",
     # A power 0 of a function is a function, not a scalar.
     "x^0 + 1", "(x-x+3)^2", "1/(x^0 - 1)", "1/(1 - 1)",
-    # A two-variable factor does not merge with the one-variable one.
+    # A factor repeated across one- and two-variable parts merges once lifted.
     "x*y*x", "x*y*x*y", "(x*y*x)^2", "-(x*y*x)", "x*y*x/(1-x-y)", "2*x*y/(1-x)",
     # Sums with denominators, and rational scalars.
     "1/x + 1/y + x", "x + 1/(1-x) - 1/(1-x)", "(1/2)*x + (1/3)*y - x/2", "w - x", "t*z - 1",
@@ -463,3 +485,15 @@ def test_public_names_resolve_once():
     assert len(gfdiag.__all__) == len(set(gfdiag.__all__))
     for name in gfdiag.__all__:
         assert getattr(gfdiag, name) is not None, name
+
+
+def test_import_loads_no_test_only_package():
+    # pyproject.toml declares dependencies = []: sympy, hypothesis and pytest
+    # serve the tests only, so importing the package and its CLI loads none.
+    code = ("import sys, gfdiag, gfdiag.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'sympy', 'hypothesis', 'pytest'}))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -70,6 +70,23 @@ def test_zero_sequence_gives_zero_function():
     assert build_convolution_gf(kbonacci(2), zero).F.is_zero
 
 
+# The residue benchmark passes str(F) as --gf-text, so a change in how F's
+# factors are merged or ordered would change the benchmark's inputs.
+def test_printed_form_of_shifted_tribonacci_is_pinned():
+    trib = kbonacci(3, shifted=True)
+    assert str(build_convolution_gf(trib, trib).F) == (
+        "(y)*(x*y)*(1 - x)^2 / ((1 - y - y^2 - y^3)*(1 - x)"
+        "*(1 - 3*x - x*y + 3*x^2 + 2*x^2*y - x^2*y^2 - x^3 - x^3*y + x^3*y^2 - x^3*y^3))")
+
+
+def test_printed_form_of_a_repeated_root_pair_is_pinned():
+    # b_n = 2*b_(n-1) - b_(n-2) from 0, 1: the natural numbers, double root 1.
+    naturals = SequenceSpec(2, (2, -1), (0, 1))
+    assert str(build_convolution_gf(kbonacci(3, shifted=True), naturals).F) == (
+        "(y)*(x*y)*(1 - x)^2 / ((1 - 2*y + y^2)*(1 - x)"
+        "*(1 - 3*x - x*y + 3*x^2 + 2*x^2*y - x^2*y^2 - x^3 - x^3*y + x^3*y^2 - x^3*y^3))")
+
+
 def test_builder_random_pairs_small_grid():
     rng = Random(555)
     for _ in range(25):

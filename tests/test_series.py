@@ -242,7 +242,7 @@ _kernel_settings = settings(max_examples=80, derandomize=True, database=None, de
        den_rest=st.lists(_rational, max_size=4), n=st.integers(0, 14))
 def test_series_div_matches_fraction_reference(num, d0, den_rest, n):
     den = [d0, *den_rest]
-    assert _series_div(num, den, n) == ref_series_div(num, den, n)
+    assert _series_div(Poly("z", num), Poly("z", den), n) == ref_series_div(num, den, n)
 
 
 @_kernel_settings
