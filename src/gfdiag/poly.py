@@ -12,9 +12,10 @@ The arithmetic runs on the integer tuples (von zur Gathen and Gerhard,
 Modern Computer Algebra, 6.2).  A product is one integer convolution,
 _int_mul, of the primitive parts, with the contents multiplied: by Gauss's
 lemma a product of primitive polynomials is primitive, so it needs no gcd.
-Division is the one integer pseudo-division, _int_prem: c*a = q*b + r
-gives a = (q/c)*b + r/c.  A sum brings the two contents to one
-denominator and divides out the gcd of the result.  Evaluation at p/q is
+Euclidean division is the one integer pseudo-division, _int_prem: c*a =
+q*b + r gives a = (q/c)*b + r/c; power-series division, the other
+division kernel, is in gfdiag.series.  A sum brings the two contents to
+one denominator and divides out the gcd of the result.  Evaluation at p/q is
 integer Horner on the polynomial homogenized by q, with one Fraction at
 the end.
 
@@ -31,6 +32,7 @@ trade-off.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as gcd_int, lcm
 from typing import Iterable, Sequence, Union
@@ -64,17 +66,17 @@ def _format_coeff_term(c: Fraction, monomial: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def _power(one, base, n: int):
-    """base^n by binary powering (repeated squaring); one is the unit of base's ring."""
+def _power(one, base, n: int, mul=operator.mul):
+    """base^n by repeated squaring with the product mul; one is the unit of base's ring."""
     if n < 0:
         raise ValueError("negative polynomial power")
     out = one
     while n:
         if n & 1:
-            out = out * base
+            out = mul(out, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return out
 
 
@@ -525,7 +527,8 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int],
 
     c * a = q * b + r with deg r < deg b, where c = lc(b)^k for the k
     elimination steps taken (k = 0 when deg a < deg b).  This is the one
-    division kernel.
+    Euclidean division kernel; the one power-series division kernel is
+    gfdiag.series._series_grid.
     """
     r = list(a)
     db = len(b) - 1

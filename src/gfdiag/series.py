@@ -14,28 +14,36 @@ the constant term d0 of the denominator is deferred by carrying
 e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
 needs no division at all.
 
-A linear recurrence is division by its characteristic polynomial: the
-terms of a SequenceSpec are the series of P/Q, Q = 1 - sum c_i z^i, so
-generate_sequence runs the same univariate kernel as series_of_rational.
-
-The bivariate grid never expands the denominator.  The numerator product
-is expanded once on the nx x ny box, and the box is divided in place by
-one denominator factor at a time, m times for multiplicity m, each factor
-with its own integer coefficients.  A few sparse factors cost fewer steps
-per row than their expanded product.  Once the factors' constant terms
-multiply to D, the box carries c * D^(n+m+1): the series at (D*x, D*y),
-times D.  So the next factor enters with its (i, j) coefficient times
-D^(i+j).
+One kernel, _series_grid, computes every series here: the Taylor series
+of a univariate function (one row, its variable the inner one), the
+bivariate grid and its diagonal, the terms of a recurrence (a linear
+recurrence is division by its characteristic polynomial: the terms of a
+SequenceSpec are the series of P/Q, Q = 1 - sum c_i z^i) and the initial
+k-bonacci terms.  It reads the terms from the factors as they are given:
+it expands no product in full and takes no gcd.  Each factor is first
+stripped of the largest monomial that divides it.  Over Q a univariate
+P/Q has a power series exactly when ord_0 Q <= ord_0 P, so the net
+monomial decides the pole at the origin and shifts the output; in two
+variables a stripped denominator factor must also have a constant term.
+The numerator is the product of its factors' powers, each by repeated
+squaring, truncated to the nx x ny box.  The box is then divided in
+place by one denominator factor at a time, m times for multiplicity m,
+each factor with its own integer coefficients.  A few sparse factors
+cost fewer steps per row than their expanded product.  Once the factors'
+constant terms multiply to D, the box carries c * D^(n+m+1): the series
+at (D*x, D*y), times D.  So the next factor enters with its (i, j)
+coefficient times D^(i+j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Iterator, Sequence
 
-from .poly import AnyPoly, Poly, _cleared, as_fraction
+from .poly import AnyPoly, Poly, _cleared, _int_add, _int_mul, _power, as_fraction
 from .ratfunc import RatFunc
 
 
@@ -75,48 +83,41 @@ def kbonacci(k: int, shifted: bool = False) -> SequenceSpec:
     shifted=False: generating function 1/(1 - z - ... - z^k), a_0 = 1.
     shifted=True:  generating function z/(1 - z - ... - z^k), a_0 = 0.
     """
-    num = Poly("z", [0, 1] if shifted else [1])
-    initial = _series_div(num, Poly("z", [1] + [-1] * k), k)
+    numer = [(Poly("z", [0, 1]), 1)] if shifted else []
+    initial = _series_grid(Fraction(1), numer, [(Poly("z", [1] + [-1] * k), 1)], 1, k, True)[0]
     return SequenceSpec(k, (Fraction(1),) * k, tuple(initial))
-
-
-def _gf_parts(spec: SequenceSpec, var: str) -> tuple[Poly, Poly]:
-    """(P, Q) with Q = 1 - sum coeffs[i] var^(i+1) and P/Q the GF of spec.
-
-    P is Q times the initial terms, truncated below degree spec.order.
-    """
-    den = Poly(var, [Fraction(1)] + [-v for v in spec.coeffs])
-    num = den * Poly(var, spec.initial)
-    return Poly.from_ints(var, num.prim[:spec.order], num.content), den
 
 
 def generate_sequence(spec: SequenceSpec, n: int) -> list[Fraction]:
     """First n terms of the sequence defined by spec, exactly.
 
-    They are the series of its generating function P/Q, so they come from
-    the one division kernel; Q(0) = 1, and P/Q needs no reduction.
+    They are the series of its generating function P/Q (see
+    gf_of_sequence), so they come from the one series kernel.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _series_div(*_gf_parts(spec, "z"), n)
+    den = Poly("z", [Fraction(1)] + [-v for v in spec.coeffs])
+    num = den * Poly("z", spec.initial)
+    num = Poly.from_ints("z", num.prim[:spec.order], num.content)
+    return _series_grid(Fraction(1), [(num, 1)], [(den, 1)], 1, n, True)[0]
 
 
 def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
     """Rational generating function P(z)/(1 - sum coeffs[i] z^(i+1)).
 
-    Only the numerator depends on the initial terms.
+    P is the denominator times the initial terms, truncated below degree
+    spec.order, so only the numerator depends on the initial terms.
     """
-    num, den = _gf_parts(spec, var)
-    if num.is_zero:
-        return RatFunc.zero()
-    return RatFunc(1, [(num, 1)], [(den, 1)])
+    den = Poly(var, [Fraction(1)] + [-v for v in spec.coeffs])
+    num = den * Poly(var, spec.initial)
+    return RatFunc(1, [(Poly.from_ints(var, num.prim[:spec.order], num.content), 1)], [(den, 1)])
 
 
 # ---------------------------------------------------------------------------
-# Integer kernels
+# The series kernel
 # ---------------------------------------------------------------------------
 
-def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> list[int]:
+def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> None:
     """In place, for m ascending: e[m] -= sum of v * e[m - j] over steps (j, v), j <= m.
 
     steps is sorted by j, and every j is at least 1.
@@ -128,7 +129,6 @@ def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> list[int]:
                 break
             acc -= v * e[m - j]
         e[m] = acc
-    return e
 
 
 def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
@@ -142,87 +142,51 @@ def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Univariate expansion
-# ---------------------------------------------------------------------------
-
-def _series_div(num: Poly, den: Poly, n: int) -> list[Fraction]:
-    # den(0) != 0.  On the primitive parts, the recurrence runs on
-    # e[m] = out[m] * d0^(m+1) / s, s the ratio of the contents, whose terms
-    # are num[m] * d0^m and den[i] * d0^(i-1).
-    s = num.content / den.content
-    d0 = den.prim[0]
-    e = [v * s.numerator * d0 ** m for m, v in enumerate(num.prim[:n])]
-    e += [0] * (n - len(e))
-    steps = [(i, v * d0 ** (i - 1)) for i, v in enumerate(den.prim) if i and v]
-    return _unscaled(_solve_row(e, steps), d0, d0 * s.denominator)
+_Box = list[list[int]]
 
 
-def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
-    """First n Taylor coefficients of a univariate rational function."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not f.is_univariate:
-        raise ValueError("series_of_rational requires a univariate function")
-    if f.is_zero:
-        return [Fraction(0)] * n
-    num, den = f.reduced_fraction()
-    if den.coeff(0) == 0:
-        raise PoleAtOriginError("pole at the origin")
-    return _series_div(num, den, n)
+def _int_rows(p: AnyPoly, inner: bool) -> tuple[Fraction, _Box]:
+    """(s, rows) with p = s * sum of rows[i][j] * outer^i * inner^j.
 
-
-# ---------------------------------------------------------------------------
-# Bivariate expansion and the diagonal
-# ---------------------------------------------------------------------------
-
-_Terms = list[tuple[int, int, int]]
-
-
-def _int_terms(p: AnyPoly) -> tuple[_Terms, Fraction]:
-    """(terms, s) with p = s * sum of v * outer^i * inner^j over terms (i, j, v).
-
-    The integer coefficients are primitive; a Poly's variable is the outer one.
+    The integer entries have gcd 1, and a zero row is [].  A Poly's
+    variable is the inner one if inner, else the outer one.
     """
     if isinstance(p, Poly):
-        return [(i, 0, v) for i, v in enumerate(p.prim) if v], p.content
-    s, rows = p.int_rows()
-    return [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v], s
+        return p.content, [list(p.prim)] if inner else [[v] if v else [] for v in p.prim]
+    return p.int_rows()
 
 
-def _numerator_box(factors: Sequence[tuple[_Terms, int]], first: int,
-                   nx: int, ny: int) -> list[list[int]]:
-    """first times the product of the (terms, multiplicity) pairs, truncated to nx x ny."""
-    prod = {(0, 0): first}
-    for terms, m in factors:
-        for _ in range(m):
-            nxt: dict[tuple[int, int], int] = {}
-            for (a, b), u in prod.items():
-                for i, j, v in terms:
-                    if a + i < nx and b + j < ny:
-                        nxt[a + i, b + j] = nxt.get((a + i, b + j), 0) + u * v
-            prod = nxt
-    box = [[0] * ny for _ in range(nx)]
-    for (i, j), v in prod.items():
-        box[i][j] = v
-    return box
+def _box_mul(a: _Box, b: _Box, nx: int, ny: int) -> _Box:
+    """The product of two boxes of integer rows, truncated to nx x ny."""
+    out: _Box = [[] for _ in range(min(nx, len(a) + len(b) - 1))]
+    for i, ra in enumerate(a[:nx]):
+        if ra:
+            for k, rb in enumerate(b[:nx - i]):
+                if rb:
+                    out[i + k] = _int_add(out[i + k], _int_mul(ra[:ny], rb[:ny])[:ny])
+    return out
 
 
-def _divide_box(box: list[list[int]], terms: _Terms, f0: int, d: int) -> None:
+def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int) -> None:
     """Divide box in place by the factor sum v * outer^i * inner^j over terms.
 
     f0 is the factor's constant term.  box holds the series at
     (d*outer, d*inner) times d: entry [n][m] carries c[n][m] * d^(n+m+1).
     So does the result, with d*f0 in place of d.  At (d*outer, d*inner)
-    the factor's coefficients are v * d^(i+j), and the recurrence runs as
-    in _series_div: on the box scaled by f0^(n+m), with the terms
-    v * d^(i+j) * f0^(i+j-1).
+    the factor's coefficients are v * d^(i+j), and the recurrence runs on
+    the box scaled by f0^(n+m), with the terms v * d^(i+j) * f0^(i+j-1).
+    The powers of f0 are built only as far as a nonzero entry reads them.
     """
     if f0 != 1:
-        powers = [f0 ** k for k in range(len(box) + len(box[0]))]
+        powers = [1]
         for n, row in enumerate(box):
-            row[:] = [v * powers[n + m] if v else 0 for m, v in enumerate(row)]
-    # monomials() order: the i = 0 terms come sorted by j, as _solve_row needs.
+            end = len(row)
+            while end and not row[end - 1]:
+                end -= 1
+            while len(powers) < n + end:
+                powers.append(powers[-1] * f0)
+            row[:end] = [v * powers[n + m] if v else 0 for m, v in enumerate(row[:end])]
+    # Row by row, so the i = 0 terms come sorted by j, as _solve_row needs.
     steps = [(i, j, v * d ** (i + j) * f0 ** (i + j - 1)) for i, j, v in terms if i + j]
     inner = [(j, v) for i, j, v in steps if i == 0]
     outer = [(i, j, v) for i, j, v in steps if i > 0]
@@ -242,43 +206,78 @@ def _divide_box(box: list[list[int]], terms: _Terms, f0: int, d: int) -> None:
             _solve_row(row, inner)
 
 
+def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
+                 denom: Sequence[tuple[AnyPoly, int]], nx: int, ny: int,
+                 inner: bool = False) -> list[list[Fraction]]:
+    """Grid c[n][m] of outer^n * inner^m, n < nx and m < ny, of constant * numer / denom.
+
+    numer and denom are products of (polynomial, multiplicity) factors; a
+    Poly's variable is the inner one if inner, else the outer one.
+
+    Each factor is stripped of the largest monomial outer^a * inner^b that
+    divides it.  The net monomial must be a power series and each stripped
+    denominator factor must have a constant term, or PoleAtOriginError is
+    raised; the net monomial shifts the grid.  The numerator is the product
+    of the factors' powers, each by repeated squaring, truncated to the box;
+    the box is then divided by each denominator factor in turn, m times for
+    multiplicity m.
+    """
+    zero = Fraction(0)
+    if constant == 0 or any(p.is_zero for p, _ in numer):
+        return [[zero] * ny for _ in range(nx)]
+    scale, si, sj, stripped = constant, 0, 0, {1: [], -1: []}
+    for sign, factors in ((1, numer), (-1, denom)):
+        for p, m in factors:
+            s, rows = _int_rows(p, inner)
+            a = next(i for i, row in enumerate(rows) if row)
+            b = min(next(j for j, v in enumerate(row) if v) for row in rows if row)
+            rows = [row[b:] for row in rows[a:]]
+            if sign < 0 and rows[0][0] == 0:
+                raise PoleAtOriginError("pole at the origin")
+            scale *= s ** (sign * m)
+            si, sj = si + sign * m * a, sj + sign * m * b
+            stripped[sign].append((rows, m))
+    if si < 0 or sj < 0:
+        raise PoleAtOriginError("pole at the origin")
+    bx, by = nx - si, ny - sj
+    if bx <= 0 or by <= 0:
+        return [[zero] * ny for _ in range(nx)]
+    box: _Box = [[scale.numerator]]
+    times = partial(_box_mul, nx=bx, ny=by)
+    for rows, m in stripped[1]:
+        box = times(box, _power([[1]], rows, m, times))
+    box = [row + [0] * (by - len(row)) for row in box] + [[0] * by for _ in range(bx - len(box))]
+    d = 1
+    for rows, m in stripped[-1]:
+        terms = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        for _ in range(m):
+            _divide_box(box, terms, rows[0][0], d)
+            d *= rows[0][0]
+    return [[zero] * ny for _ in range(si)] + [
+        [zero] * sj + _unscaled(row, d, scale.denominator * d ** (n + 1))
+        for n, row in enumerate(box)]
+
+
+def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
+    """First n Taylor coefficients of a univariate rational function."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not f.is_univariate:
+        raise ValueError("series_of_rational requires a univariate function")
+    return _series_grid(f.constant, f.numer, f.denom, 1, n, True)[0]
+
+
 def bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
     """Coefficient grid c[n][m] of outer^n * inner^m for n < nx, m < ny.
 
-    The numerator product is expanded once on the box, which is then
-    divided by each denominator factor in turn, m times for multiplicity m.
+    A univariate f's variable is the outer one.
     """
-    if f.is_zero:
-        return [[Fraction(0)] * ny for _ in range(nx)]
-    scale = f.constant
-    numer = []
-    for p, m in f.numer:
-        terms, s = _int_terms(p)
-        numer.append((terms, m))
-        scale *= s ** m
-    denom = []
-    for p, m in f.denom:
-        terms, s = _int_terms(p)
-        f0 = next((v for i, j, v in terms if i == j == 0), 0)
-        if f0 == 0:
-            raise PoleAtOriginError("pole at the origin")
-        denom.append((terms, f0, m))
-        scale /= s ** m
-    if not (nx and ny):
-        return [[Fraction(0)] * ny for _ in range(nx)]
-    box = _numerator_box(numer, scale.numerator, nx, ny)
-    d = 1
-    for terms, f0, m in denom:
-        for _ in range(m):
-            _divide_box(box, terms, f0, d)
-            d *= f0
-    return [_unscaled(row, d, scale.denominator * d ** (n + 1)) for n, row in enumerate(box)]
+    return _series_grid(f.constant, f.numer, f.denom, nx, ny)
 
 
 def diagonal_series(f: RatFunc, n: int) -> list[Fraction]:
     """The first n diagonal terms: entry i is the coefficient of outer^i * inner^i."""
-    grid = bivariate_series(f, n, n)
-    return [grid[i][i] for i in range(n)]
+    return [row[i] for i, row in enumerate(bivariate_series(f, n, n))]
 
 
 # ---------------------------------------------------------------------------

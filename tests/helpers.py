@@ -7,7 +7,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable
 
-from gfdiag import BiPoly, Poly, RatFunc, SequenceSpec
+from gfdiag import BiPoly, PoleAtOriginError, Poly, RatFunc, SequenceSpec
 from gfdiag.poly import VARIABLES, _format_coeff_term, _power, as_fraction
 from gfdiag.textform import MAX_EXPONENT, MAX_SCALAR_BITS, ParseError, _tokenize
 
@@ -87,6 +87,20 @@ def ref_series_div(num, den, n: int) -> list[Fraction]:
             v -= den[i] * out[m - i]
         out.append(v / d0)
     return out
+
+
+def ref_series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
+    """First n Taylor coefficients of a univariate f through its reduced fraction.
+
+    This is the gate the series kernel replaced: expand, divide out the
+    gcd, and refuse a reduced denominator that vanishes at the origin.
+    """
+    if f.is_zero:
+        return [Fraction(0)] * n
+    num, den = f.reduced_fraction()
+    if den.coeff(0) == 0:
+        raise PoleAtOriginError("pole at the origin")
+    return ref_series_div(num.coeffs, den.coeffs, n)
 
 
 def ref_bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:

@@ -226,6 +226,26 @@ def test_diagonal_function_of_xy_exits_0():
     assert "[pole at the origin]" in res.stdout
 
 
+def test_diagonal_removable_monomial_pole():
+    # x/(x*(1-y)) is 1/(1-y): its diagonal is 1, 0, 0, ...  The x in the
+    # denominator cancels against the numerator's, with no gcd.
+    res = run_cli("diagonal", "--gf-text", "x/(x*(1-y))", "--method", "both", "--n", "10",
+                  "--json")
+    assert res.returncode == 0
+    data = json.loads(res.stdout)
+    assert data["match"] is True
+    assert data["residue"]["gf"] == "(1) / (1)"
+    assert data["series"]["gf"] == "(1) / (1)"
+    for method in ("residue", "series"):
+        assert run_cli("diagonal", "--gf-text", "x/(x*(1-y))", "--method", method).returncode == 0
+    # A net monomial with a negative power, or a denominator factor that
+    # still vanishes at the origin once its monomial is stripped, is a pole.
+    for text in ("y/(x*(1-y))", "x/(x*(x+y))"):
+        res = run_cli("diagonal", "--gf-text", text, "--method", "series")
+        assert res.returncode == 3
+        assert "pole at the origin" in res.stderr
+
+
 def test_diagonal_repeated_kept_factor_summed():
     # (1-3*y)^2 is a kept factor of multiplicity 2: the diagonal is
     # sum (n+1) 6^n z^n = 1/(1-6*z)^2.

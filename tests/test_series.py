@@ -26,7 +26,7 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
-from gfdiag.series import _series_div, pascal_rows
+from gfdiag.series import pascal_rows
 from helpers import (
     rand_sequence_spec,
     rand_univariate_ratfunc,
@@ -34,6 +34,7 @@ from helpers import (
     ref_generate_sequence,
     ref_pascal_sum,
     ref_series_div,
+    ref_series_of_rational,
 )
 
 
@@ -242,7 +243,34 @@ _kernel_settings = settings(max_examples=80, derandomize=True, database=None, de
        den_rest=st.lists(_rational, max_size=4), n=st.integers(0, 14))
 def test_series_div_matches_fraction_reference(num, d0, den_rest, n):
     den = [d0, *den_rest]
-    assert _series_div(Poly("z", num), Poly("z", den), n) == ref_series_div(num, den, n)
+    f = RatFunc(1, [(Poly("z", num), 1)], [(Poly("z", den), 1)])
+    assert series_of_rational(f, n) == ref_series_div(num, den, n)
+
+
+@st.composite
+def _z_factor(draw):
+    """(z^k * (c0 + ...), multiplicity, k): k = 0 and c0 alone give a constant."""
+    k = draw(st.integers(0, 2))
+    c = [draw(_constant_term), *draw(st.lists(_rational, max_size=2))]
+    return Poly("z", [0] * k + c), draw(st.integers(1, 4)), k
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((1, -2, Fraction(3, 5))),
+       numer=st.lists(_z_factor(), max_size=2), denom=st.lists(_z_factor(), max_size=3),
+       n=st.integers(0, 12))
+def test_factored_series_matches_reduced_fraction(constant, numer, denom, n):
+    # The kernel reads the factors as they are, with no gcd: a power of z
+    # in a factor shifts the series, and the net order alone decides a pole.
+    f = RatFunc(constant, [(p, m) for p, m, _ in numer], [(p, m) for p, m, _ in denom])
+    order = sum(k * m for _, m, k in numer) - sum(k * m for _, m, k in denom)
+    if order < 0:
+        with pytest.raises(PoleAtOriginError, match="^pole at the origin$"):
+            series_of_rational(f, n)
+        with pytest.raises(PoleAtOriginError):
+            ref_series_of_rational(f, n)
+    else:
+        assert series_of_rational(f, n) == ref_series_of_rational(f, n)
 
 
 @_kernel_settings
