@@ -23,7 +23,8 @@ A BiPoly is a polynomial in an outer variable whose coefficients are Polys
 in an inner variable.  Its product scales the rows to integers with one
 common content (int_rows) and runs the 2-D convolution row by row on
 _int_mul.  The pseudo-division is also shared by poly_gcd's primitive
-remainder sequence and by the extended one the residue route runs.
+remainder sequence and by the subresultant one, _int_resultant, that
+gives the residue route its resultants and inverses.
 
 Degrees in this toolkit stay small (below ~30) outside of powers, which is
 why the dense representation and the schoolbook algorithms are the right
@@ -550,26 +551,42 @@ def _int_prem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int],
     return q, r, c
 
 
-def _int_xprs(a: list[int], b: list[int], bound: int) -> tuple[list[int], list[int]]:
-    """Extended primitive PRS of integer lists a, b, stopped below degree bound.
+def _int_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int]]:
+    """(r, u): r = Res(a, b), the Sylvester determinant, and u * b = r modulo a.
 
-    Returns the first remainder r of degree below bound together with its
-    cofactor s, so that r = s * b modulo a up to the scalars the sequence
-    carries: only the ratio r / s is determined.  Each step is one
-    pseudo-division, and the common content of (r, s) is removed.  A zero
-    r means gcd(a, b) has degree at least bound.
+    The subresultant PRS on integer lists (Collins; Cohen, A Course in
+    Computational Algebraic Number Theory, 3.3.7), carrying the cofactor of
+    b: each step is one _int_prem, scaled up to lc^(delta+1) when it took
+    fewer elimination steps, and divides the remainder and its cofactor by
+    the g*h^delta that the subresultant theorem proves exact.  (0, []) when
+    a or b is zero; a and b are not both constants.
     """
-    r0, r1, s0, s1 = a, b, [], [1]
-    while len(r1) > bound:
+    if not (a and b):
+        return 0, []
+    r0, r1, t0, t1, sign = a, b, [], [1], 1
+    if len(a) < len(b):
+        r0, r1, t0, t1 = b, a, [1], []
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = 1
+    while len(r1) > 1:
+        delta = len(r0) - len(r1)
+        if (len(r0) - 1) * (len(r1) - 1) % 2:
+            sign = -sign
+        lead = r1[-1]
+        full = lead ** (delta + 1)
         q, r, c = _int_prem(r0, r1)
-        s = _int_add([c * x for x in s0], [-v for v in _int_mul(q, s1)])
-        while s and s[-1] == 0:
-            s.pop()
-        g = gcd_int(*r, *s)
-        if g > 1:
-            r, s = [v // g for v in r], [v // g for v in s]
-        r0, r1, s0, s1 = r1, r, s1, s
-    return r1, s1
+        scale, div = full // c, g * h ** delta
+        t = _int_add([full * v for v in t0], [-scale * v for v in _int_mul(q, t1)])
+        while t and t[-1] == 0:
+            t.pop()
+        r0, r1, t0, t1 = r1, [scale * v // div for v in r], t1, [v // div for v in t]
+        g = lead
+        h = g ** delta // h ** (delta - 1) if delta else h
+    if not r1:
+        return 0, []
+    n = len(r0) - 1
+    lift, den = r1[0] ** (n - 1), h ** (n - 1)
+    return sign * r1[0] * lift // den, [sign * v * lift // den for v in t1]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

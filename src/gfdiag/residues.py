@@ -3,24 +3,23 @@
 Hautus-Klarner style: the diagonal of F(x, y) is the sum of the residues
 of F(z*t, 1/t)/t at its poles in t that stay bounded as z -> 0.
 Substitute, clear powers of t factor by factor, and keep the denominator
-factors whose roots all stay bounded, the pole at t = 0 included.  For a
-kept factor p of t-degree d and multiplicity m, the residue sum over its
-roots is [t^(m*d-1)] A / lc(p)^m, where A / p^m is p's part in the
-partial-fraction decomposition in t.  No root is ever named: the sum is
-evaluated over Q at rational points z0, and the rational function of z is
-rebuilt by Cauchy interpolation (rational reconstruction by extended
-Euclid; von zur Gathen and Gerhard, Modern Computer Algebra, 5.7).
+factors whose roots all stay bounded, the pole at t = 0 included.  With P
+the product of the kept factors and Q that of the others, each to its
+multiplicity, the residue sum over all roots of P is [t^(deg P - 1)] A /
+lc(P), where A = num * Q^(-1) mod P is P's part in the partial-fraction
+decomposition in t.  No root is ever named: the sum is kappa * N / D for
+two integer polynomials N and D in z, given by Cramer's rule, whose
+degrees are bounded a priori (see _residue_sum); their values at that many
+integer points z0, plus one, interpolate them exactly.
 
-Both steps run on Python ints.  The transform's numerator and factors are
+Everything runs on Python ints.  The transform's numerator and factors are
 read as integer rows with their contents (BiPoly.int_rows), the contents
 folded into one rational scale kappa, and evaluated at each z0 by integer
-Horner.  Partial fractions read the integer parts of the expanded
-polynomials the same way.  The remainders mod p^m are pseudo-remainders,
-whose powers of lc(p^m) are tracked, and the inverse mod p^m and the
-reconstruction both come from one integer extended primitive
-pseudo-remainder sequence, poly._int_xprs (ibid., 6.10-6.12).  A Fraction
-is built once per kept factor and point, and for the reconstructed
-function.
+Horner.  At each point one subresultant PRS, poly._int_resultant, gives
+Res_t(P, Q) and the cofactor that inverts Q mod P, and one pseudo-division
+reduces num times that cofactor; partial fractions invert the same way.
+N and D are interpolated by integer divided differences, and a Fraction
+is built only for the reduced result.
 
 The pole-keeping rule is not proved here in general; diagonal_rational
 validates it per instance by comparing against the series diagonal and
@@ -31,14 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .poly import BiPoly, Poly, _cleared, _horner, _int_mul, _int_prem, _int_xprs
+from .poly import (BiPoly, Poly, _horner, _int_add, _int_mul, _int_prem, _int_resultant,
+                   _power)
 from .ratfunc import RatFunc
 from .series import diagonal_series, series_of_rational
 
 
 class DegeneratePoleError(ArithmeticError):
-    """Degenerate pole configuration: a kept factor shares roots with another factor."""
+    """Degenerate pole configuration: a kept factor shares roots with one that is not kept."""
 
 
 # ---------------------------------------------------------------------------
@@ -213,115 +214,103 @@ def _at(rows: _Rows, z0: int) -> list[int]:
     return out
 
 
-def _residue_sum_at(rows: tuple[_Rows, list[tuple[_Rows, int]], Fraction],
-                    kept: list[PoleClass], z0: int) -> Fraction | None:
-    """The kept factors' residue sum at z = z0, for h given by _int_transform(h).
+def _interpolate(zs: Sequence[int], vs: Sequence[int]) -> list[int]:
+    """The integer polynomial of degree below len(zs) taking the values vs at the points zs.
 
-    None where a kept factor loses t-degree or shares a root with another
-    factor, since the sum there is not the value of the rational function.
+    Newton's divided differences of an integer polynomial at integer points
+    are integers, so every division of the table is exact; the Newton form
+    is then expanded on ints.
     """
-    num_rows, factor_rows, kappa = rows
-    factors = [(_at(p, z0), m) for p, m in factor_rows]
-    num = _at(num_rows, z0)
-    total = Fraction(0)
-    for pole in kept:
-        p, m = factors[pole.index]
-        if len(p) - 1 < pole.factor.degree:
-            return None
-        cof = [1]
-        for idx, (q, k) in enumerate(factors):
-            if idx != pole.index:
-                for _ in range(k):
-                    cof = _int_mul(cof, q)
-        base = p
-        for _ in range(m - 1):
-            base = _int_mul(base, p)
-        part = _part_numerator(num, cof, base)
-        if part is None:
-            return None
-        a, c = part
-        top = m * (len(p) - 1) - 1
-        if top < len(a):
-            total += Fraction(a[top], c * p[-1] ** m)
-    return total * kappa
+    table = list(vs)
+    for j in range(1, len(zs)):
+        for i in range(len(zs) - 1, j - 1, -1):
+            table[i] = (table[i] - table[i - 1]) // (zs[i] - zs[i - j])
+    out: list[int] = []
+    for zi, c in zip(zs[::-1], table[::-1]):
+        out = _int_add(_int_mul(out, [-zi, 1]), [c])
+    return out
 
 
-def _newton_extend(table: list[Fraction], zs: list[int], z: int, v: Fraction) -> None:
-    """Extend the Newton table of the first k = len(table) points of zs by the point z, value v.
+def _values_at(num: list[int], p: list[int], q: list[int], e: int) -> tuple[int, int] | None:
+    """(N, D) at one point from num, P and Q in t there: N / D = [t^(d-1)] A / lc(P).
 
-    table[i] is the divided difference f[zs[0], ..., zs[i]], so the first n
-    entries are the table of the first n points, whatever points follow.
-    The new entry f[zs[0], ..., zs[k-1], z] takes one difference and one
-    division per entry before it: f[zs[0..i-1], z] - table[i], over
-    z - zs[i], is f[zs[0..i], z].
+    A = num * Q^(-1) mod P, d = deg P.  D = Res(P, Q) * lc(P)^(e+1) and N =
+    Res(P, Q) * lc(P)^e * [t^(d-1)] A, the values of the integer
+    polynomials in _residue_sum's proof; None where Res(P, Q) = 0.
     """
-    for zi, c in zip(zs, table):
-        v = (v - c) / (z - zi)
-    table.append(v)
-
-
-def _cauchy(zs: list[int], table: list[Fraction]) -> tuple[Poly, Poly]:
-    """Rational reconstruction (r, s) of the values at the points zs, given their Newton table.
-
-    The table gives the Newton form of V with V(zs[i]) = the value there;
-    the table is cleared to integers once, L*V and prod(z - zs[i]) are
-    expanded on ints, and the extended PRS of (prod, L*V) stops at the first
-    remainder r of degree below len(zs)/2, with cofactor s: r = s*L*V
-    modulo the product.
-    """
-    ints, den = _cleared(table)
-    value, basis = [ints[-1]], [1]
-    for zi, c in zip(zs[-2::-1], ints[-2::-1]):
-        value = _int_mul(value, [-zi, 1])
-        value[0] += c
-    for zi in zs:
-        basis = _int_mul(basis, [-zi, 1])
-    while value and value[-1] == 0:
-        value.pop()
-    r, s = _int_xprs(basis, value, (len(zs) + 1) // 2)
-    return Poly.from_ints("z", r), Poly.from_ints("z", s, den)
+    r, u = _int_resultant(p, q)
+    if not r:
+        return None
+    _, a, c = _int_prem(_int_mul(num, u), p)
+    d = len(p) - 1
+    return p[-1] ** e * (a[d - 1] if len(a) >= d else 0) // c, r * p[-1] ** (e + 1)
 
 
 def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     """Residue sum over all roots of the kept factors, as a function of z.
 
-    The sum is evaluated at z0 = 1, -1, 2, -2, ..., skipping degenerate
-    points, and rebuilt from its first n values with n doubling until the
-    candidate reproduces the next two.  The Newton table of the values is
-    built once, one entry per point as the prefixes need them, and each
-    reconstruction reads the first n entries; the two check points are
-    compared by their values.
+    Write h = kappa * num / (P * Q) on integers, P the kept factors and Q
+    the others, each to its multiplicity, with t-degrees d_P, d_Q, d_N.
+    Where P and Q are coprime, num / (P*Q) = A/P + (regular at P's roots)
+    with A = num * Q^(-1) mod P of degree below d_P, and the residues of
+    A/P over the roots of P, repeated or shared by two kept factors, sum to
+    [t^(d_P-1)] A / lc(P).
+
+    A is the solution of A*Q + B*P = num with deg A < d_P and deg B < b =
+    max(d_Q, d_N - d_P + 1), a square system whose determinant is
+    +-lc(P)^e * Res_t(P, Q), e = b - d_Q.  By Cramer's rule, D = Res *
+    lc(P)^(e+1) and N = Res * lc(P)^e * [t^(d_P-1)] A, the determinant with
+    that unknown's column replaced by num, are integer polynomials in z,
+    and the sum is kappa * N / D.  With eps_X the largest z-degree of X's
+    t-coefficients (for P and Q, at most the multiplicity-weighted sum of
+    their factors' inner degrees) and l_P the z-degree of lc(P):
+
+        deg D <= d_P*eps_Q + d_Q*eps_P + (e+1)*l_P
+        deg N <= (d_P-1)*eps_Q + b*eps_P + eps_N
+
+    so N and D are interpolated from one point more than the larger bound.
+    At z0 = 1, -1, 2, -2, ... one subresultant PRS gives r = Res(P, Q)(z0)
+    and u with u*Q = r mod P, and one pseudo-division of num*u by P gives
+    A*r.  A point where P or Q loses t-degree, or r = 0, is skipped; it is
+    a root of lc(P)*lc(Q)*Res, so more skips than that product's degree
+    mean Res is zero: a kept factor shares roots with one that is not kept
+    for every z.
     """
-    # A skipped point is a root of a kept factor's leading coefficient or of
-    # its resultant with another factor; more skips than those degrees allow
-    # mean two factors share a root for every z.
-    budget = sum(pole.factor.leading.degree
-                 + sum(pole.factor.degree * q.inner_degree + q.degree * pole.factor.inner_degree
-                       for idx, (q, _) in enumerate(h.denom_factors) if idx != pole.index)
-                 for pole in kept)
-    rows = _int_transform(h)
-    zs: list[int] = []
-    vs: list[Fraction] = []
-    table: list[Fraction] = []
-    z0, n = 0, 4
-    while True:
-        while len(zs) < n + 2:
-            z0 = -z0 if z0 > 0 else 1 - z0
-            v = _residue_sum_at(rows, kept, z0)
-            if v is not None:
-                zs.append(z0)
-                vs.append(v)
-            elif (budget := budget - 1) < 0:
-                raise DegeneratePoleError("degenerate pole configuration: "
-                                          "kept factor shares roots with the other factors")
-        while len(table) < n:
-            _newton_extend(table, zs, zs[len(table)], vs[len(table)])
-        num, den = _cauchy(zs[:n], table[:n])
-        if all(den.evaluate(z) != 0 and num.evaluate(z) == v * den.evaluate(z)
-               for z, v in zip(zs[n:], vs[n:])):
-            num, den = RatFunc(1, [(num, 1)], [(den, 1)]).reduced_fraction()
-            return RatFunc(1, [(num, 1)], [(den, 1)])
-        n *= 2
+    if not kept:
+        return RatFunc.zero()
+    num_rows, factor_rows, kappa = _int_transform(h)
+    inside = {pole.index for pole in kept}
+
+    def sizes(own: bool) -> tuple[int, int, int]:
+        fs = [(p, m) for i, (p, m) in enumerate(h.denom_factors) if (i in inside) == own]
+        return (sum(m * p.degree for p, m in fs), sum(m * p.inner_degree for p, m in fs),
+                sum(m * p.leading.degree for p, m in fs))
+
+    (d_p, eps_p, l_p), (d_q, eps_q, l_q) = sizes(True), sizes(False)
+    b = max(d_q, len(num_rows) - d_p)
+    e = b - d_q
+    eps_n = max(map(len, num_rows), default=0) - 1
+    points = max(d_p * eps_q + d_q * eps_p + (e + 1) * l_p,
+                 (d_p - 1) * eps_q + b * eps_p + eps_n) + 1
+    budget = l_p + l_q + d_p * eps_q + d_q * eps_p
+    good: list[tuple[int, int, int]] = []      # (z0, N(z0), D(z0))
+    z0 = 0
+    while len(good) < points:
+        z0 = -z0 if z0 > 0 else 1 - z0
+        p, q = [1], [1]
+        for i, (rows, m) in enumerate(factor_rows):
+            f = _power([1], _at(rows, z0), m, _int_mul)
+            p, q = (_int_mul(p, f), q) if i in inside else (p, _int_mul(q, f))
+        nd = (len(p), len(q)) == (d_p + 1, d_q + 1) and _values_at(_at(num_rows, z0), p, q, e)
+        if nd:
+            good.append((z0, *nd))
+        elif (budget := budget - 1) < 0:
+            raise DegeneratePoleError("degenerate pole configuration: "
+                                      "kept factor shares roots with the other factors")
+    zs, ns, ds = zip(*good)
+    num, den = RatFunc(1, [(Poly.from_ints("z", _interpolate(zs, ns), kappa), 1)],
+                       [(Poly.from_ints("z", _interpolate(zs, ds)), 1)]).reduced_fraction()
+    return RatFunc(1, [(num, 1)], [(den, 1)])
 
 
 def residue_trace(h: HKTransform, kept: PoleClass) -> RatFunc:
@@ -392,17 +381,16 @@ def _part_numerator(num: list[int], cof: list[int],
     """A = num * cof^(-1) mod base on integer coefficient lists, as (a, c) with A = a / c.
 
     A, of degree below base's, makes num/(cof*base) - A/base regular at
-    base's roots.  The reductions mod base are pseudo-remainders, whose
-    powers of lc(base) go into a and c, and cof is inverted by the extended
-    PRS of (base, cof) run to a constant.  None when cof and base share a root.
+    base's roots.  The inverse of cof is u / r, with r = Res(base, cof) and
+    u * cof = r mod base from poly._int_resultant, and the reduction of
+    num * u mod base is one pseudo-division, whose power of lc(base) goes
+    into c.  None when cof and base share a root.
     """
-    _, cof, c1 = _int_prem(cof, base)
-    g, inv = _int_xprs(base, cof, 1)
-    if not g:
+    r, u = _int_resultant(base, cof)
+    if not r:
         return None
-    _, num, c2 = _int_prem(num, base)
-    _, a, c3 = _int_prem(_int_mul(num, inv), base)
-    return [v * c1 for v in a], c2 * c3 * g[0]
+    _, a, c = _int_prem(_int_mul(num, u), base)
+    return a, c * r
 
 
 def partial_fractions(f: RatFunc) -> PartialFractions:

@@ -224,17 +224,30 @@ def ref_divided_differences(zs: list[int], vs: list[Fraction]) -> list[Fraction]
     return coeffs
 
 
-def ref_cauchy(zs: list[int], vs: list[Fraction]) -> tuple[Poly, Poly]:
-    """Newton interpolation, then extended Euclid over Fraction stopped below len(zs)/2."""
-    value, basis = Poly.zero("z"), Poly.one("z")
-    for zi, c in zip(zs, ref_divided_differences(zs, vs)):
-        value = value + basis.scale(c)
-        basis = basis * Poly("z", (-zi, 1))
-    r0, r1, s0, s1 = basis, value, Poly.zero("z"), Poly.one("z")
-    while 2 * r1.degree >= len(zs):
-        q, r = r0.divrem(r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-    return r1, s1
+def ref_sylvester(a: list[int], b: list[int]) -> Fraction:
+    """Res(a, b) as the determinant of the Sylvester matrix, by Fraction elimination.
+
+    a and b are ascending coefficient lists with nonzero leading entries; the
+    deg b rows of a's coefficients come first.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[Fraction(0)] * i + [Fraction(v) for v in reversed(a)] + [Fraction(0)] * (n - 1 - i)
+            for i in range(n)]
+    rows += [[Fraction(0)] * i + [Fraction(v) for v in reversed(b)] + [Fraction(0)] * (m - 1 - i)
+             for i in range(m)]
+    det = Fraction(1)
+    for col in range(m + n):
+        pivot = next((i for i in range(col, m + n) if rows[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, m + n):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
 
 
 # -- Fraction references for gfdiag.poly ----------------------------------------

@@ -26,24 +26,25 @@ from gfdiag import (
     residue_trace,
     series_of_rational,
 )
-from gfdiag.poly import _cleared
+from gfdiag.poly import _cleared, _int_add, _int_mul, _int_prem, _int_resultant
 from gfdiag.residues import (
     HKTransform,
     PoleClass,
-    _cauchy,
+    _at,
     _int_transform,
-    _newton_extend,
+    _interpolate,
     _part_numerator,
-    _residue_sum_at,
+    _residue_sum,
+    _values_at,
 )
 from helpers import (
     rand_fraction,
     rand_poly,
     rand_sequence_spec,
-    ref_cauchy,
     ref_divided_differences,
     ref_part_numerator,
     ref_residue_sum_at,
+    ref_sylvester,
 )
 
 
@@ -199,10 +200,10 @@ def test_non_squarefree_kept_factor_summed_exactly():
 
 
 def test_factors_sharing_a_root_for_every_z_rejected():
-    # 1 - y divides 1 - y^2: after the substitution both vanish at t = 1.
-    f = RatFunc(1, denom=[(parse_poly("1-y", "y"), 1), (parse_poly("1-y^2", "y"), 1)])
+    # 1 - y divides the mixed factor 1 - x - y + x*y = (1-x)*(1-y): after the
+    # substitution both vanish at t = 1, and the mixed one is not kept.
     with pytest.raises(DegeneratePoleError, match="shares roots"):
-        diagonal_rational(f, check_terms=5)
+        diagonal_rational(parse_ratfunc("1/((1-y)*(1-x-y+x*y))"), check_terms=5)
 
 
 # -- integer kernels against their Fraction references --------------------------
@@ -226,26 +227,105 @@ def _tz_factor(draw, degrees) -> BiPoly:
     return BiPoly("t", "z", [_z_poly(draw) for _ in range(degree)] + [lead])
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_residue_sum_at_matches_fraction_reference(data):
-    n_kept = data.draw(st.integers(1, 2))
+@st.composite
+def _transform(draw, kept_degrees, other_degrees):
+    """(h, kept): random factors in (t, z) with multiplicities 1-2, the first ones kept."""
+    n_kept = draw(st.integers(1, 2))
     multiplicities = st.integers(1, 2)
-    factors = [(data.draw(_tz_factor(st.sampled_from((1, 2, 3, 4)))), data.draw(multiplicities))
-               for _ in range(n_kept)]
-    factors += [(data.draw(_tz_factor(st.sampled_from((0, 1, 2)))), data.draw(multiplicities))
-                for _ in range(data.draw(st.integers(0, 2)))]
-    if data.draw(st.booleans()):
+    factors = [(draw(_tz_factor(kept_degrees)), draw(multiplicities)) for _ in range(n_kept)]
+    factors += [(draw(_tz_factor(other_degrees)), draw(multiplicities))
+                for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
         # The first and the last factor share the root t = c at z = c.
-        c = data.draw(st.sampled_from(_POINTS))
+        c = draw(st.sampled_from(_POINTS))
         (p, m), (q, k) = factors[0], factors[-1]
         factors[0] = (p * BiPoly("t", "z", [Poly("z", [0, -1]), 1]), m)
         factors[-1] = (q * BiPoly("t", "z", [-c, 1]), k)
-    numer = BiPoly("t", "z", [_z_poly(data.draw, 1) for _ in range(data.draw(st.integers(0, 8)))])
+    numer = BiPoly("t", "z", [_z_poly(draw, 1) for _ in range(draw(st.integers(0, 8)))])
     h = HKTransform(numer, tuple(factors), (0,) * len(factors), 0)
-    kept = [PoleClass(p, m, i, True, "kept") for i, (p, m) in enumerate(factors[:n_kept])]
+    return h, [PoleClass(p, m, i, True, "kept") for i, (p, m) in enumerate(factors[:n_kept])]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_residue_values_at_match_fraction_reference(data):
+    h, kept = data.draw(_transform(st.sampled_from((1, 2, 3, 4)), st.sampled_from((0, 1, 2))))
     z0 = data.draw(st.sampled_from(_POINTS))
-    assert _residue_sum_at(_int_transform(h), kept, z0) == ref_residue_sum_at(h, kept, z0)
+    num_rows, factor_rows, kappa = _int_transform(h)
+    p, q = [1], [1]
+    for i, (rows, m) in enumerate(factor_rows):
+        for _ in range(m):
+            if i < len(kept):
+                p = _int_mul(p, _at(rows, z0))
+            else:
+                q = _int_mul(q, _at(rows, z0))
+    # The route skips a point where P loses t-degree.
+    assume(len(p) == 1 + sum(pole.multiplicity * pole.factor.degree for pole in kept))
+    # N is an integer from e = max(0, d_N - d_P - d_Q + 1) on.
+    num = _at(num_rows, z0)
+    e = max(0, len(num) - len(p) - len(q) + 2) + data.draw(st.integers(0, 1))
+    got = _values_at(num, p, q, e)
+    want = ref_residue_sum_at(h, kept, z0)
+    if want is not None:
+        assert got is not None and kappa * Fraction(*got) == want
+    if got is None:
+        assert want is None
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_residue_sum_from_proved_point_count_matches_reference(data):
+    # _residue_sum reads exactly the proved number of points; the function
+    # it interpolates must hold at points it never read.
+    h, kept = data.draw(_transform(st.sampled_from((1, 2, 3)), st.sampled_from((0, 1, 2))))
+    checks = [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(13, 4), Fraction(-9, 7)]
+    try:
+        got = _residue_sum(h, kept)
+    except DegeneratePoleError:
+        # Res(P, Q) = 0 for every z: kept factors share roots with the others.
+        assert all(ref_residue_sum_at(h, kept, z) is None for z in checks)
+        return
+    for z in checks:
+        want = ref_residue_sum_at(h, kept, z)
+        if want is not None:
+            assert got.evaluate({"z": z}) == want
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_int_resultant_matches_sylvester_determinant(data):
+    def int_poly(min_degree, max_degree):
+        degree = data.draw(st.integers(min_degree, max_degree))
+        return (data.draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
+                + [data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))])
+
+    # Zero coefficients make degree gaps; b may be constant or of higher degree.
+    a, b = int_poly(1, 6), int_poly(0, 7)
+    if data.draw(st.booleans()):
+        shared = int_poly(1, 2)
+        a, b = _int_mul(a, shared), _int_mul(b, shared)
+    r, u = _int_resultant(a, b)
+    assert r == ref_sylvester(a, b)
+    assert not any(_int_prem(_int_add(_int_mul(u, b), [-r]), a)[1])
+    assert _int_resultant(a, []) == (0, [])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_interpolate_matches_divided_differences(data):
+    count = data.draw(st.integers(1, 24))
+    coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=count, max_size=count))
+    # The residue route's points, some of them skipped.
+    zs = [z for i in range(3 * count)
+          if data.draw(st.booleans()) for z in [(i // 2 + 1) * (-1) ** i]][:count]
+    assume(len(zs) == count)
+    want = Poly("z", coeffs)
+    vs = [int(want.evaluate(z)) for z in zs]
+    newton, basis = Poly.zero("z"), Poly.one("z")
+    for zi, c in zip(zs, ref_divided_differences(zs, [Fraction(v) for v in vs])):
+        newton, basis = newton + basis.scale(c), basis * Poly("z", (-zi, 1))
+    got = Poly.from_ints("z", _interpolate(zs, vs))
+    assert got == newton == want
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -266,41 +346,6 @@ def test_part_numerator_matches_fraction_reference(data):
     else:
         a, c = got
         assert Poly("z", [Fraction(v * lc, c * ln) for v in a]) == want
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_cauchy_matches_fraction_reference(data):
-    count = data.draw(st.integers(1, 24))
-    zs = [(i // 2 + 1) * (-1) ** i for i in range(3 * count)]
-    if data.draw(st.booleans()):
-        vs = data.draw(st.lists(_RATIONALS, min_size=count, max_size=count))
-    else:
-        # Values of a rational function, skipping its poles.
-        num, den = _z_poly(data.draw, 0, 4), _z_poly(data.draw, 1, 4)
-        assume(not den.is_zero)
-        zs = [z for z in zs if den.evaluate(z) != 0]
-        assume(len(zs) >= count)
-        vs = [num.evaluate(z) / den.evaluate(z) for z in zs[:count]]
-    zs = zs[:count]
-    r, s = _cauchy(zs, ref_divided_differences(zs, vs))
-    want_r, want_s = ref_cauchy(zs, vs)
-    assert not s.is_zero
-    assert r * want_s == want_r * s
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_newton_table_prefixes_match_fraction_reference(data):
-    # The table grows one point at a time; every prefix is the table of
-    # its own points, as _residue_sum reads it at n = 4, 8, 16, 32.
-    count = data.draw(st.integers(1, 24))
-    zs = [(i // 2 + 1) * (-1) ** i for i in range(count)]
-    vs = data.draw(st.lists(_RATIONALS, min_size=count, max_size=count))
-    table: list[Fraction] = []
-    for k, (z, v) in enumerate(zip(zs, vs)):
-        _newton_extend(table, zs[:k], z, v)
-        assert table == ref_divided_differences(zs[:k + 1], vs[:k + 1])
 
 
 # -- diagonal_rational ---------------------------------------------------------
@@ -338,6 +383,7 @@ def test_diagonal_rational_univariate_in_x_is_one():
     ("1/(1-x)", "1"),
     ("x^2*y^3/((1-x)*(1-y))", "z^3/(1-z)"),
     ("1/((1-2*x)*(1-2*y+y^2))", "1/(1-2*z)^2"),
+    ("1/((1-y)*(1-y^2))", "1"),
 ])
 def test_diagonal_rational_origin_pole_and_repeated_root(text, diagonal):
     rat, report = diagonal_rational(parse_ratfunc(text), check_terms=30)
@@ -374,19 +420,22 @@ def _at_z(p: BiPoly, z0) -> Poly:
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(numer=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                              st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=3),
-       denom=st.lists(_denominator_factor(), min_size=1, max_size=3))
-def test_diagonal_rational_matches_series_beyond_convolutions(numer, denom):
-    f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], [(p, 1) for p in denom])
+       denom=st.lists(st.tuples(_denominator_factor(), st.integers(1, 3)), min_size=1, max_size=3),
+       share=st.booleans())
+def test_diagonal_rational_matches_series_beyond_convolutions(numer, denom, share):
+    if share:
+        # p*q shares roots with p and with q for every z.
+        denom = denom + [(denom[0][0] * denom[-1][0], 1)]
+    f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], denom)
     h = hk_transform(f)
     poles = classify_poles(h)
     assume(not any(p.reason.startswith("mixed") for p in poles))
-    assume(all(p.multiplicity == 1 for p in poles if p.kept))
-    # Factors with a common factor in t share a root for every z, which the
-    # residue route rejects; coprime at z = 7/3 means coprime for all but
-    # finitely many z.
-    in_t = [_at_z(p, Fraction(7, 3)) for p, _ in h.denom_factors if p.degree > 0]
-    assume(all(poly_gcd(a, b).degree == 0
-               for i, a in enumerate(in_t) for b in in_t[i + 1:]))
+    # A kept factor with a common factor in t with one that is not kept
+    # shares a root with it for every z, which the residue route rejects;
+    # coprime at z = 7/3 means coprime for all but finitely many z.
+    kept = [_at_z(p.factor, Fraction(7, 3)) for p in poles if p.kept]
+    others = [_at_z(p.factor, Fraction(7, 3)) for p in poles if not p.kept and p.factor.degree > 0]
+    assume(all(poly_gcd(a, b).degree == 0 for a in kept for b in others))
     rat, report = diagonal_rational(f, check_terms=12)
     assert report.status == "ok"
     assert list(series_of_rational(rat, 12)) == list(diagonal_series(f, 12))
