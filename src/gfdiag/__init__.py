@@ -34,7 +34,6 @@ from .residues import (
     diagonal_rational,
     hk_transform,
     partial_fractions,
-    residue_trace,
 )
 from .gfbuild import (
     CatalogEntry,
@@ -60,5 +59,5 @@ __all__ = [
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",
     "identity_equal", "kbonacci", "parse_poly", "parse_ratfunc",
     "partial_fractions", "poly_gcd", "printed_gf",
-    "residue_trace", "run_all", "run_claim", "series_of_rational",
+    "run_all", "run_claim", "series_of_rational",
 ]

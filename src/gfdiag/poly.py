@@ -19,12 +19,19 @@ one denominator and divides out the gcd of the result.  Evaluation at p/q is
 integer Horner on the polynomial homogenized by q, with one Fraction at
 the end.
 
-A BiPoly is a polynomial in an outer variable whose coefficients are Polys
-in an inner variable.  Its product scales the rows to integers with one
-common content (int_rows) and runs the 2-D convolution row by row on
-_int_mul.  The pseudo-division is also shared by poly_gcd's primitive
-remainder sequence and by the subresultant one, _int_resultant, that
-gives the residue route its resultants and inverses.
+A BiPoly is the same form in two variables: a rational content times
+integer rows, rows[i][j] the coefficient of outer^i * inner^j.  Across all
+rows the entries have gcd 1, each row and the rows have no trailing zeros,
+and the last entry of the last row is positive; the content carries the
+sign.  coeffs, coeff(i) and leading build Polys in the inner variable on
+demand.  A product multiplies the contents and convolves the rows on
+_int_mul, with no gcd (Gauss's lemma in Z[x, y]); scaling and negation
+touch only the content.  Callers that compute on a BiPoly, the series
+kernel, the residue route and the parser, read its content and rows.
+
+The pseudo-division is also shared by poly_gcd's primitive remainder
+sequence and by the subresultant one, _int_resultant, that gives the
+residue route its resultants and inverses.
 
 Degrees in this toolkit stay small (below ~30) outside of powers, which is
 why the dense representation and the schoolbook algorithms are the right
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as gcd_int, lcm
 from typing import Iterable, Sequence, Union
 
@@ -83,18 +91,40 @@ def _power(one, base, n: int, mul=operator.mul):
 
 def _canonical(ints: Sequence[int], scale) -> tuple[Fraction, tuple[int, ...]]:
     """(content, prim) of the polynomial scale * sum of ints[i] * var^i."""
-    n = len(ints)
-    while n and not ints[n - 1]:
-        n -= 1
-    if not (n and scale):
+    content, rows = _canonical_rows((ints,), scale)
+    return content, rows[0] if rows else ()
+
+
+def _canonical_rows(rows: Sequence[Sequence[int]], scale) -> tuple[Fraction, tuple]:
+    """(content, rows) of the polynomial scale * sum of rows[i][j] * outer^i * inner^j."""
+    g = gcd_int(*(gcd_int(*row) for row in rows))
+    if not (g and scale):
         return Fraction(0), ()
-    g = gcd_int(*ints[:n])
-    if ints[n - 1] < 0:
-        g = -g
-    content = scale * g if g != 1 else scale
-    if not isinstance(content, Fraction):
-        content = Fraction(content)
-    return content, tuple(v // g for v in ints[:n]) if g != 1 else tuple(ints[:n])
+    return _trimmed(scale * g, [[v // g for v in row] for row in rows] if g != 1 else rows)
+
+
+def _trimmed(content, rows: Sequence[Sequence[int]]) -> tuple[Fraction, tuple]:
+    """(content, rows) for nonzero integer rows with gcd 1: zeros trimmed, sign in content."""
+    out = []
+    for row in rows:
+        n = len(row)
+        while n and not row[n - 1]:
+            n -= 1
+        out.append(tuple(row[:n]))
+    while not out[-1]:
+        out.pop()
+    if out[-1][-1] < 0:
+        content, out = -content, [tuple(-v for v in row) for row in out]
+    return content if isinstance(content, Fraction) else Fraction(content), tuple(out)
+
+
+def _sum(ca: Fraction, ra, cb: Fraction, rb) -> tuple[Fraction, tuple]:
+    """(content, rows) of ca * ra + cb * rb: the contents on one denominator, their gcd kept."""
+    (u, v), den = _cleared((ca, cb))
+    g = gcd_int(u, v)
+    u, v = u // g, v // g
+    return _canonical_rows([_int_add([u * a for a in x], [v * b for b in y])
+                            for x, y in zip_longest(ra, rb, fillvalue=())], Fraction(g, den))
 
 
 def _horner(ints: Sequence[int], p: int, q: int, n: int) -> int:
@@ -106,7 +136,27 @@ def _horner(ints: Sequence[int], p: int, q: int, n: int) -> int:
     return acc
 
 
-class Poly:
+class _Frozen:
+    """An immutable value whose fields are its __slots__, set once."""
+
+    __slots__ = ()
+
+    def _fill(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _make(cls, *fields):
+        """The value of fields already in canonical form, in __slots__ order."""
+        self = object.__new__(cls)
+        self._fill(*fields)
+        return self
+
+
+class Poly(_Frozen):
     """Univariate polynomial with exact rational coefficients: content * prim."""
 
     __slots__ = ("var", "content", "prim")
@@ -114,22 +164,7 @@ class Poly:
     def __init__(self, var: str, coeffs: Iterable = ()):
         ints, den = _cleared([c if isinstance(c, (int, Fraction)) else as_fraction(c)
                               for c in coeffs])
-        self._init(var, *_canonical(ints, Fraction(1, den)))
-
-    def _init(self, var: str, content: Fraction, prim: tuple[int, ...]) -> None:
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "prim", prim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def _make(cls, var: str, content: Fraction, prim: tuple[int, ...]) -> "Poly":
-        """The Poly of an already canonical (content, prim)."""
-        self = object.__new__(cls)
-        self._init(var, content, prim)
-        return self
+        self._fill(var, *_canonical(ints, Fraction(1, den)))
 
     @classmethod
     def from_ints(cls, var: str, ints: Sequence[int], scale=1) -> "Poly":
@@ -187,11 +222,8 @@ class Poly:
         self._check_var(other)
         if not (self.prim and other.prim):
             return other if not self.prim else self
-        (u, v), den = _cleared((self.content, other.content))
-        g = gcd_int(u, v)
-        u, v = u // g, v // g
-        return Poly.from_ints(self.var, _int_add([u * a for a in self.prim],
-                                                 [v * b for b in other.prim]), Fraction(g, den))
+        content, rows = _sum(self.content, (self.prim,), other.content, (other.prim,))
+        return Poly._make(self.var, content, rows[0] if rows else ())
 
     __radd__ = __add__
 
@@ -273,50 +305,48 @@ class Poly:
         return f"Poly({self.var!r}, {list(self.coeffs)!r})"
 
 
-class BiPoly:
-    """Bivariate polynomial: Polys in the inner variable, indexed by outer degree."""
+class BiPoly(_Frozen):
+    """Bivariate polynomial: content * sum of rows[i][j] * outer^i * inner^j."""
 
-    __slots__ = ("outer", "inner", "coeffs")
+    __slots__ = ("outer", "inner", "content", "rows")
 
     def __init__(self, outer: str, inner: str, coeffs: Iterable = ()):
+        """From the coefficients in the outer variable: Polys in inner, or scalars."""
         if outer == inner:
             raise ValueError("outer and inner variables must differ")
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Poly):
-                if c.var != inner:
-                    raise ValueError(f"variable mismatch: coefficient in {c.var}, inner is {inner}")
-                cs.append(c)
-            else:
-                cs.append(Poly.const(inner, c))
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        polys = [c if isinstance(c, Poly) else Poly.const(inner, c) for c in coeffs]
+        for p in polys:
+            if p.var != inner:
+                raise ValueError(f"variable mismatch: coefficient in {p.var}, inner is {inner}")
+        ints, den = _cleared([p.content for p in polys])
+        self._fill(outer, inner, *_canonical_rows(
+            [[k * v for v in p.prim] for p, k in zip(polys, ints)], Fraction(1, den)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
+    @classmethod
+    def from_ints(cls, outer: str, inner: str, rows: Sequence[Sequence[int]],
+                  scale=1) -> "BiPoly":
+        """The polynomial scale * sum of rows[i][j] * outer^i * inner^j, for a rational scale."""
+        return cls._make(outer, inner, *_canonical_rows(rows, scale))
 
     @classmethod
     def zero(cls, outer: str, inner: str) -> "BiPoly":
-        return cls(outer, inner, ())
+        return cls._make(outer, inner, Fraction(0), ())
 
     @classmethod
     def one(cls, outer: str, inner: str) -> "BiPoly":
-        return cls(outer, inner, (Poly.one(inner),))
+        return cls._make(outer, inner, Fraction(1), ((1,),))
 
     @classmethod
     def const(cls, outer: str, inner: str, value) -> "BiPoly":
-        return cls(outer, inner, (Poly.const(inner, value),))
+        return cls.from_ints(outer, inner, [[1]], as_fraction(value))
 
     @classmethod
     def embed(cls, p: Poly, outer: str, inner: str) -> "BiPoly":
         """Lift a univariate polynomial whose variable is outer or inner."""
         if p.var == inner:
-            return cls(outer, inner, (p,))
+            return cls._make(outer, inner, p.content, (p.prim,) if p.prim else ())
         if p.var == outer:
-            return cls(outer, inner, tuple(Poly.const(inner, p.content * v) for v in p.prim))
+            return cls._make(outer, inner, p.content, tuple((v,) if v else () for v in p.prim))
         raise ValueError(f"variable mismatch: cannot embed {p.var} into ({outer}, {inner})")
 
     @classmethod
@@ -332,42 +362,40 @@ class BiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     @property
     def degree(self) -> int:
         """Degree in the outer variable."""
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     @property
     def inner_degree(self) -> int:
-        return max((c.degree for c in self.coeffs), default=-1)
+        return max(map(len, self.rows), default=0) - 1
+
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """Coefficients in the outer variable, as Polys in the inner one."""
+        return tuple(self.coeff(i) for i in range(len(self.rows)))
 
     @property
     def leading(self) -> Poly:
         """Leading coefficient in the outer variable, a Poly in the inner one."""
-        if not self.coeffs:
+        if not self.rows:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self.rows) - 1)
 
     def coeff(self, i: int) -> Poly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly.zero(self.inner)
-
-    def int_rows(self) -> tuple[Fraction, list[list[int]]]:
-        """(c, rows) with self = c * sum of rows[i][j] * outer^i * inner^j.
-
-        The integer entries have gcd 1; a zero row is [].
-        """
-        ints, den = _cleared([p.content for p in self.coeffs])
-        g = gcd_int(*ints)
-        return Fraction(g, den), [[k // g * v for v in p.prim] for p, k in zip(self.coeffs, ints)]
+        if not 0 <= i < len(self.rows):
+            return Poly.zero(self.inner)
+        return Poly.from_ints(self.inner, self.rows[i], self.content)
 
     def monomials(self):
         """Yield (outer_exp, inner_exp, coeff) for every nonzero term."""
-        for i, p in enumerate(self.coeffs):
-            for j, v in enumerate(p.prim):
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
                 if v:
-                    yield i, j, p.content * v
+                    yield i, j, self.content * v
 
     def _check_vars(self, other: "BiPoly") -> None:
         if self.outer != other.outer or self.inner != other.inner:
@@ -381,18 +409,18 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check_vars(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BiPoly(self.outer, self.inner, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        if not (self.rows and other.rows):
+            return other if not self.rows else self
+        return BiPoly._make(self.outer, self.inner,
+                            *_sum(self.content, self.rows, other.content, other.rows))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(self.outer, self.inner, other)
         return self + (-other)
 
     def __neg__(self):
-        return BiPoly(self.outer, self.inner, [-c for c in self.coeffs])
+        return BiPoly._make(self.outer, self.inner, -self.content, self.rows)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,13 +430,14 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check_vars(other)
-        (ca, ra), (cb, rb) = self.int_rows(), other.int_rows()
-        out: list[list[int]] = [[] for _ in range(len(ra) + len(rb) - 1)]
-        for i, a in enumerate(ra):
-            for j, b in enumerate(rb):
+        if not (self.rows and other.rows):
+            return BiPoly.zero(self.outer, self.inner)
+        out: list[list[int]] = [[] for _ in range(len(self.rows) + len(other.rows) - 1)]
+        for i, a in enumerate(self.rows):
+            for j, b in enumerate(other.rows):
                 out[i + j] = _int_add(out[i + j], _int_mul(a, b))
-        c = ca * cb
-        return BiPoly(self.outer, self.inner, [Poly.from_ints(self.inner, row, c) for row in out])
+        return BiPoly._make(self.outer, self.inner,
+                            *_trimmed(self.content * other.content, out))
 
     __rmul__ = __mul__
 
@@ -416,7 +445,7 @@ class BiPoly:
         c = as_fraction(c)
         if c == 0:
             return BiPoly.zero(self.outer, self.inner)
-        return BiPoly(self.outer, self.inner, [p.scale(c) for p in self.coeffs])
+        return BiPoly._make(self.outer, self.inner, self.content * c, self.rows)
 
     def __pow__(self, n: int) -> "BiPoly":
         return _power(BiPoly.one(self.outer, self.inner), self, n)
@@ -425,9 +454,8 @@ class BiPoly:
         x, y = as_fraction(outer_value), as_fraction(inner_value)
         if self.is_zero:
             return Fraction(0)
-        c, rows = self.int_rows()
-        n, m = self.degree, self.inner_degree
-        acc = _horner([_horner(row, y.numerator, y.denominator, m) for row in rows],
+        c, n, m = self.content, self.degree, self.inner_degree
+        acc = _horner([_horner(row, y.numerator, y.denominator, m) for row in self.rows],
                       x.numerator, x.denominator, n)
         return Fraction(c.numerator * acc,
                         c.denominator * x.denominator ** n * y.denominator ** m)
@@ -436,10 +464,10 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         return (self.outer == other.outer and self.inner == other.inner
-                and self.coeffs == other.coeffs)
+                and self.content == other.content and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.outer, self.inner, self.coeffs))
+        return hash((self.outer, self.inner, self.content, self.rows))
 
     def __str__(self) -> str:
         if self.is_zero:

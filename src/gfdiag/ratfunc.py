@@ -11,16 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import AnyPoly, BiPoly, Poly, as_fraction, poly_gcd, unify
+from .poly import AnyPoly, BiPoly, Poly, _Frozen, as_fraction, poly_gcd, unify
 
 
 def _constant_of(p: AnyPoly) -> Fraction | None:
     """The scalar value of a degree-0 polynomial, else None."""
     if isinstance(p, Poly):
         return p.content if p.degree == 0 else None
-    if p.degree == 0 and p.coeffs[0].degree == 0:
-        return p.coeffs[0].content
-    return None
+    return p.content if len(p.rows) == 1 and len(p.rows[0]) == 1 else None
 
 
 def _merge_factors(factors: Iterable) -> tuple:
@@ -36,7 +34,7 @@ def _merge_factors(factors: Iterable) -> tuple:
     return tuple(out.items())
 
 
-class RatFunc:
+class RatFunc(_Frozen):
     """Factored rational function over the rationals (1 or 2 variables)."""
 
     __slots__ = ("constant", "numer", "denom")
@@ -82,21 +80,8 @@ class RatFunc:
         if constant == 0:
             kept_numer, kept_denom = [], []
         lifted = iter(unify(*(p for p, _ in kept_numer + kept_denom)))
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "numer", _merge_factors((next(lifted), m) for _, m in kept_numer))
-        object.__setattr__(self, "denom", _merge_factors((next(lifted), m) for _, m in kept_denom))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def _make(cls, constant: Fraction, numer: tuple, denom: tuple) -> "RatFunc":
-        """The RatFunc of factor tuples already in the constructor's form, as they are."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
-        return self
+        self._fill(constant, _merge_factors((next(lifted), m) for _, m in kept_numer),
+                   _merge_factors((next(lifted), m) for _, m in kept_denom))
 
     # -- constructors ------------------------------------------------------
 

@@ -12,10 +12,12 @@ two integer polynomials N and D in z, given by Cramer's rule, whose
 degrees are bounded a priori (see _residue_sum); their values at that many
 integer points z0, plus one, interpolate them exactly.
 
-Everything runs on Python ints.  The transform's numerator and factors are
-read as integer rows with their contents (BiPoly.int_rows), the contents
-folded into one rational scale kappa, and evaluated at each z0 by integer
-Horner.  At each point one subresultant PRS, poly._int_resultant, gives
+Everything runs on Python ints.  A BiPoly is already a rational content
+times integer rows: the substitution re-indexes the rows, the contents of
+the transform's numerator and factors fold into one rational scale kappa,
+and the rows are evaluated at each z0 by integer Horner.  A factor without
+t only divides the sum, so it enters the result as it is and is never
+evaluated.  At each point one subresultant PRS, poly._int_resultant, gives
 Res_t(P, Q) and the cofactor that inverts Q mod P, and one pseudo-division
 reduces num times that cofactor; partial fractions invert the same way.
 N and D are interpolated by integer divided differences, and a Fraction
@@ -73,15 +75,18 @@ class HKTransform:
 
 
 def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
-    """p(z*t, 1/t) * t^k with k minimal so the result is polynomial in t."""
-    k = 0
-    for i, j, _c in p.monomials():
-        k = max(k, j - i)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for i, j, c in p.monomials():
-        key = (i - j + k, i)   # (t exponent, z exponent)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return BiPoly.from_monomials("t", "z", terms), k
+    """p(z*t, 1/t) * t^k with k minimal so the result is polynomial in t.
+
+    The monomial x^i * y^j becomes t^(i-j+k) * z^i, so the integer rows are
+    only re-indexed, one to one: they keep gcd 1, and the content is kept up
+    to its sign.
+    """
+    k = max([0] + [len(row) - 1 - i for i, row in enumerate(p.rows) if row])
+    out = [[0] * len(p.rows) for _ in range(len(p.rows) + k)]
+    for i, row in enumerate(p.rows):
+        for j, v in enumerate(row):
+            out[i - j + k][i] = v
+    return BiPoly.from_ints("t", "z", out, p.content), k
 
 
 def hk_transform(f: RatFunc) -> HKTransform:
@@ -169,10 +174,10 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
         if d <= 0:
             out.append(PoleClass(p, m, idx, False, "no dependence on t"))
             continue
-        lead0 = p.leading.coeff(0)
-        e = max((i for i, c in enumerate(p.coeffs) if c.coeff(0)), default=-1)
+        lead0 = p.content * p.rows[-1][0]
+        e = max((i for i, row in enumerate(p.rows) if row and row[0]), default=-1)
         if e == d:
-            origin = all(c.is_zero for c in p.coeffs[:-1])
+            origin = not any(p.rows[:-1])
             reason = "pole at the origin" if origin else "poles bounded as z -> 0"
             out.append(PoleClass(p, m, idx, True, reason, lead0))
         elif e <= 0:
@@ -188,25 +193,7 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
 # Residue sums at rational points, rebuilt as rational functions of z
 # ---------------------------------------------------------------------------
 
-# Integer coefficients of a polynomial in (t, z), indexed [t power][z power].
-_Rows = list[list[int]]
-
-
-def _int_transform(h: HKTransform) -> tuple[_Rows, list[tuple[_Rows, int]], Fraction]:
-    """h on integers: (numerator, [(factor, multiplicity)], kappa).
-
-    kappa is the one rational scale with h = kappa * numerator / prod factor^m.
-    """
-    kappa, num = h.numerator.int_rows()
-    factors = []
-    for p, m in h.denom_factors:
-        c, rows = p.int_rows()
-        factors.append((rows, m))
-        kappa /= c ** m
-    return num, factors, kappa
-
-
-def _at(rows: _Rows, z0: int) -> list[int]:
+def _at(rows: Sequence[Sequence[int]], z0: int) -> list[int]:
     """rows evaluated at z = z0 by Horner: integer coefficients in t."""
     out = [_horner(row, z0, 1, len(row) - 1) for row in rows]
     while out and out[-1] == 0:
@@ -238,10 +225,10 @@ def _values_at(num: list[int], p: list[int], q: list[int], e: int) -> tuple[int,
     Res(P, Q) * lc(P)^e * [t^(d-1)] A, the values of the integer
     polynomials in _residue_sum's proof; None where Res(P, Q) = 0.
     """
-    r, u = _int_resultant(p, q)
-    if not r:
+    part = _part_numerator(num, q, p)
+    if part is None:
         return None
-    _, a, c = _int_prem(_int_mul(num, u), p)
+    a, c, r = part
     d = len(p) - 1
     return p[-1] ** e * (a[d - 1] if len(a) >= d else 0) // c, r * p[-1] ** (e + 1)
 
@@ -249,8 +236,10 @@ def _values_at(num: list[int], p: list[int], q: list[int], e: int) -> tuple[int,
 def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     """Residue sum over all roots of the kept factors, as a function of z.
 
-    Write h = kappa * num / (P * Q) on integers, P the kept factors and Q
-    the others, each to its multiplicity, with t-degrees d_P, d_Q, d_N.
+    Write h = kappa * num / (P * Q * C) on integers, P the kept factors, Q
+    the others that have t and C those without t, each to its multiplicity,
+    with t-degrees d_P, d_Q, d_N.  C only divides the residues, so it stays
+    out of Q and of the bounds below and enters the result as it is.
     Where P and Q are coprime, num / (P*Q) = A/P + (regular at P's roots)
     with A = num * Q^(-1) mod P of degree below d_P, and the residues of
     A/P over the roots of P, repeated or shared by two kept factors, sum to
@@ -278,18 +267,32 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     """
     if not kept:
         return RatFunc.zero()
-    num_rows, factor_rows, kappa = _int_transform(h)
+    num_rows, kappa = h.numerator.rows, h.numerator.content
     inside = {pole.index for pole in kept}
+    p_factors, q_factors, t_free = [], [], []
+    for i, (p, m) in enumerate(h.denom_factors):
+        kappa /= p.content ** m
+        if i in inside:
+            p_factors.append((p, m))
+        elif p.degree > 0:
+            q_factors.append((p, m))
+        else:
+            t_free.append((Poly.from_ints("z", p.rows[0]), m))
 
-    def sizes(own: bool) -> tuple[int, int, int]:
-        fs = [(p, m) for i, (p, m) in enumerate(h.denom_factors) if (i in inside) == own]
+    def sizes(fs) -> tuple[int, int, int]:
         return (sum(m * p.degree for p, m in fs), sum(m * p.inner_degree for p, m in fs),
-                sum(m * p.leading.degree for p, m in fs))
+                sum(m * (len(p.rows[-1]) - 1) for p, m in fs))
 
-    (d_p, eps_p, l_p), (d_q, eps_q, l_q) = sizes(True), sizes(False)
+    def product_at(fs, z0: int) -> list[int]:
+        out = [1]
+        for p, m in fs:
+            out = _int_mul(out, _power([1], _at(p.rows, z0), m, _int_mul))
+        return out
+
+    (d_p, eps_p, l_p), (d_q, eps_q, l_q) = sizes(p_factors), sizes(q_factors)
     b = max(d_q, len(num_rows) - d_p)
     e = b - d_q
-    eps_n = max(map(len, num_rows), default=0) - 1
+    eps_n = h.numerator.inner_degree
     points = max(d_p * eps_q + d_q * eps_p + (e + 1) * l_p,
                  (d_p - 1) * eps_q + b * eps_p + eps_n) + 1
     budget = l_p + l_q + d_p * eps_q + d_q * eps_p
@@ -297,10 +300,7 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     z0 = 0
     while len(good) < points:
         z0 = -z0 if z0 > 0 else 1 - z0
-        p, q = [1], [1]
-        for i, (rows, m) in enumerate(factor_rows):
-            f = _power([1], _at(rows, z0), m, _int_mul)
-            p, q = (_int_mul(p, f), q) if i in inside else (p, _int_mul(q, f))
+        p, q = product_at(p_factors, z0), product_at(q_factors, z0)
         nd = (len(p), len(q)) == (d_p + 1, d_q + 1) and _values_at(_at(num_rows, z0), p, q, e)
         if nd:
             good.append((z0, *nd))
@@ -309,13 +309,9 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
                                       "kept factor shares roots with the other factors")
     zs, ns, ds = zip(*good)
     num, den = RatFunc(1, [(Poly.from_ints("z", _interpolate(zs, ns), kappa), 1)],
-                       [(Poly.from_ints("z", _interpolate(zs, ds)), 1)]).reduced_fraction()
+                       [(Poly.from_ints("z", _interpolate(zs, ds)), 1)] + t_free
+                       ).reduced_fraction()
     return RatFunc(1, [(num, 1)], [(den, 1)])
-
-
-def residue_trace(h: HKTransform, kept: PoleClass) -> RatFunc:
-    """Sum of residues of h over all roots of the kept factor, in z."""
-    return _residue_sum(h, [kept])
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +372,22 @@ class PartialFractions:
     parts: tuple[tuple[Poly, Poly, int], ...]
 
 
-def _part_numerator(num: list[int], cof: list[int],
-                    base: list[int]) -> tuple[list[int], int] | None:
-    """A = num * cof^(-1) mod base on integer coefficient lists, as (a, c) with A = a / c.
+def _part_numerator(num: Sequence[int], cof: Sequence[int],
+                    base: Sequence[int]) -> tuple[list[int], int, int] | None:
+    """A = num * cof^(-1) mod base on integer coefficient lists, as (a, c, r), A = a / (c*r).
 
     A, of degree below base's, makes num/(cof*base) - A/base regular at
     base's roots.  The inverse of cof is u / r, with r = Res(base, cof) and
     u * cof = r mod base from poly._int_resultant, and the reduction of
-    num * u mod base is one pseudo-division, whose power of lc(base) goes
-    into c.  None when cof and base share a root.
+    num * u mod base is one pseudo-division, whose power of lc(base) is c.
+    None when cof and base share a root.  The residue route (_values_at)
+    and partial_fractions both invert this way.
     """
     r, u = _int_resultant(base, cof)
     if not r:
         return None
     _, a, c = _int_prem(_int_mul(num, u), base)
-    return a, c * r
+    return a, c, r
 
 
 def partial_fractions(f: RatFunc) -> PartialFractions:
@@ -414,6 +411,6 @@ def partial_fractions(f: RatFunc) -> PartialFractions:
         if part is None:
             raise ValueError(f"denominator factors are not coprime: ({p}) shares a root "
                              "with another factor")
-        a, c = part
-        parts.append((Poly.from_ints(num.var, a, rem.content / (c * cof.content)), p, m))
+        a, c, r = part
+        parts.append((Poly.from_ints(num.var, a, rem.content / (c * r * cof.content)), p, m))
     return PartialFractions(poly_part, tuple(parts))

@@ -148,12 +148,12 @@ _Box = list[list[int]]
 def _int_rows(p: AnyPoly, inner: bool) -> tuple[Fraction, _Box]:
     """(s, rows) with p = s * sum of rows[i][j] * outer^i * inner^j.
 
-    The integer entries have gcd 1, and a zero row is [].  A Poly's
+    The integer entries have gcd 1, and a zero row is empty.  A Poly's
     variable is the inner one if inner, else the outer one.
     """
     if isinstance(p, Poly):
-        return p.content, [list(p.prim)] if inner else [[v] if v else [] for v in p.prim]
-    return p.int_rows()
+        return p.content, [p.prim] if inner else [(v,) if v else () for v in p.prim]
+    return p.content, p.rows
 
 
 def _box_mul(a: _Box, b: _Box, nx: int, ny: int) -> _Box:
@@ -234,6 +234,10 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
             rows = [row[b:] for row in rows[a:]]
             if sign < 0 and rows[0][0] == 0:
                 raise PoleAtOriginError("pole at the origin")
+            if sign < 0 and rows[0][0] < 0:
+                # The canonical sign is the last entry's: 1 - x - y comes as
+                # -1 * (-1 + x + y), whose constant term -1 would scale the box.
+                s, rows = -s, [[-v for v in row] for row in rows]
             scale *= s ** (sign * m)
             si, sj = si + sign * m * a, sj + sign * m * b
             stripped[sign].append((rows, m))

@@ -258,7 +258,7 @@ class _Sum:
         if isinstance(v, Fraction):
             self._add_rows(v, [[1]])
         elif isinstance(v, BiPoly):
-            self._add_rows(*v.int_rows())
+            self._add_rows(v.content, v.rows)
         elif v.var == outer:
             self._add_rows(v.content, [[c] for c in v.prim])
         else:
@@ -289,7 +289,7 @@ class _Sum:
         if len(self.names) == 1:
             return Poly.from_ints(self.names[0], self.rows[0], scale)
         outer, inner = self.names
-        return BiPoly(outer, inner, [Poly.from_ints(inner, row, scale) for row in self.rows])
+        return BiPoly.from_ints(outer, inner, self.rows, scale)
 
 
 def _capped(value):

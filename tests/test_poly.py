@@ -6,13 +6,15 @@ tuples.  Inputs include zero coefficients, negative leading coefficients,
 rationals with distinct denominators, zero polynomials and constants, so
 that a lost sign, a lost power of a leading coefficient or a lost
 denominator shows.  Each result must also be in the canonical form: a
-primitive integer part with positive leading entry, the sign in the content.
+primitive integer part with positive leading entry, the sign in the content;
+for a BiPoly, one content over integer rows with gcd 1, no trailing zeros
+and a positive last entry.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfdiag import BiPoly, Poly
 from gfdiag.poly import unify
@@ -53,11 +55,19 @@ def _to_ref(p):
 
 
 def _assert_canonical(p):
+    assert type(p.content) is Fraction
     if isinstance(p, BiPoly):
+        # One content over all rows; each row and the rows end in a nonzero entry.
+        if p.is_zero:
+            assert (p.content, p.rows) == (0, ())
+        else:
+            assert p.content != 0 and p.rows[-1][-1] > 0
+            assert gcd(*(v for row in p.rows for v in row)) == 1
+            assert all(type(v) is int for row in p.rows for v in row)
+            assert all(not row or row[-1] for row in p.rows)
         for row in p.coeffs:
             _assert_canonical(row)
         return
-    assert type(p.content) is Fraction
     if p.is_zero:
         assert (p.content, p.prim) == (0, ())
     else:
@@ -124,6 +134,8 @@ def test_evaluate_matches_reference(a, b, x, y):
 
 @_settings
 @given(a=_bipolys, b=_bipolys, c=_rational, n=st.integers(0, 3))
+# (1 + y + x) * (1 - y + x): the product's x row, 2 + 0*y, ends in a zero.
+@example(a=_bipair([[1, 1], [1]]), b=_bipair([[1, -1], [1]]), c=Fraction(-1), n=2)
 def test_bipoly_arithmetic_matches_reference(a, b, c, n):
     (f, rf), (g, rg) = a, b
     _same(f, rf)

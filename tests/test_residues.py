@@ -23,15 +23,14 @@ from gfdiag import (
     partial_fractions,
     poly_gcd,
     printed_gf,
-    residue_trace,
     series_of_rational,
 )
 from gfdiag.poly import _cleared, _int_add, _int_mul, _int_prem, _int_resultant
+from gfdiag import residues
 from gfdiag.residues import (
     HKTransform,
     PoleClass,
     _at,
-    _int_transform,
     _interpolate,
     _part_numerator,
     _residue_sum,
@@ -141,7 +140,7 @@ def test_classification_reports_mixed_factor():
 def test_fibonacci_residue_is_twice_the_transcribed_diagonal():
     h = hk_transform(_fib_h())
     kept = [p for p in classify_poles(h) if p.kept][0]
-    got = residue_trace(h, kept)
+    got = _residue_sum(h, [kept])
     assert identity_equal(got, parse_ratfunc("2*z^2/((1-z)*(1-2*z-4*z^2))"))
 
 
@@ -156,7 +155,7 @@ def test_zero_numerator_gives_zero_residue():
     kept = [p for p in classify_poles(h0) if p.kept][0]
     zeroed = HKTransform(BiPoly.zero("t", "z"), h0.denom_factors, h0.cleared,
                          h0.balance_power)
-    assert residue_trace(zeroed, kept).is_zero
+    assert _residue_sum(zeroed, [kept]).is_zero
 
 
 def test_residue_additive_in_numerator():
@@ -166,8 +165,8 @@ def test_residue_additive_in_numerator():
     for _ in range(50):
         n1 = BiPoly("t", "z", [rand_poly(rng, "z", 2) for _ in range(3)])
         n2 = BiPoly("t", "z", [rand_poly(rng, "z", 2) for _ in range(3)])
-        tr = lambda num: residue_trace(
-            HKTransform(num, h0.denom_factors, h0.cleared, h0.balance_power), kept)
+        tr = lambda num: _residue_sum(
+            HKTransform(num, h0.denom_factors, h0.cleared, h0.balance_power), [kept])
         lhs = tr(n1 + n2)
         rhs = tr(n1) + tr(n2)
         assert identity_equal(lhs, rhs)
@@ -179,7 +178,7 @@ def test_residue_invariant_under_common_coprime_factor():
     q = BiPoly.from_monomials("t", "z", {(1, 1): Fraction(1), (0, 0): Fraction(1)})  # 1 + t*z
     scaled = HKTransform(h0.numerator * q, h0.denom_factors + ((q, 1),),
                          h0.cleared + (0,), h0.balance_power)
-    assert identity_equal(residue_trace(h0, kept), residue_trace(scaled, kept))
+    assert identity_equal(_residue_sum(h0, [kept]), _residue_sum(scaled, [kept]))
 
 
 def test_multiplicity_two_kept_factor_summed():
@@ -188,7 +187,7 @@ def test_multiplicity_two_kept_factor_summed():
     h = hk_transform(f)
     kept = [p for p in classify_poles(h) if p.kept][0]
     assert kept.multiplicity == 2
-    assert identity_equal(residue_trace(h, kept), RatFunc.one())
+    assert identity_equal(_residue_sum(h, [kept]), RatFunc.one())
 
 
 def test_non_squarefree_kept_factor_summed_exactly():
@@ -196,7 +195,22 @@ def test_non_squarefree_kept_factor_summed_exactly():
     f = RatFunc(1, denom=[(parse_poly("1-2*y+y^2", "y"), 1)])
     h = hk_transform(f)
     kept = [p for p in classify_poles(h) if p.kept][0]
-    assert identity_equal(residue_trace(h, kept), RatFunc.one())
+    assert identity_equal(_residue_sum(h, [kept]), RatFunc.one())
+
+
+@pytest.mark.parametrize("k", [1, 40])
+def test_factor_without_t_is_not_interpolated(k, monkeypatch):
+    # (1-x*y)^k becomes (1-z)^k, which has no t: it divides the residue sum
+    # and must not raise the number of points the route evaluates.
+    calls = []
+    values_at = residues._values_at
+    monkeypatch.setattr(residues, "_values_at", lambda *a: calls.append(a) or values_at(*a))
+    f = parse_ratfunc(f"(2+x*y)/((1-x*y)^{k}*(1-2*x)*(1-3*y))")
+    rat, report = diagonal_rational(f, check_terms=50)
+    assert report.status == "ok"
+    assert series_of_rational(rat, 50) == diagonal_series(f, 50)
+    # The same count at k = 1 and k = 40: P = t - 3 and Q = 1 - 2*t*z need 2 points.
+    assert len(calls) == 2
 
 
 def test_factors_sharing_a_root_for_every_z_rejected():
@@ -251,18 +265,19 @@ def _transform(draw, kept_degrees, other_degrees):
 def test_residue_values_at_match_fraction_reference(data):
     h, kept = data.draw(_transform(st.sampled_from((1, 2, 3, 4)), st.sampled_from((0, 1, 2))))
     z0 = data.draw(st.sampled_from(_POINTS))
-    num_rows, factor_rows, kappa = _int_transform(h)
+    kappa = h.numerator.content
     p, q = [1], [1]
-    for i, (rows, m) in enumerate(factor_rows):
+    for i, (f, m) in enumerate(h.denom_factors):
+        kappa /= f.content ** m
         for _ in range(m):
             if i < len(kept):
-                p = _int_mul(p, _at(rows, z0))
+                p = _int_mul(p, _at(f.rows, z0))
             else:
-                q = _int_mul(q, _at(rows, z0))
+                q = _int_mul(q, _at(f.rows, z0))
     # The route skips a point where P loses t-degree.
     assume(len(p) == 1 + sum(pole.multiplicity * pole.factor.degree for pole in kept))
     # N is an integer from e = max(0, d_N - d_P - d_Q + 1) on.
-    num = _at(num_rows, z0)
+    num = _at(h.numerator.rows, z0)
     e = max(0, len(num) - len(p) - len(q) + 2) + data.draw(st.integers(0, 1))
     got = _values_at(num, p, q, e)
     want = ref_residue_sum_at(h, kept, z0)
@@ -344,8 +359,8 @@ def test_part_numerator_matches_fraction_reference(data):
     if want is None:
         assert got is None
     else:
-        a, c = got
-        assert Poly("z", [Fraction(v * lc, c * ln) for v in a]) == want
+        a, c, r = got
+        assert Poly("z", [Fraction(v * lc, c * r * ln) for v in a]) == want
 
 
 # -- diagonal_rational ---------------------------------------------------------
