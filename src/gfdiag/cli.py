@@ -226,7 +226,7 @@ def _guess_report(args, terms) -> int:
                                     confidence=confidence))
     else:
         print(f"order {rec.order} recurrence: a(n) = "
-              + " + ".join(f"({c})*a(n-{i})" for i, c in enumerate(rec.coeffs, 1)))
+              + (" + ".join(f"({c})*a(n-{i})" for i, c in enumerate(rec.coeffs, 1)) or "0"))
         print(f"confidence (terms - 2*order): {confidence}")
         num, den = gf.reduced_fraction()
         print(f"gf: ({num}) / ({den})")
@@ -250,6 +250,8 @@ def cmd_catalog(args) -> int:
 def cmd_verify(args) -> int:
     if not args.all and not args.claim:
         raise ParseError("verify needs --all or --claim ID")
+    if args.n < 0:
+        raise ParseError("n must be >= 0")
     if args.claim:
         reports = [run_claim(args.claim, args.n)]
     else:

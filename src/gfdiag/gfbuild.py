@@ -16,6 +16,7 @@ reports the difference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .poly import BiPoly, Poly
@@ -60,20 +61,10 @@ class CatalogEntry:
     build: Callable[[], RatFunc] | None = None
 
 
-def _fib_h_derived() -> RatFunc:
-    return build_convolution_gf(kbonacci(2, shifted=True), kbonacci(2, shifted=True)).F
-
-
-def _trib_g(shifted: bool = True) -> RatFunc:
-    return build_convolution_gf(kbonacci(3, shifted=shifted), kbonacci(3, shifted=shifted)).F
-
-
-def _tetra_g() -> RatFunc:
-    return build_convolution_gf(kbonacci(4, shifted=True), kbonacci(4, shifted=True)).F
-
-
-def _penta_g() -> RatFunc:
-    return build_convolution_gf(kbonacci(5, shifted=True), kbonacci(5, shifted=True)).F
+def _self_convolution_gf(k: int) -> RatFunc:
+    """Derived double GF of the shifted k-bonacci self-convolution."""
+    a = kbonacci(k, shifted=True)
+    return build_convolution_gf(a, a).F
 
 
 def _trib_diag_printed() -> RatFunc:
@@ -97,7 +88,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "fib.H.derived", "bivariate-gf", "derived",
     "Derived double GF of sum C(n,k) F_k F_{m-k} (Fibonacci, initial 0,1)",
-    _fib_h_derived))
+    partial(_self_convolution_gf, 2)))
 _register(CatalogEntry(
     "fib.diag.printed", "univariate-gf", "printed",
     "Transcribed diagonal GF for the Fibonacci self-convolution",
@@ -108,7 +99,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "trib.G", "bivariate-gf", "derived",
     "Double GF of sum C(n,k) T_k T_{m-k} for the shifted Tribonacci (initial 0,1,1)",
-    _trib_g))
+    partial(_self_convolution_gf, 3)))
 _register(CatalogEntry(
     "trib.diag.printed", "univariate-gf", "printed",
     "Transcribed two-term diagonal GF, combined over the product denominator",
@@ -134,7 +125,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "tetra.G", "bivariate-gf", "derived",
     "Double GF of the shifted Tetranacci self-convolution (initial 0,1,1,2)",
-    _tetra_g))
+    partial(_self_convolution_gf, 4)))
 _register(CatalogEntry(
     "tetra.diag.printed", "univariate-gf", "printed",
     "Transcribed diagonal GF for the Tetranacci self-convolution",
@@ -144,7 +135,7 @@ _register(CatalogEntry(
 _register(CatalogEntry(
     "penta.G", "bivariate-gf", "derived",
     "Double GF of the shifted Pentanacci self-convolution (initial 0,1,1,2,4)",
-    _penta_g))
+    partial(_self_convolution_gf, 5)))
 _register(CatalogEntry(
     "penta.diag.printed", "univariate-gf", "printed",
     "Transcribed diagonal GF for the Pentanacci self-convolution",

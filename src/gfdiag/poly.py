@@ -1,37 +1,36 @@
 """Dense exact polynomials over the rationals, stored on integers.
 
-A Poly is a rational content times a primitive integer polynomial.  Its
-prim is the integer coefficient tuple indexed by degree, trailing zeros
-trimmed, with gcd 1 and a positive leading entry; the content is a
-Fraction that carries the sign.  The zero polynomial has content 0 and
-prim ().  The form is canonical, so == and hash compare (var, content,
-prim).  coeffs, coeff(i), leading, monomials() and str give Fractions,
-built on demand for callers; the arithmetic never reads them.
+Poly and BiPoly are one value, _Poly, in one or two variables: names, a
+Fraction content and primitive integer rows.  rows[i][j] is the
+coefficient of names[0]^i * names[-1]^j, so a Poly, with one name, has at
+most one row, rows == (prim,), its coefficients indexed by degree; a
+BiPoly has two names, outer and inner.  Across all rows the entries have
+gcd 1, each row and the rows have no trailing zeros, and the last entry
+of the last row is positive; the content carries the sign.  The zero
+polynomial has content 0 and rows ().  The form is canonical, so == and
+hash compare (names, content, rows).  coeffs, coeff(i), leading,
+monomials() and str build Fractions (a BiPoly's coefficients are Polys in
+the inner variable) on demand for callers; the arithmetic never reads them.
 
-The arithmetic runs on the integer tuples (von zur Gathen and Gerhard,
-Modern Computer Algebra, 6.2).  A product is one integer convolution,
-_int_mul, of the primitive parts, with the contents multiplied: by Gauss's
-lemma a product of primitive polynomials is primitive, so it needs no gcd.
-Euclidean division is the one integer pseudo-division, _int_prem: c*a =
-q*b + r gives a = (q/c)*b + r/c; power-series division, the other
-division kernel, is in gfdiag.series.  A sum brings the two contents to
-one denominator and divides out the gcd of the result.  Evaluation at p/q is
-integer Horner on the polynomial homogenized by q, with one Fraction at
-the end.
+The arithmetic is written once, in _Poly, and runs on the integer rows
+(von zur Gathen and Gerhard, Modern Computer Algebra, 6.2).  A product
+multiplies the contents and convolves the rows on _int_mul, the one
+integer convolution, with no gcd: by Gauss's lemma (in Z[x] and Z[x, y])
+a product of primitive polynomials is primitive.  A sum brings the two
+contents to one denominator and divides out the gcd of the result.
+Scaling and negation touch only the content.  Evaluation at p/q is
+integer Horner on the rows homogenized by q, with one Fraction at the
+end.  An operand in one variable meets one in two by _lift, the one place
+a univariate polynomial is laid out as the outer variable, one entry per
+row; the series kernel and the parser lift through it too.
 
-A BiPoly is the same form in two variables: a rational content times
-integer rows, rows[i][j] the coefficient of outer^i * inner^j.  Across all
-rows the entries have gcd 1, each row and the rows have no trailing zeros,
-and the last entry of the last row is positive; the content carries the
-sign.  coeffs, coeff(i) and leading build Polys in the inner variable on
-demand.  A product multiplies the contents and convolves the rows on
-_int_mul, with no gcd (Gauss's lemma in Z[x, y]); scaling and negation
-touch only the content.  Callers that compute on a BiPoly, the series
-kernel, the residue route and the parser, read its content and rows.
-
-The pseudo-division is also shared by poly_gcd's primitive remainder
-sequence and by the subresultant one, _int_resultant, that gives the
-residue route its resultants and inverses.
+What depends on the shape stays in each class: the constructors, the
+variable names, the coefficient views and, for a Poly, Euclidean
+division.  That is the one integer pseudo-division, _int_prem: c*a = q*b
++ r gives a = (q/c)*b + r/c; power-series division, the other division
+kernel, is in gfdiag.series.  The pseudo-division is also shared by
+poly_gcd's primitive remainder sequence and by the subresultant one,
+_int_resultant, that gives the residue route its resultants and inverses.
 
 Degrees in this toolkit stay small (below ~30) outside of powers, which is
 why the dense representation and the schoolbook algorithms are the right
@@ -89,14 +88,8 @@ def _power(one, base, n: int, mul=operator.mul):
     return out
 
 
-def _canonical(ints: Sequence[int], scale) -> tuple[Fraction, tuple[int, ...]]:
-    """(content, prim) of the polynomial scale * sum of ints[i] * var^i."""
-    content, rows = _canonical_rows((ints,), scale)
-    return content, rows[0] if rows else ()
-
-
 def _canonical_rows(rows: Sequence[Sequence[int]], scale) -> tuple[Fraction, tuple]:
-    """(content, rows) of the polynomial scale * sum of rows[i][j] * outer^i * inner^j."""
+    """(content, rows) of scale * sum of rows[i][j] * names[0]^i * names[-1]^j."""
     g = gcd_int(*(gcd_int(*row) for row in rows))
     if not (g and scale):
         return Fraction(0), ()
@@ -118,15 +111,6 @@ def _trimmed(content, rows: Sequence[Sequence[int]]) -> tuple[Fraction, tuple]:
     return content if isinstance(content, Fraction) else Fraction(content), tuple(out)
 
 
-def _sum(ca: Fraction, ra, cb: Fraction, rb) -> tuple[Fraction, tuple]:
-    """(content, rows) of ca * ra + cb * rb: the contents on one denominator, their gcd kept."""
-    (u, v), den = _cleared((ca, cb))
-    g = gcd_int(u, v)
-    u, v = u // g, v // g
-    return _canonical_rows([_int_add([u * a for a in x], [v * b for b in y])
-                            for x, y in zip_longest(ra, rb, fillvalue=())], Fraction(g, den))
-
-
 def _horner(ints: Sequence[int], p: int, q: int, n: int) -> int:
     """q^n times the value at p/q of sum ints[i] * var^i, whose degree is at most n."""
     acc, qk = 0, q ** (n + 1 - len(ints))
@@ -136,13 +120,30 @@ def _horner(ints: Sequence[int], p: int, q: int, n: int) -> int:
     return acc
 
 
+def _lift(p, outer: str) -> tuple:
+    """The rows of p, which has names and rows, with outer as the outer variable.
+
+    A polynomial in outer alone has its one row laid out one entry per row,
+    as the outer variable of two; any other keeps its rows.  This is the one
+    place a univariate polynomial changes layout.
+    """
+    if p.names == (outer,):
+        return tuple((v,) if v else () for row in p.rows for v in row)
+    return p.rows
+
+
+def _label(names: tuple[str, ...]) -> str:
+    return names[0] if len(names) == 1 else f"({','.join(names)})"
+
+
 class _Frozen:
-    """An immutable value whose fields are its __slots__, set once."""
+    """An immutable value whose fields, named by _fields, are set once."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def _fill(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields):
+        for name, value in zip(self._fields, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -150,51 +151,191 @@ class _Frozen:
 
     @classmethod
     def _make(cls, *fields):
-        """The value of fields already in canonical form, in __slots__ order."""
+        """The value of fields already in canonical form, in _fields order."""
         self = object.__new__(cls)
         self._fill(*fields)
         return self
 
 
-class Poly(_Frozen):
+class _Poly(_Frozen):
+    """content * sum of rows[i][j] * names[0]^i * names[-1]^j, in one or two names.
+
+    The arithmetic of Poly and BiPoly: a Poly has one name and at most one
+    row, a BiPoly two names.  An operand in one name meets one in two by
+    being lifted into the two (see _lift).
+    """
+
+    __slots__ = _fields = ("names", "content", "rows")
+
+    @classmethod
+    def zero(cls, *names: str):
+        return cls._make(names, Fraction(0), ())
+
+    @classmethod
+    def one(cls, *names: str):
+        return cls._make(names, Fraction(1), ((1,),))
+
+    @classmethod
+    def const(cls, *names_and_value):
+        """The constant polynomial: const(*names, value)."""
+        *names, value = names_and_value
+        value = as_fraction(value)
+        return cls._make(tuple(names), value, ((1,),) if value else ())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def monomials(self):
+        """Yield (i, j, coeff) for every nonzero term coeff * names[0]^i * names[-1]^j."""
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                if v:
+                    yield i, j, self.content * v
+
+    def _check_names(self, other: "_Poly") -> None:
+        if self.names != other.names:
+            raise ValueError(f"variable mismatch: {_label(self.names)} vs {_label(other.names)}")
+
+    def _coerce(self, other):
+        """other in self's names: a scalar as a constant, a polynomial in fewer names lifted.
+
+        NotImplemented when other is no polynomial or has more names, so that
+        Python asks other to lift self.
+        """
+        if isinstance(other, _Poly):
+            if other.names == self.names:
+                return other
+            if len(other.names) < len(self.names):
+                return BiPoly.embed(other, *self.names)
+            if len(other.names) == len(self.names):
+                self._check_names(other)
+        elif isinstance(other, (int, Fraction)):
+            return self.const(*self.names, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        if not (self.rows and other.rows):
+            return other if not self.rows else self
+        # The contents on one denominator, the gcd of their numerators kept out.
+        (u, v), den = _cleared((self.content, other.content))
+        g = gcd_int(u, v)
+        u, v = u // g, v // g
+        return self._make(self.names, *_canonical_rows(
+            [_int_add([u * a for a in x], [v * b for b in y])
+             for x, y in zip_longest(self.rows, other.rows, fillvalue=())], Fraction(g, den)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _Poly) else -as_fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._make(self.names, -self.content, self.rows)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        if not (self.rows and other.rows):
+            return self.zero(*self.names)
+        out: list = [[] for _ in range(len(self.rows) + len(other.rows) - 1)]
+        for i, a in enumerate(self.rows):
+            for j, b in enumerate(other.rows):
+                ab = _int_mul(a, b)
+                out[i + j] = _int_add(out[i + j], ab) if out[i + j] else ab
+        return self._make(self.names, *_trimmed(self.content * other.content, out))
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        c = as_fraction(c)
+        if c == 0:
+            return self.zero(*self.names)
+        return self._make(self.names, self.content * c, self.rows)
+
+    def __pow__(self, n: int):
+        return _power(self.one(*self.names), self, n)
+
+    def evaluate(self, *values) -> Fraction:
+        """The value with each name set to its value, in the order of names."""
+        if len(values) != len(self.names):
+            raise TypeError(f"expected {len(self.names)} values, got {len(values)}")
+        x, y = as_fraction(values[0]), as_fraction(values[-1])
+        if not self.rows:
+            return Fraction(0)
+        c, n, m = self.content, len(self.rows) - 1, max(map(len, self.rows)) - 1
+        acc = _horner([_horner(row, y.numerator, y.denominator, m) for row in self.rows],
+                      x.numerator, x.denominator, n)
+        return Fraction(c.numerator * acc,
+                        c.denominator * x.denominator ** n * y.denominator ** m)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.const(*self.names, other)
+        if not isinstance(other, _Poly):
+            return NotImplemented
+        return (self.names == other.names and self.content == other.content
+                and self.rows == other.rows)
+
+    def __hash__(self):
+        return hash((self.names, self.content, self.rows))
+
+    def __str__(self) -> str:
+        if not self.rows:
+            return "0"
+        outer, inner = self.names[0], self.names[-1]
+        parts: list[str] = []
+        for i, row in enumerate(self.rows):
+            head = "" if i == 0 else outer if i == 1 else f"{outer}^{i}"
+            for j, v in enumerate(row):
+                if v:
+                    tail = "" if j == 0 else inner if j == 1 else f"{inner}^{j}"
+                    mono = f"{head}*{tail}" if head and tail else head or tail
+                    parts.append(_format_coeff_term(self.content * v, mono, not parts))
+        return "".join(parts)
+
+
+class Poly(_Poly):
     """Univariate polynomial with exact rational coefficients: content * prim."""
 
-    __slots__ = ("var", "content", "prim")
+    __slots__ = ()
 
     def __init__(self, var: str, coeffs: Iterable = ()):
         ints, den = _cleared([c if isinstance(c, (int, Fraction)) else as_fraction(c)
                               for c in coeffs])
-        self._fill(var, *_canonical(ints, Fraction(1, den)))
+        self._fill((var,), *_canonical_rows((ints,), Fraction(1, den)))
 
     @classmethod
     def from_ints(cls, var: str, ints: Sequence[int], scale=1) -> "Poly":
         """The polynomial scale * sum of ints[i] * var^i, for a rational scale."""
-        return cls._make(var, *_canonical(ints, scale))
-
-    @classmethod
-    def zero(cls, var: str) -> "Poly":
-        return cls(var, ())
-
-    @classmethod
-    def one(cls, var: str) -> "Poly":
-        return cls(var, (1,))
-
-    @classmethod
-    def const(cls, var: str, value) -> "Poly":
-        return cls(var, (as_fraction(value),))
+        return cls._make((var,), *_canonical_rows((ints,), scale))
 
     @classmethod
     def monomial(cls, var: str, degree: int, coeff=1) -> "Poly":
         return cls(var, (0,) * degree + (as_fraction(coeff),))
 
     @property
+    def var(self) -> str:
+        return self.names[0]
+
+    @property
+    def prim(self) -> tuple[int, ...]:
+        """The primitive integer coefficients indexed by degree: the one row, or ()."""
+        return self.rows[0] if self.rows else ()
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients indexed by degree, as Fractions."""
         return tuple(self.content * v for v in self.prim)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.prim
 
     @property
     def degree(self) -> int:
@@ -203,64 +344,19 @@ class Poly(_Frozen):
 
     @property
     def leading(self) -> Fraction:
-        if not self.prim:
+        if not self.rows:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.prim[-1]
+        return self.content * self.rows[0][-1]
 
     def coeff(self, i: int) -> Fraction:
-        return self.content * self.prim[i] if 0 <= i < len(self.prim) else Fraction(0)
-
-    def _check_var(self, other: "Poly") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.var, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_var(other)
-        if not (self.prim and other.prim):
-            return other if not self.prim else self
-        content, rows = _sum(self.content, (self.prim,), other.content, (other.prim,))
-        return Poly._make(self.var, content, rows[0] if rows else ())
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -as_fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Poly._make(self.var, -self.content, self.prim)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_var(other)
-        return Poly._make(self.var, self.content * other.content,
-                          tuple(_int_mul(self.prim, other.prim)))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        c = as_fraction(c)
-        if c == 0:
-            return Poly.zero(self.var)
-        return Poly._make(self.var, self.content * c, self.prim)
-
-    def __pow__(self, n: int) -> "Poly":
-        return _power(Poly.one(self.var), self, n)
+        prim = self.prim
+        return self.content * prim[i] if 0 <= i < len(prim) else Fraction(0)
 
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Exact division with remainder: self = q*other + r, deg r < deg other."""
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        self._check_var(other)
+        self._check_names(other)
         if len(self.prim) < len(other.prim):
             return Poly.zero(self.var), self
         q, r, c = _int_prem(self.prim, other.prim)
@@ -270,45 +366,16 @@ class Poly(_Frozen):
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return Poly._make(self.var, Fraction(1, self.prim[-1]), self.prim)
-
-    def evaluate(self, value) -> Fraction:
-        value = as_fraction(value)
-        n, c = self.degree, self.content
-        if n < 0:
-            return Fraction(0)
-        acc = _horner(self.prim, value.numerator, value.denominator, n)
-        return Fraction(c.numerator * acc, c.denominator * value.denominator ** n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.var, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (self.var == other.var and self.content == other.content
-                and self.prim == other.prim)
-
-    def __hash__(self):
-        return hash((self.var, self.content, self.prim))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i, v in enumerate(self.prim):
-            if v:
-                mono = "" if i == 0 else self.var if i == 1 else f"{self.var}^{i}"
-                parts.append(_format_coeff_term(self.content * v, mono, not parts))
-        return "".join(parts)
+        return Poly._make(self.names, Fraction(1, self.rows[0][-1]), self.rows)
 
     def __repr__(self) -> str:
         return f"Poly({self.var!r}, {list(self.coeffs)!r})"
 
 
-class BiPoly(_Frozen):
+class BiPoly(_Poly):
     """Bivariate polynomial: content * sum of rows[i][j] * outer^i * inner^j."""
 
-    __slots__ = ("outer", "inner", "content", "rows")
+    __slots__ = ()
 
     def __init__(self, outer: str, inner: str, coeffs: Iterable = ()):
         """From the coefficients in the outer variable: Polys in inner, or scalars."""
@@ -319,35 +386,24 @@ class BiPoly(_Frozen):
             if p.var != inner:
                 raise ValueError(f"variable mismatch: coefficient in {p.var}, inner is {inner}")
         ints, den = _cleared([p.content for p in polys])
-        self._fill(outer, inner, *_canonical_rows(
+        self._fill((outer, inner), *_canonical_rows(
             [[k * v for v in p.prim] for p, k in zip(polys, ints)], Fraction(1, den)))
 
     @classmethod
     def from_ints(cls, outer: str, inner: str, rows: Sequence[Sequence[int]],
                   scale=1) -> "BiPoly":
         """The polynomial scale * sum of rows[i][j] * outer^i * inner^j, for a rational scale."""
-        return cls._make(outer, inner, *_canonical_rows(rows, scale))
+        return cls._make((outer, inner), *_canonical_rows(rows, scale))
 
     @classmethod
-    def zero(cls, outer: str, inner: str) -> "BiPoly":
-        return cls._make(outer, inner, Fraction(0), ())
-
-    @classmethod
-    def one(cls, outer: str, inner: str) -> "BiPoly":
-        return cls._make(outer, inner, Fraction(1), ((1,),))
-
-    @classmethod
-    def const(cls, outer: str, inner: str, value) -> "BiPoly":
-        return cls.from_ints(outer, inner, [[1]], as_fraction(value))
-
-    @classmethod
-    def embed(cls, p: Poly, outer: str, inner: str) -> "BiPoly":
-        """Lift a univariate polynomial whose variable is outer or inner."""
-        if p.var == inner:
-            return cls._make(outer, inner, p.content, (p.prim,) if p.prim else ())
-        if p.var == outer:
-            return cls._make(outer, inner, p.content, tuple((v,) if v else () for v in p.prim))
-        raise ValueError(f"variable mismatch: cannot embed {p.var} into ({outer}, {inner})")
+    def embed(cls, p: AnyPoly, outer: str, inner: str) -> "BiPoly":
+        """Lift a polynomial in outer or inner; one in (outer, inner) is returned as it is."""
+        if p.names == (outer, inner):
+            return p
+        if len(p.names) > 1 or p.names[0] not in (outer, inner):
+            raise ValueError(f"variable mismatch: cannot embed {_label(p.names)} "
+                             f"into ({outer}, {inner})")
+        return cls._make((outer, inner), p.content, _lift(p, outer))
 
     @classmethod
     def from_monomials(cls, outer: str, inner: str, terms: dict) -> "BiPoly":
@@ -361,8 +417,12 @@ class BiPoly(_Frozen):
         return cls(outer, inner, [Poly(inner, row) for row in rows])
 
     @property
-    def is_zero(self) -> bool:
-        return not self.rows
+    def outer(self) -> str:
+        return self.names[0]
+
+    @property
+    def inner(self) -> str:
+        return self.names[1]
 
     @property
     def degree(self) -> int:
@@ -390,102 +450,6 @@ class BiPoly(_Frozen):
             return Poly.zero(self.inner)
         return Poly.from_ints(self.inner, self.rows[i], self.content)
 
-    def monomials(self):
-        """Yield (outer_exp, inner_exp, coeff) for every nonzero term."""
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v:
-                    yield i, j, self.content * v
-
-    def _check_vars(self, other: "BiPoly") -> None:
-        if self.outer != other.outer or self.inner != other.inner:
-            raise ValueError(
-                f"variable mismatch: ({self.outer},{self.inner}) vs ({other.outer},{other.inner})"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(self.outer, self.inner, other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        self._check_vars(other)
-        if not (self.rows and other.rows):
-            return other if not self.rows else self
-        return BiPoly._make(self.outer, self.inner,
-                            *_sum(self.content, self.rows, other.content, other.rows))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BiPoly._make(self.outer, self.inner, -self.content, self.rows)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Poly):
-            other = BiPoly.embed(other, self.outer, self.inner)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        self._check_vars(other)
-        if not (self.rows and other.rows):
-            return BiPoly.zero(self.outer, self.inner)
-        out: list[list[int]] = [[] for _ in range(len(self.rows) + len(other.rows) - 1)]
-        for i, a in enumerate(self.rows):
-            for j, b in enumerate(other.rows):
-                out[i + j] = _int_add(out[i + j], _int_mul(a, b))
-        return BiPoly._make(self.outer, self.inner,
-                            *_trimmed(self.content * other.content, out))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "BiPoly":
-        c = as_fraction(c)
-        if c == 0:
-            return BiPoly.zero(self.outer, self.inner)
-        return BiPoly._make(self.outer, self.inner, self.content * c, self.rows)
-
-    def __pow__(self, n: int) -> "BiPoly":
-        return _power(BiPoly.one(self.outer, self.inner), self, n)
-
-    def evaluate(self, outer_value, inner_value) -> Fraction:
-        x, y = as_fraction(outer_value), as_fraction(inner_value)
-        if self.is_zero:
-            return Fraction(0)
-        c, n, m = self.content, self.degree, self.inner_degree
-        acc = _horner([_horner(row, y.numerator, y.denominator, m) for row in self.rows],
-                      x.numerator, x.denominator, n)
-        return Fraction(c.numerator * acc,
-                        c.denominator * x.denominator ** n * y.denominator ** m)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return (self.outer == other.outer and self.inner == other.inner
-                and self.content == other.content and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.outer, self.inner, self.content, self.rows))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i, j, c in self.monomials():
-            factors = []
-            if i == 1:
-                factors.append(self.outer)
-            elif i > 1:
-                factors.append(f"{self.outer}^{i}")
-            if j == 1:
-                factors.append(self.inner)
-            elif j > 1:
-                factors.append(f"{self.inner}^{j}")
-            parts.append(_format_coeff_term(c, "*".join(factors), not parts))
-        return "".join(parts)
-
     def __repr__(self) -> str:
         return f"BiPoly({self.outer!r}, {self.inner!r}, {[repr(c) for c in self.coeffs]})"
 
@@ -501,28 +465,17 @@ def unify(*values) -> tuple:
     listed earlier in VARIABLES.  Scalars become constants of the shape;
     values with no polynomial among them are returned as they are.
     """
-    pair = next(((v.outer, v.inner) for v in values if isinstance(v, BiPoly)), None)
-    if pair is None:
-        names = list(dict.fromkeys(v.var for v in values if isinstance(v, Poly)))
-        if not names:
-            return values
-        if len(names) == 1:
-            return tuple(v if isinstance(v, Poly) else Poly.const(names[0], v) for v in values)
-        pair = sorted(names[:2], key=lambda v: VARIABLES.index(v) if v in VARIABLES
-                      else len(VARIABLES))
-    outer, inner = pair
-    out = []
-    for v in values:
-        if isinstance(v, BiPoly):
-            if (v.outer, v.inner) != (outer, inner):
-                raise ValueError(
-                    f"variable mismatch: ({outer},{inner}) vs ({v.outer},{v.inner})")
-            out.append(v)
-        elif isinstance(v, Poly):
-            out.append(BiPoly.embed(v, outer, inner))
-        else:
-            out.append(BiPoly.const(outer, inner, v))
-    return tuple(out)
+    shapes = [v.names for v in values if isinstance(v, _Poly)]
+    if not shapes:
+        return values
+    names = next((s for s in shapes if len(s) == 2), None)
+    if names is None:
+        names = tuple(sorted(list(dict.fromkeys(s[0] for s in shapes))[:2],
+                             key=lambda v: VARIABLES.index(v) if v in VARIABLES
+                             else len(VARIABLES)))
+    shape = (Poly if len(names) == 1 else BiPoly).zero(*names)
+    return tuple(shape._coerce(v) if isinstance(v, _Poly) else shape.const(*names, v)
+                 for v in values)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -531,11 +484,13 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int_add(a: list[int], b: list[int]) -> list[int]:
-    """Sum of integer coefficient lists (ascending)."""
+def _int_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of integer coefficient lists or tuples (ascending), as a list."""
     if len(a) < len(b):
         a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b):]
+    return out
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -626,7 +581,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     if not (a.is_zero or b.is_zero):
-        a._check_var(b)
+        a._check_names(b)
     var = a.var if not a.is_zero else b.var
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()

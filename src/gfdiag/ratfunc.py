@@ -11,13 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import AnyPoly, BiPoly, Poly, _Frozen, as_fraction, poly_gcd, unify
+from .poly import AnyPoly, Poly, _Frozen, as_fraction, poly_gcd, unify
 
 
 def _constant_of(p: AnyPoly) -> Fraction | None:
     """The scalar value of a degree-0 polynomial, else None."""
-    if isinstance(p, Poly):
-        return p.content if p.degree == 0 else None
     return p.content if len(p.rows) == 1 and len(p.rows[0]) == 1 else None
 
 
@@ -37,7 +35,7 @@ def _merge_factors(factors: Iterable) -> tuple:
 class RatFunc(_Frozen):
     """Factored rational function over the rationals (1 or 2 variables)."""
 
-    __slots__ = ("constant", "numer", "denom")
+    __slots__ = _fields = ("constant", "numer", "denom")
 
     def __init__(self, constant, numer: Iterable = (), denom: Iterable = ()):
         """Check, lift and merge the factors.
@@ -112,9 +110,7 @@ class RatFunc(_Frozen):
     @property
     def variables(self) -> tuple[str, ...]:
         for p, _ in self.numer + self.denom:
-            if isinstance(p, BiPoly):
-                return (p.outer, p.inner)
-            return (p.var,)
+            return p.names
         return ()
 
     @property
@@ -197,7 +193,7 @@ class RatFunc(_Frozen):
         nonzero, and to monic otherwise.
         """
         num, den = self.expand_to_single_fraction()
-        if isinstance(num, BiPoly) or isinstance(den, BiPoly):
+        if len(num.names) > 1:
             raise ValueError("reduced_fraction requires a univariate function")
         if num.is_zero:
             return Poly.zero(den.var), Poly.one(den.var)
@@ -253,9 +249,7 @@ class RatFunc(_Frozen):
             return Fraction(0)
 
         def ev(p: AnyPoly) -> Fraction:
-            if isinstance(p, BiPoly):
-                return p.evaluate(point[p.outer], point[p.inner])
-            return p.evaluate(point[p.var])
+            return p.evaluate(*(point[v] for v in p.names))
 
         acc = self.constant
         for p, m in self.numer:
@@ -272,8 +266,8 @@ class RatFunc(_Frozen):
     @staticmethod
     def _display_factor(p: AnyPoly) -> tuple[AnyPoly, bool]:
         # Print factors with a positive constant term when possible.
-        c0 = p.coeff(0).coeff(0) if isinstance(p, BiPoly) else p.coeff(0)
-        if c0 < 0:
+        row = p.rows[0]
+        if row and row[0] * p.content < 0:
             return -p, True
         return p, False
 
@@ -333,7 +327,7 @@ def compose_rational(f: RatFunc, s_numer: AnyPoly, s_denom: AnyPoly) -> RatFunc:
         return RatFunc.zero()
 
     def transform(p: AnyPoly) -> AnyPoly:
-        if isinstance(p, BiPoly):
+        if len(p.names) > 1:
             raise ValueError("compose_rational requires a univariate function")
         d = p.degree
         # sum_i  p_i * s_numer^i * s_denom^(d-i)

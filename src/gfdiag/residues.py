@@ -109,20 +109,17 @@ def hk_transform(f: RatFunc) -> HKTransform:
     else:
         outer, inner = "x", "y"
 
-    def lift(p):
-        return p if isinstance(p, BiPoly) else BiPoly.embed(p, outer, inner)
-
     numer = BiPoly.const("t", "z", f.constant)
     num_cleared = 0
     for p, m in f.numer:
-        q, k = _substitute_factor(lift(p))
+        q, k = _substitute_factor(BiPoly.embed(p, outer, inner))
         numer = numer * (q ** m)
         num_cleared += k * m
     denom: list[tuple[BiPoly, int]] = []
     cleared: list[int] = []
     den_cleared = 0
     for p, m in f.denom:
-        q, k = _substitute_factor(lift(p))
+        q, k = _substitute_factor(BiPoly.embed(p, outer, inner))
         denom.append((q, m))
         cleared.append(k)
         den_cleared += k * m

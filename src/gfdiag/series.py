@@ -43,7 +43,7 @@ from functools import partial
 from operator import mul
 from typing import Iterator, Sequence
 
-from .poly import AnyPoly, Poly, _cleared, _int_add, _int_mul, _power, as_fraction
+from .poly import AnyPoly, Poly, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
 from .ratfunc import RatFunc
 
 
@@ -145,17 +145,6 @@ def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
 _Box = list[list[int]]
 
 
-def _int_rows(p: AnyPoly, inner: bool) -> tuple[Fraction, _Box]:
-    """(s, rows) with p = s * sum of rows[i][j] * outer^i * inner^j.
-
-    The integer entries have gcd 1, and a zero row is empty.  A Poly's
-    variable is the inner one if inner, else the outer one.
-    """
-    if isinstance(p, Poly):
-        return p.content, [p.prim] if inner else [(v,) if v else () for v in p.prim]
-    return p.content, p.rows
-
-
 def _box_mul(a: _Box, b: _Box, nx: int, ny: int) -> _Box:
     """The product of two boxes of integer rows, truncated to nx x ny."""
     out: _Box = [[] for _ in range(min(nx, len(a) + len(b) - 1))]
@@ -228,7 +217,7 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     scale, si, sj, stripped = constant, 0, 0, {1: [], -1: []}
     for sign, factors in ((1, numer), (-1, denom)):
         for p, m in factors:
-            s, rows = _int_rows(p, inner)
+            s, rows = p.content, p.rows if inner else _lift(p, p.names[0])
             a = next(i for i, row in enumerate(rows) if row)
             b = min(next(j for j, v in enumerate(row) if v) for row in rows if row)
             rows = [row[b:] for row in rows[a:]]

@@ -13,17 +13,18 @@ rationals are written p/q, which the grammar handles as ordinary division.
 A factor whose power, after '^', '*' or '/', is above MAX_EXPONENT is a
 ParseError, and so is a power of a scalar (or of a function's constant
 factor) whose bits would pass MAX_SCALAR_BITS, and an integer literal
-longer than MAX_LITERAL_DIGITS.  Printing (Poly.__str__ and
-BiPoly.__str__) emits terms like "1 - 2*z - 4*z^2" that parse back to the
-same polynomial.
+longer than MAX_LITERAL_DIGITS.  Printing (str of a Poly or a BiPoly,
+one method in gfdiag.poly) emits terms like "1 - 2*z - 4*z^2" that parse
+back to the same polynomial.
 
 Products and quotients stay factored: a term is a RatFunc whose factors
 are the parenthesized sums it multiplies, or, while it is a scalar times
 powers of variables, a _Mono that holds the factor list such a RatFunc
 would hold without building it.  A sum is accumulated once: each term is
 expanded (a factor's power by poly's repeated squaring on _int_mul) and
-added into integer rows over one common denominator, and one Poly or
-BiPoly is built at the end.  Only a sum that has a denominator adds through
+added into integer rows over one common denominator, laid out as a
+polynomial's rows, so that poly's _lift moves a term, or the sum, in one
+variable into two; one Poly or BiPoly is built at the end.  Only a sum that has a denominator adds through
 RatFunc.add.  The result equals folding the terms left to right through
 RatFunc.add, down to the factor order and the variable pair.
 """
@@ -34,7 +35,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .poly import BiPoly, Poly, VARIABLES, _int_add
+from .poly import BiPoly, Poly, VARIABLES, _int_add, _lift
 from .ratfunc import RatFunc, _merge_factors
 
 
@@ -205,9 +206,9 @@ class _Sum:
         self.scalar = isinstance(first, Fraction)   # every term a Fraction
         self.held = first       # the sum as a term, or None while it is expanded
         # The expanded sum: rows[i][j] / den is its coefficient of
-        # names[0]^i * names[1]^j, or of names[0]^j with one variable.
+        # names[0]^i * names[-1]^j, laid out as a polynomial's rows.
         self.names: tuple[str, ...] = ()
-        self.rows: list[list[int]] = []
+        self.rows: list = []
         self.den = 1
 
     def add(self, b) -> None:
@@ -228,9 +229,9 @@ class _Sum:
             if a is not None:
                 self.names, self.rows, self.den, self.held = names, [], 1, None
                 self._put(a)
-            elif len(names) > len(self.names) and names[0] == self.names[0]:
-                # The one variable becomes the outer one.
-                self.rows = [[c] if c else [] for c in self.rows[0]]
+            elif len(names) > len(self.names):
+                # A second variable: the first may become the outer one.
+                self.rows = list(_lift(self, names[0]))
             self.names = names
             self._put(b)
             if not self.rows:
@@ -257,12 +258,8 @@ class _Sum:
             v = v._expand_pair()[0]
         if isinstance(v, Fraction):
             self._add_rows(v, [[1]])
-        elif isinstance(v, BiPoly):
-            self._add_rows(v.content, v.rows)
-        elif v.var == outer:
-            self._add_rows(v.content, [[c] for c in v.prim])
         else:
-            self._add_rows(v.content, [list(v.prim)])
+            self._add_rows(v.content, _lift(v, outer))
 
     def _add_rows(self, scale: Fraction, rows) -> None:
         """Add scale * rows[i][j] at each [i][j], trimming zeros at the ends."""
@@ -414,7 +411,7 @@ def parse_poly(text: str, var: str | None = None) -> Poly:
     """Parse a univariate polynomial; optionally enforce its variable."""
     f = parse_ratfunc(text)
     num, den = f.expand_to_single_fraction(default_var=var or "z")
-    if isinstance(num, BiPoly):
+    if len(num.names) > 1:
         raise ParseError("expected a univariate polynomial")
     if den.degree > 0:
         raise ParseError("expected a polynomial, found a denominator")

@@ -327,6 +327,14 @@ def test_guess_gf_zero_evidence():
     assert data["note"] == "no recurrence of order <= 1 fits"
 
 
+def test_guess_gf_all_zero_terms_print_the_zero_recurrence(capsys):
+    assert cli.main(["guess-gf", "--terms", "0,0,0,0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "order 0 recurrence: a(n) = 0"
+    assert cli.main(["guess-gf", "--terms", "0,0,0,0", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["order"], data["coeffs"], data["numerator"]) == (0, [], "0")
+
+
 # -- catalog ---------------------------------------------------------------------
 
 def test_catalog_lists_ids():
@@ -351,6 +359,16 @@ def test_verify_single_claim():
     res = run_cli("verify", "--claim", "fib.closed_form", "--n", "100")
     assert res.returncode == 0
     assert "PASS" in res.stdout
+
+
+@pytest.mark.parametrize("selector", [
+    ("--claim", "fib.closed_form"), ("--claim", "trib.U_gf_identity"),
+    ("--claim", "trib.diag.printed"), ("--claim", "fib.H.printed"),
+    ("--claim", "trib.arbitrary_init"), ("--all",)])
+def test_verify_rejects_negative_n(selector, capsys):
+    assert cli.main(["verify", *selector, "--n=-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: n must be >= 0\n"
 
 
 def test_verify_unknown_claim_exits_2():

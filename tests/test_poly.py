@@ -6,14 +6,17 @@ tuples.  Inputs include zero coefficients, negative leading coefficients,
 rationals with distinct denominators, zero polynomials and constants, so
 that a lost sign, a lost power of a leading coefficient or a lost
 denominator shows.  Each result must also be in the canonical form: a
-primitive integer part with positive leading entry, the sign in the content;
-for a BiPoly, one content over integer rows with gcd 1, no trailing zeros
-and a positive last entry.
+primitive integer part with positive leading entry, the sign in the content,
+held as the one row of the shared (names, content, rows) form; for a
+BiPoly, one content over integer rows with gcd 1, no trailing zeros and a
+positive last entry.  Lifting a Poly into two variables must commute with
+the arithmetic, which both classes share.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gfdiag import BiPoly, Poly
@@ -68,6 +71,8 @@ def _assert_canonical(p):
         for row in p.coeffs:
             _assert_canonical(row)
         return
+    # One name and the one row prim, as the shared (names, content, rows) form.
+    assert p.names == (p.var,) and p.rows == ((p.prim,) if p.prim else ())
     if p.is_zero:
         assert (p.content, p.prim) == (0, ())
     else:
@@ -156,6 +161,45 @@ def test_bipoly_times_embedded_poly_matches_reference(a, b, var):
     (f, rf), (p, rp) = a, _pair(b[1].coeffs, var)
     _same(BiPoly.embed(p, "x", "y"), RefBiPoly.embed(rp, "x", "y"))
     _same(f * p, rf * rp)
+
+
+@_settings
+@given(a=_coeff_lists, b=_coeff_lists, c=_rational, n=st.integers(0, 3),
+       var=st.sampled_from(("x", "y")))
+def test_embed_commutes_with_arithmetic(a, b, c, n, var):
+    p, q = Poly(var, a), Poly(var, b)
+
+    def lift(f):
+        return BiPoly.embed(f, "x", "y")
+
+    for got, want in [(lift(p + q), lift(p) + lift(q)), (lift(p - q), lift(p) - lift(q)),
+                      (lift(p * q), lift(p) * lift(q)), (lift(p ** n), lift(p) ** n),
+                      (lift(p.scale(c)), lift(p).scale(c)), (lift(-p), -lift(p))]:
+        _assert_canonical(got)
+        _assert_canonical(want)
+        assert got == want
+    assert str(lift(p)) == str(p)
+
+
+@_settings
+@given(a=_bipolys, b=_polys, var=st.sampled_from(("x", "y")))
+def test_bipoly_plus_poly_lifts_the_poly(a, b, var):
+    # A Poly in one of a BiPoly's variables is lifted for + and -, as for *.
+    f, p = a[0], Poly(var, b[0].coeffs)
+    lifted = BiPoly.embed(p, "x", "y")
+    for got, want in [(f + p, f + lifted), (p + f, lifted + f),
+                      (f - p, f - lifted), (p - f, lifted - f), (p * f, lifted * f)]:
+        assert type(got) is BiPoly and got == want
+
+
+def test_bipoly_plus_poly_in_another_variable_raises():
+    f = BiPoly("x", "y", [1, Poly("y", [0, 1])])
+    with pytest.raises(ValueError, match="cannot embed z into"):
+        f + Poly("z", [1, 1])
+    with pytest.raises(ValueError, match=r"variable mismatch: \(x,y\) vs \(y,x\)"):
+        f + BiPoly("y", "x", [1, Poly("x", [0, 1])])
+    with pytest.raises(ValueError, match="variable mismatch: y vs z"):
+        Poly("y", [1]) + Poly("z", [0, 1])
 
 
 @_settings
