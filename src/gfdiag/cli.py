@@ -4,6 +4,12 @@ Exit codes: 0 success (including expected claim outcomes), 2 usage or
 parse error, 3 domain error (pole at the origin), 4 residue-method
 assumption violated.  JSON output carries exact values as decimal
 strings and contains no floating-point numbers.
+
+Every command takes one path through main: the arguments are parsed by
+one parser per process, the command runs inside the one block that lifts
+Python's limit on int digits, and its output goes through _emit.  Inside
+that block an input literal is bounded by its parser's own length check,
+textform's for a rational function and _parse_fraction_list's for a list.
 """
 
 from __future__ import annotations
@@ -15,14 +21,18 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
+from typing import Callable, Iterable
 
 from .claims import claim_ids, run_all, run_claim
 from .gfbuild import catalog_entry, catalog_ids, printed_gf
+from .ratfunc import identity_equal
 from .recurrences import convolution_terms, find_min_recurrence
 from .residues import DegeneratePoleError, diagonal_rational
 from .series import (
     PoleAtOriginError,
     SequenceSpec,
+    diagonal_series,
     gf_of_sequence,
     series_of_rational,
 )
@@ -49,8 +59,10 @@ def _output_digits():
     """Lift Python's limit on the digits of an int printed in decimal.
 
     Exact results, such as the 5720-digit 2^19000, may exceed the default
-    limit of 4300 digits.  Commands format their output inside this block
-    and parse their input outside it, so an input literal above the limit
+    limit of 4300 digits.  main enters this block once, around the command
+    and after argparse has read --n and --k, so the command computes and
+    prints without the limit.  The parsers check the length of each input
+    literal themselves (textform.MAX_LITERAL_DIGITS), so a literal above it
     stays an error.  Python versions without the limit have nothing to lift.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -64,20 +76,40 @@ def _output_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _emit_json(command: str, payload: dict, status: int = 0) -> None:
-    envelope = {"command": command, "status": status}
-    envelope.update(payload)
-    print(json.dumps(envelope, indent=2))
+def _emit(args, command: str, payload: Callable[[], dict], parts: Iterable[str],
+          sep: str = "\n", status: int = EXIT_OK) -> int:
+    """Print the command's JSON envelope or its text, and return its exit status.
+
+    Only the form asked for is built: payload() is called for --json only,
+    and the text is printed from its parts, never joined into one string.
+    """
+    if args.json:
+        print(json.dumps({"command": command, "status": status, **payload()}, indent=2))
+    else:
+        print(*parts, sep=sep)
+    return status
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:
+    """The comma-separated integers, p/q and decimals in text.
+
+    Each numerator and denominator has at most MAX_LITERAL_DIGITS digits,
+    counted in full ('_' separators and a decimal point aside), and no entry
+    has an exponent: Fraction would expand 1e2000000 to two million digits.
+    """
     shown = text if len(text) <= 60 else f"{text[:40]}...({len(text)} characters)"
-    digits = max(map(len, re.findall(r"\d+", text)), default=0)
-    if digits > MAX_LITERAL_DIGITS:
-        raise ParseError(f"malformed rational list {shown!r}: an integer of {digits} digits "
-                         f"exceeds the limit of {MAX_LITERAL_DIGITS} digits")
+    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    for part in parts:
+        if re.search(r"[eE][-+]?\d", part):
+            raise ParseError(f"malformed rational list {shown!r}: an exponent is not accepted; "
+                             "write each numerator and denominator out, up to the limit "
+                             f"of {MAX_LITERAL_DIGITS} digits")
+        digits = max(len(re.sub(r"\D", "", side)) for side in part.split("/"))
+        if digits > MAX_LITERAL_DIGITS:
+            raise ParseError(f"malformed rational list {shown!r}: an integer of {digits} digits "
+                             f"exceeds the limit of {MAX_LITERAL_DIGITS} digits")
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+        return [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational list {shown!r}: {exc}")
 
@@ -95,14 +127,9 @@ def cmd_expand(args) -> int:
     f = parse_ratfunc(args.gf)
     if not f.is_univariate:
         raise ParseError("expand requires a univariate rational function")
-    series = series_of_rational(f, args.n)
-    with _output_digits():
-        values = [str(c) for c in series]
-    if args.json:
-        _emit_json("expand", {"input": args.gf, "n": args.n, "coefficients": values})
-    else:
-        print(" ".join(values))
-    return EXIT_OK
+    values = [str(c) for c in series_of_rational(f, args.n)]
+    return _emit(args, "expand", lambda: {"input": args.gf, "n": args.n, "coefficients": values},
+                 values, sep=" ")
 
 
 def cmd_convolve(args) -> int:
@@ -115,15 +142,10 @@ def cmd_convolve(args) -> int:
     if len(coeffs) != args.k:
         raise ParseError(f"--coeffs must supply exactly k={args.k} values, got {len(coeffs)}")
     spec = SequenceSpec(args.k, tuple(coeffs), tuple(init))
-    conv = convolution_terms(spec, spec, args.n)
-    with _output_digits():
-        values = [str(c) for c in conv]
-    if args.json:
-        _emit_json("convolve", {"k": args.k, "init": [str(c) for c in init],
-                                "n": args.n, "convolution": values})
-    else:
-        print(" ".join(values))
-    return EXIT_OK
+    values = [str(c) for c in convolution_terms(spec, spec, args.n)]
+    return _emit(args, "convolve", lambda: {"k": args.k, "init": [str(c) for c in init],
+                                            "n": args.n, "convolution": values},
+                 values, sep=" ")
 
 
 def _diagonal_input(args):
@@ -139,21 +161,14 @@ def _diagonal_input(args):
 
 def cmd_diagonal(args) -> int:
     label, f = _diagonal_input(args)
-    return _diagonal_report(args, label, f)
-
-
-@_output_digits()
-def _diagonal_report(args, label, f) -> int:
     payload: dict = {"input": label, "method": args.method, "n": args.n}
     lines = []
-    residue_gf = None
     series_gf = None
     status = EXIT_OK
 
     if args.method in ("residue", "both"):
-        result, report = diagonal_rational(f, check_terms=args.n)
-        residue_gf = result
-        payload["residue"] = dict(_reduced_text(result), crosscheck=report.to_json_dict())
+        residue_gf, report = diagonal_rational(f, check_terms=args.n)
+        payload["residue"] = dict(_reduced_text(residue_gf), crosscheck=report.to_json_dict())
         lines.append(f"residue method: {payload['residue']['gf']}")
         for pole in report.poles:
             tag = "kept" if pole.kept else "discarded"
@@ -164,9 +179,7 @@ def _diagonal_report(args, label, f) -> int:
             status = EXIT_METHOD
 
     if args.method in ("series", "both"):
-        from .series import diagonal_series
-        diag = diagonal_series(f, args.n)
-        rec = find_min_recurrence(diag)
+        rec = find_min_recurrence(diagonal_series(f, args.n))
         if rec is None:
             payload["series"] = {"recurrence_order": None,
                                  "note": f"no recurrence of order <= {(args.n - 1) // 2} "
@@ -183,68 +196,46 @@ def _diagonal_report(args, label, f) -> int:
                          f"(confidence {confidence}), {payload['series']['gf']}")
 
     if args.method == "both":
-        from .ratfunc import identity_equal
-        both_ok = (residue_gf is not None and series_gf is not None
-                   and identity_equal(residue_gf, series_gf))
-        payload["match"] = bool(both_ok)
+        both_ok = series_gf is not None and identity_equal(residue_gf, series_gf)
+        payload["match"] = both_ok
         lines.append(f"cross-check (residue vs series): {'pass' if both_ok else 'FAIL'}")
         if not both_ok and status == EXIT_OK:
             status = EXIT_METHOD
 
-    if args.json:
-        _emit_json("diagonal", payload, status)
-    else:
-        print("\n".join(lines))
-    return status
+    return _emit(args, "diagonal", lambda: payload, lines, status=status)
 
 
 def cmd_guess_gf(args) -> int:
     terms = _parse_fraction_list(args.terms)
     if len(terms) < 4:
         raise ParseError("need at least 4 terms")
-    return _guess_report(args, terms)
-
-
-@_output_digits()
-def _guess_report(args, terms) -> int:
     rec = find_min_recurrence(terms)
     if rec is None:
-        if args.json:
-            _emit_json("guess-gf", {"terms": [str(t) for t in terms], "order": None,
-                                    "note": f"no recurrence of order <= {(len(terms) - 1) // 2} "
-                                            "fits"})
-        else:
-            print(f"no recurrence of order <= {(len(terms) - 1) // 2} fits the supplied terms")
-        return EXIT_OK
-    gf = gf_of_sequence(rec)
+        bound = (len(terms) - 1) // 2
+        return _emit(args, "guess-gf",
+                     lambda: {"terms": [str(t) for t in terms], "order": None,
+                              "note": f"no recurrence of order <= {bound} fits"},
+                     [f"no recurrence of order <= {bound} fits the supplied terms"])
+    gf = _reduced_text(gf_of_sequence(rec))
     confidence = len(terms) - 2 * rec.order
-    if args.json:
-        _emit_json("guess-gf", dict(_reduced_text(gf),
-                                    order=rec.order,
-                                    coeffs=[str(c) for c in rec.coeffs],
-                                    initial=[str(c) for c in rec.initial],
-                                    confidence=confidence))
-    else:
-        print(f"order {rec.order} recurrence: a(n) = "
-              + (" + ".join(f"({c})*a(n-{i})" for i, c in enumerate(rec.coeffs, 1)) or "0"))
-        print(f"confidence (terms - 2*order): {confidence}")
-        num, den = gf.reduced_fraction()
-        print(f"gf: ({num}) / ({den})")
-    return EXIT_OK
+    recurrence = " + ".join(f"({c})*a(n-{i})" for i, c in enumerate(rec.coeffs, 1)) or "0"
+    return _emit(args, "guess-gf",
+                 lambda: dict(gf, order=rec.order, coeffs=[str(c) for c in rec.coeffs],
+                              initial=[str(c) for c in rec.initial], confidence=confidence),
+                 [f"order {rec.order} recurrence: a(n) = {recurrence}",
+                  f"confidence (terms - 2*order): {confidence}", f"gf: {gf['gf']}"])
 
 
 def cmd_catalog(args) -> int:
     entries = [catalog_entry(i) for i in catalog_ids()]
-    if args.json:
-        _emit_json("catalog", {"entries": [
-            {"id": e.id, "kind": e.kind, "provenance": e.provenance,
-             "description": e.description,
-             "gf": str(e.build()) if e.build else None}
-            for e in entries]})
-    else:
-        for e in entries:
-            print(f"{e.id:28s} {e.kind:13s} {e.provenance:8s} {e.description}")
-    return EXIT_OK
+    return _emit(args, "catalog",
+                 lambda: {"entries": [
+                     {"id": e.id, "kind": e.kind, "provenance": e.provenance,
+                      "description": e.description,
+                      "gf": str(printed_gf(e.id)) if e.build else None}
+                     for e in entries]},
+                 (f"{e.id:28s} {e.kind:13s} {e.provenance:8s} {e.description}"
+                  for e in entries))
 
 
 def cmd_verify(args) -> int:
@@ -252,30 +243,23 @@ def cmd_verify(args) -> int:
         raise ParseError("verify needs --all or --claim ID")
     if args.n < 0:
         raise ParseError("n must be >= 0")
-    if args.claim:
-        reports = [run_claim(args.claim, args.n)]
-    else:
-        reports = run_all(args.n)
+    reports = [run_claim(args.claim, args.n)] if args.claim else run_all(args.n)
     all_matched = all(r.matched_expected for r in reports)
-    if args.json:
-        _emit_json("verify", {"n": args.n,
-                              "all_matched_expected": all_matched,
-                              "reports": [r.to_json_dict() for r in reports]},
-                   0 if all_matched else 1)
-    else:
-        for r in reports:
-            mark = "PASS" if r.status == "pass" else "FAIL"
-            expect = "" if r.matched_expected else "  [UNEXPECTED]"
-            print(f"{mark}  {r.id:22s} expected={r.expected_status:6s} "
-                  f"{r.runtime_ms:5d}ms{expect}")
-            if r.first_mismatch is not None:
-                print(f"      first mismatch at {r.first_mismatch}: "
-                      f"{r.lhs} vs {r.rhs}")
-            if r.note:
-                print(f"      note: {r.note}")
-        print("claims matching their expected status: "
-              f"{sum(r.matched_expected for r in reports)}/{len(reports)}")
-    return EXIT_OK if all_matched else 1
+    lines = []
+    for r in reports:
+        mark = "PASS" if r.status == "pass" else "FAIL"
+        expect = "" if r.matched_expected else "  [UNEXPECTED]"
+        lines.append(f"{mark}  {r.id:22s} expected={r.expected_status:6s} "
+                     f"{r.runtime_ms:5d}ms{expect}")
+        if r.first_mismatch is not None:
+            lines.append(f"      first mismatch at {r.first_mismatch}: {r.lhs} vs {r.rhs}")
+        if r.note:
+            lines.append(f"      note: {r.note}")
+    lines.append("claims matching their expected status: "
+                 f"{sum(r.matched_expected for r in reports)}/{len(reports)}")
+    return _emit(args, "verify", lambda: {"n": args.n, "all_matched_expected": all_matched,
+                                          "reports": [r.to_json_dict() for r in reports]},
+                 lines, status=EXIT_OK if all_matched else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generating-function diagonals for binomial convolutions "
                     "of k-step Fibonacci sequences")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    default_n = _default_n()
 
     p = sub.add_parser("expand", help="print Taylor coefficients of a rational function")
     p.add_argument("gf", help="univariate rational function, e.g. '1/(1-2*z+2*z^3)'")
-    p.add_argument("--n", type=int, default=default_n)
+    p.add_argument("--n", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_expand)
 
@@ -300,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="recurrence order")
     p.add_argument("--init", required=True, help="comma-separated initial terms")
     p.add_argument("--coeffs", help="comma-separated recurrence coefficients (default all 1)")
-    p.add_argument("--n", type=int, default=default_n)
+    p.add_argument("--n", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_convolve)
 
@@ -309,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--catalog", help="catalog id of a bivariate GF (see 'catalog')")
     src.add_argument("--gf-text", help="bivariate rational function text")
     p.add_argument("--method", choices=("series", "residue", "both"), default="both")
-    p.add_argument("--n", type=int, default=default_n,
+    p.add_argument("--n", type=int,
                    help="series terms for detection and cross-checks")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diagonal)
@@ -326,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the transcribed-identity claims")
     p.add_argument("--all", action="store_true")
     p.add_argument("--claim", help=f"one of: {', '.join(claim_ids())}")
-    p.add_argument("--n", type=int, default=default_n)
+    p.add_argument("--n", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -352,15 +335,23 @@ def _join_option_values(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process; main reuses it on every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        # The parser gives --n no default: GFDIAG_N is read here on every call,
+        # so the cached parser does not freeze it, and a bad value exits 2.
+        default_n = _default_n()
+        args = _parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
+        if "n" in vars(args) and args.n is None:
+            args.n = default_n
+        with _output_digits():
+            return args.func(args)
+    except ValueError as exc:  # a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PoleAtOriginError as exc:

@@ -16,7 +16,7 @@ reports the difference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .poly import BiPoly, Poly
@@ -161,4 +161,10 @@ def printed_gf(catalog_id: str) -> RatFunc:
     entry = catalog_entry(catalog_id)
     if entry.build is None:
         raise ValueError(f"catalog entry {catalog_id} is a formula, not a rational function")
+    return _built(entry)
+
+
+@cache
+def _built(entry: CatalogEntry) -> RatFunc:
+    """entry.build(), once per process: a RatFunc is immutable."""
     return entry.build()

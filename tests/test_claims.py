@@ -1,11 +1,13 @@
 """The verification suite: expected outcomes, witnesses, determinism."""
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from gfdiag import claim_ids, get_claim, run_all, run_claim
-from gfdiag import parse_ratfunc, printed_gf
+from gfdiag import gfbuild, parse_ratfunc, printed_gf
 
 
 EXPECTED = {
@@ -102,6 +104,22 @@ def test_run_all_is_deterministic():
     b = [_strip_runtime(r) for r in run_all(40)]
     assert a == b
     assert [r["id"] for r in a] == sorted(r["id"] for r in a)
+
+
+def test_run_all_builds_each_catalog_entry_once(monkeypatch):
+    # trib.U_gf serves three checks and each *.diag.printed both conventions;
+    # a RatFunc is immutable, so one build per process serves every run.
+    built = Counter()
+    for catalog_id, entry in list(gfbuild._ENTRIES.items()):
+        if entry.build is not None:
+            def counting(build=entry.build, catalog_id=catalog_id):
+                built[catalog_id] += 1
+                return build()
+            monkeypatch.setitem(gfbuild._ENTRIES, catalog_id,
+                                dataclasses.replace(entry, build=counting))
+    run_all(10)
+    run_all(10)
+    assert "trib.U_gf" in built and set(built.values()) == {1}
 
 
 def test_single_runs_agree_with_run_all_in_any_order():

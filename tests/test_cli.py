@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, and the JSON envelope."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -124,6 +125,8 @@ def test_expand_prints_terms_past_the_digit_limit(capsys):
     assert len(last) > 4300
     with cli._output_digits():
         assert last == str(2 ** 19000)
+    assert cli.main(["expand", "1/(1-2^1000*z)", "--n=20", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"][-1] == last
 
 
 def test_convolve_prints_terms_past_the_digit_limit(capsys):
@@ -145,12 +148,21 @@ def test_diagonal_prints_gf_past_the_digit_limit(capsys):
         assert first == f"residue method: (1) / (1 - {a * a}*z)"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python has no limit on int digits")
-@pytest.mark.parametrize("argv", [
+#: One 4301-digit literal in each option that reads one; "init-separators"
+#: writes its digits as 7_7_..._7, which a count of digit runs misses.
+_PAST_THE_DIGIT_LIMIT = [
     ["expand", f"1/(1-{'7' * 4301}*z)", "--n=3"],
     ["convolve", "--k=1", f"--init={'7' * 4301}", "--n=3"],
-], ids=["gf-text", "init"])
+    ["guess-gf", f"--terms=1,2,{'7' * 4301},4"],
+    ["convolve", "--k=1", "--init=1", f"--coeffs=1/{'7' * 4301}", "--n=3"],
+    ["convolve", "--k=1", f"--init={'7_' * 4300}7", "--n=3"],
+]
+_PAST_THE_DIGIT_LIMIT_IDS = ["gf-text", "init", "terms", "coeffs", "init-separators"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+@pytest.mark.parametrize("argv", _PAST_THE_DIGIT_LIMIT, ids=_PAST_THE_DIGIT_LIMIT_IDS)
 def test_input_literal_past_the_digit_limit_exits_2(argv, capsys):
     limit = sys.get_int_max_str_digits()
     assert cli.main(argv) == 2
@@ -158,10 +170,7 @@ def test_input_literal_past_the_digit_limit_exits_2(argv, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-@pytest.mark.parametrize("argv", [
-    ["expand", f"1/(1-{'7' * 4301}*z)", "--n=3"],
-    ["convolve", "--k=1", f"--init={'7' * 4301}", "--n=3"],
-], ids=["gf-text", "init"])
+@pytest.mark.parametrize("argv", _PAST_THE_DIGIT_LIMIT, ids=_PAST_THE_DIGIT_LIMIT_IDS)
 def test_input_literal_past_the_digit_limit_error_is_short(argv, capsys):
     # The message names the digit count and the limit; it neither echoes the
     # literal nor suggests an interpreter setting a user cannot reach.
@@ -169,6 +178,100 @@ def test_input_literal_past_the_digit_limit_error_is_short(argv, capsys):
     err = capsys.readouterr().err
     assert "4301 digits exceeds the limit of 4300 digits" in err
     assert len(err) < 300 and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("entry", ["1e3", "1E-5", "2.5e1", "1/1e9", "1_0e1_0"])
+def test_rational_list_rejects_an_exponent(entry, capsys):
+    # Even a small exponent: the entries are integers, p/q and decimals.
+    assert cli.main(["guess-gf", f"--terms={entry},2,3,4,5"]) == 2
+    err = capsys.readouterr().err
+    assert "an exponent is not accepted" in err and len(err) < 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["guess-gf", "--terms=1e300000,2,3,4,5"],
+    ["convolve", "--k=1", "--init=1e2000000", "--n=3"],
+    ["convolve", "--k=1", "--init=1", "--coeffs=1e1000000", "--n=3"],
+], ids=["terms", "init", "coeffs"])
+def test_rational_list_with_an_exponent_exits_2_fast(argv):
+    # Fraction would expand each exponent to hundreds of thousands of digits:
+    # all three ran past 10 s before entries with an exponent were refused.
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "gfdiag", *argv], capture_output=True,
+                         text=True, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert res.returncode == 2
+    assert "malformed rational list" in res.stderr and len(res.stderr) < 300
+
+
+@pytest.mark.parametrize("entry", ["one", "none", "1/", "0x10"])
+def test_rational_list_malformed_entry_is_not_called_an_exponent(entry, capsys):
+    # Only an e followed by a digit is an exponent; other text reaches Fraction.
+    assert cli.main(["guess-gf", f"--terms={entry},2,3,4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed rational list '{entry},2,3,4': ")
+    assert "exponent" not in err
+
+
+def test_rational_list_accepts_integers_fractions_and_decimals(capsys):
+    assert cli.main(["convolve", "--k=2", "--init= 10 , -1/2", "--coeffs=0.5,+.25",
+                     "--n=3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["init"] == ["10", "-1/2"]
+
+
+# -- one command path ------------------------------------------------------------
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    made = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert cli.main(["guess-gf", "--terms=0,1,1,2,3,5"]) == 0
+    assert made.count("gfdiag") == 1
+    first = len(made)
+    assert cli.main(["catalog"]) == 0
+    assert len(made) == first
+
+
+def test_cached_parser_reads_gfdiag_n_on_every_call(monkeypatch, capsys):
+    monkeypatch.setenv("GFDIAG_N", "3")
+    assert cli.main(["expand", "1/(1-z)"]) == 0
+    assert capsys.readouterr().out.split() == ["1", "1", "1"]
+    monkeypatch.setenv("GFDIAG_N", "5")
+    assert cli.main(["expand", "1/(1-z)"]) == 0
+    assert capsys.readouterr().out.split() == ["1"] * 5
+    monkeypatch.setenv("GFDIAG_N", "five")
+    assert cli.main(["catalog"]) == 2
+    assert capsys.readouterr().err == "error: GFDIAG_N must be an integer, got 'five'\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+@pytest.mark.parametrize("argv, code", [
+    (["expand", "1/(1-z)", "--n=3"], 0),
+    (["expand", "1/z"], 3),
+    (["expand", "1/(1-x-y)"], 2),
+], ids=["success", "domain-error", "parse-error"])
+def test_digit_limit_is_lifted_around_the_command_and_restored(argv, code, monkeypatch,
+                                                                capsys):
+    seen = []
+    real_parse = cli.parse_ratfunc
+
+    def parse(text):
+        seen.append(sys.get_int_max_str_digits())
+        return real_parse(text)
+
+    monkeypatch.setattr(cli, "parse_ratfunc", parse)
+    limit = sys.get_int_max_str_digits()
+    assert limit != 0
+    assert cli.main(argv) == code
+    assert seen == [0]
+    assert sys.get_int_max_str_digits() == limit
 
 
 # -- diagonal --------------------------------------------------------------------
