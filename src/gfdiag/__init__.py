@@ -18,12 +18,7 @@ from .series import (
     kbonacci,
     series_of_rational,
 )
-from .recurrences import (
-    AgreementReport,
-    certify_agreement,
-    convolution_terms,
-    find_min_recurrence,
-)
+from .recurrences import convolution_terms, find_min_recurrence
 from .residues import (
     DegeneratePoleError,
     DiagnosticReport,
@@ -48,12 +43,12 @@ from .claims import Claim, ClaimReport, claim_ids, get_claim, run_all, run_claim
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementReport", "BiPoly", "CatalogEntry", "Claim", "ClaimReport",
+    "BiPoly", "CatalogEntry", "Claim", "ClaimReport",
     "ConvolutionGF", "DegeneratePoleError", "DiagnosticReport", "HKTransform",
     "ParseError", "PartialFractions", "PoleAtOriginError", "PoleClass", "Poly",
     "RatFunc", "Rational", "SequenceSpec", "binomial_convolution_sequence",
     "bivariate_series", "build_convolution_gf",
-    "catalog_entry", "catalog_ids", "certify_agreement", "claim_ids",
+    "catalog_entry", "catalog_ids", "claim_ids",
     "classify_poles", "compose_rational", "convolution_grid", "convolution_terms",
     "diagonal_rational", "diagonal_series", "find_min_recurrence",
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -42,16 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_METHOD = 4
-
-
-def _default_n() -> int:
-    env = os.environ.get("GFDIAG_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"GFDIAG_N must be an integer, got {env!r}")
-    return 200
 
 
 @contextmanager
@@ -273,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print Taylor coefficients of a rational function")
     p.add_argument("gf", help="univariate rational function, e.g. '1/(1-2*z+2*z^3)'")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_expand)
 
@@ -283,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="recurrence order")
     p.add_argument("--init", required=True, help="comma-separated initial terms")
     p.add_argument("--coeffs", help="comma-separated recurrence coefficients (default all 1)")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_convolve)
 
@@ -292,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--catalog", help="catalog id of a bivariate GF (see 'catalog')")
     src.add_argument("--gf-text", help="bivariate rational function text")
     p.add_argument("--method", choices=("series", "residue", "both"), default="both")
-    p.add_argument("--n", type=int,
+    p.add_argument("--n", type=int, default=200,
                    help="series terms for detection and cross-checks")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diagonal)
@@ -309,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the transcribed-identity claims")
     p.add_argument("--all", action="store_true")
     p.add_argument("--claim", help=f"one of: {', '.join(claim_ids())}")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -343,12 +332,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # The parser gives --n no default: GFDIAG_N is read here on every call,
-        # so the cached parser does not freeze it, and a bad value exits 2.
-        default_n = _default_n()
         args = _parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
-        if "n" in vars(args) and args.n is None:
-            args.n = default_n
         with _output_digits():
             return args.func(args)
     except ValueError as exc:  # a ParseError too

@@ -8,9 +8,9 @@ BiPoly has two names, outer and inner.  Across all rows the entries have
 gcd 1, each row and the rows have no trailing zeros, and the last entry
 of the last row is positive; the content carries the sign.  The zero
 polynomial has content 0 and rows ().  The form is canonical, so == and
-hash compare (names, content, rows).  coeffs, coeff(i), leading,
-monomials() and str build Fractions (a BiPoly's coefficients are Polys in
-the inner variable) on demand for callers; the arithmetic never reads them.
+hash compare (names, content, rows).  coeffs, coeff(i), leading and str
+build Fractions (a BiPoly's coefficients are Polys in the inner variable)
+on demand for callers; the arithmetic never reads them.
 
 The arithmetic is written once, in _Poly, and runs on the integer rows
 (von zur Gathen and Gerhard, Modern Computer Algebra, 6.2).  A product
@@ -185,13 +185,6 @@ class _Poly(_Frozen):
     @property
     def is_zero(self) -> bool:
         return not self.rows
-
-    def monomials(self):
-        """Yield (i, j, coeff) for every nonzero term coeff * names[0]^i * names[-1]^j."""
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v:
-                    yield i, j, self.content * v
 
     def _check_names(self, other: "_Poly") -> None:
         if self.names != other.names:

@@ -95,12 +95,6 @@ class RatFunc(_Frozen):
     def from_fraction(cls, c) -> "RatFunc":
         return cls(c)
 
-    @classmethod
-    def from_poly(cls, p: AnyPoly) -> "RatFunc":
-        if p.is_zero:
-            return cls.zero()
-        return cls(1, [(p, 1)])
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -116,13 +110,6 @@ class RatFunc(_Frozen):
     @property
     def is_univariate(self) -> bool:
         return len(self.variables) <= 1
-
-    @property
-    def var(self) -> str:
-        vs = self.variables
-        if len(vs) != 1:
-            raise ValueError(f"expected one variable, have {vs}")
-        return vs[0]
 
     # -- arithmetic --------------------------------------------------------
 

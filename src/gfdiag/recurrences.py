@@ -12,20 +12,13 @@ terms that determine its recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .poly import _cleared, as_fraction
-from .ratfunc import RatFunc
-from .series import (
-    SequenceSpec,
-    binomial_convolution_sequence,
-    generate_sequence,
-    series_of_rational,
-)
+from .series import SequenceSpec, binomial_convolution_sequence, generate_sequence
 
 
 def _berlekamp_massey(s: Sequence[Fraction]) -> tuple[list[Fraction], int]:
@@ -117,20 +110,3 @@ def convolution_terms(a: SequenceSpec, b: SequenceSpec, n: int) -> list[Fraction
         return head
     return generate_sequence(_shortest_recurrence(head), n)
 
-
-@dataclass(frozen=True)
-class AgreementReport:
-    agrees: bool
-    first_mismatch: int | None
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
-
-
-def certify_agreement(f: RatFunc, terms: Sequence[Fraction]) -> AgreementReport:
-    """Compare the series of f against the given terms, exactly."""
-    expected = [as_fraction(t) for t in terms]
-    got = series_of_rational(f, len(expected))
-    for i, (a, b) in enumerate(zip(got, expected)):
-        if a != b:
-            return AgreementReport(False, i, a, b)
-    return AgreementReport(True, None)

@@ -25,7 +25,9 @@ is built only for the reduced result.
 
 The pole-keeping rule is not proved here in general; diagonal_rational
 validates it per instance by comparing against the series diagonal and
-reports a violation instead of silently trusting the rule.
+reports a violation instead of silently trusting the rule.  The
+comparison is series._first_mismatch, the one that every claim uses too,
+and its witness is the report's first_mismatch, lhs and rhs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Sequence
 from .poly import (BiPoly, Poly, _horner, _int_add, _int_mul, _int_prem, _int_resultant,
                    _power)
 from .ratfunc import RatFunc
-from .series import diagonal_series, series_of_rational
+from .series import _first_mismatch, diagonal_series, series_of_rational
 
 
 class DegeneratePoleError(ArithmeticError):
@@ -346,15 +348,10 @@ def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, Diag
     h = hk_transform(f)
     poles = classify_poles(h)
     result = _residue_sum(h, [p for p in poles if p.kept])
-    status, first, lhs, rhs = "ok", None, None, None
-    got = series_of_rational(result, check_terms)
-    want = diagonal_series(f, check_terms)
-    for i, (a, b) in enumerate(zip(got, want)):
-        if a != b:
-            status, first, lhs, rhs = "method-assumption-violated", i, str(a), str(b)
-            break
-    report = DiagnosticReport(tuple(poles), status, check_terms, first, lhs, rhs)
-    return result, report
+    hit = _first_mismatch(series_of_rational(result, check_terms), diagonal_series(f, check_terms))
+    if hit is None:
+        return result, DiagnosticReport(tuple(poles), "ok", check_terms)
+    return result, DiagnosticReport(tuple(poles), "method-assumption-violated", check_terms, *hit)
 
 
 # ---------------------------------------------------------------------------

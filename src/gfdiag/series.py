@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import AnyPoly, Poly, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
 from .ratfunc import RatFunc
@@ -271,6 +271,19 @@ def bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
 def diagonal_series(f: RatFunc, n: int) -> list[Fraction]:
     """The first n diagonal terms: entry i is the coefficient of outer^i * inner^i."""
     return [row[i] for i, row in enumerate(bivariate_series(f, n, n))]
+
+
+def _first_mismatch(lhs: Iterable, rhs: Iterable) -> tuple[int, str, str] | None:
+    """(i, str(lhs[i]), str(rhs[i])) at the first i where two exact sequences
+    differ, or None if they agree up to the shorter one's length.
+
+    Every term-by-term check in the package, the residue route's cross-check
+    and every claim, finds its witness here.
+    """
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            return i, str(a), str(b)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -760,7 +760,7 @@ class _RefParser:
         if kind == "int":
             return Fraction(int(val))
         if kind == "var":
-            return RatFunc.from_poly(Poly.monomial(val, 1))
+            return RatFunc(1, [(Poly.monomial(val, 1), 1)])
         if kind == "op" and val == "(":
             value = self.expr()
             self.expect_op(")")

@@ -238,18 +238,6 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     assert len(made) == first
 
 
-def test_cached_parser_reads_gfdiag_n_on_every_call(monkeypatch, capsys):
-    monkeypatch.setenv("GFDIAG_N", "3")
-    assert cli.main(["expand", "1/(1-z)"]) == 0
-    assert capsys.readouterr().out.split() == ["1", "1", "1"]
-    monkeypatch.setenv("GFDIAG_N", "5")
-    assert cli.main(["expand", "1/(1-z)"]) == 0
-    assert capsys.readouterr().out.split() == ["1"] * 5
-    monkeypatch.setenv("GFDIAG_N", "five")
-    assert cli.main(["catalog"]) == 2
-    assert capsys.readouterr().err == "error: GFDIAG_N must be an integer, got 'five'\n"
-
-
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no limit on int digits")
 @pytest.mark.parametrize("argv, code", [
@@ -496,9 +484,12 @@ def test_verify_all_json_exits_0_and_is_exact():
     assert Fraction(by_id["fib.diag.printed"]["rhs"]) == 2
 
 
-def test_env_var_overrides_default_truncation():
-    import os
-    env = dict(os.environ, GFDIAG_N="5")
-    res = run_cli("expand", "z/(1-z-z^2)", env=env)
-    assert res.returncode == 0
-    assert res.stdout.split() == ["0", "1", "1", "2", "3"]
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_verify_all_holds_at_every_small_n(n, capsys):
+    # The two expected failures keep their witnesses below their indices too.
+    assert cli.main(["verify", "--all", f"--n={n}"]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("claims matching their expected status: 11/11")
+    assert "first mismatch at 2: 1 vs 2" in out
+    assert "first mismatch at x^3*y^3: 8 vs 6" in out
+    assert "[UNEXPECTED]" not in out

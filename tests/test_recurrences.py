@@ -1,5 +1,5 @@
-"""Recurrence detection: Berlekamp-Massey over the rationals, GF
-reconstruction, and agreement certification."""
+"""Recurrence detection: Berlekamp-Massey over the rationals and GF
+reconstruction."""
 
 from fractions import Fraction
 from random import Random
@@ -12,7 +12,6 @@ from gfdiag import (
     SequenceSpec,
     binomial_convolution_sequence,
     build_convolution_gf,
-    certify_agreement,
     convolution_terms,
     diagonal_series,
     find_min_recurrence,
@@ -166,24 +165,6 @@ def test_redetection_is_idempotent():
         again = find_min_recurrence(regenerated)
         assert again is not None
         assert again.order == rec.order
-
-
-def test_certify_agreement_mismatch():
-    report = certify_agreement(parse_ratfunc("z/(1-z-z^2)"), [0, 1, 1, 2, 4])
-    assert not report.agrees
-    assert report.first_mismatch == 4
-    assert (report.lhs, report.rhs) == (3, 4)
-
-
-def test_certify_agreement_vacuous():
-    assert certify_agreement(parse_ratfunc("z/(1-z-z^2)"), []).agrees
-
-
-def test_certify_agreement_printed_tribonacci_diagonal():
-    from gfdiag import binomial_convolution_sequence, printed_gf
-    t = list(generate_sequence(kbonacci(3, shifted=True), 60))
-    brute = binomial_convolution_sequence(t, t, 50)
-    assert certify_agreement(printed_gf("trib.diag.printed"), brute).agrees
 
 
 # -- fraction-free Berlekamp-Massey against its Fraction reference --------------

@@ -384,6 +384,18 @@ def test_diagonal_rational_printed_vs_derived_h_reports_both_outcomes():
     assert rat_d.reduced_fraction()[1] == parse_poly("(1-z)*(1-2*z-4*z^2)")
 
 
+def test_diagonal_rational_violation_reports_the_first_witness():
+    # The diagonal of 1/(1-x-y) is algebraic, not rational: the kept-pole
+    # rule keeps no pole here, and the cross-check catches it at index 0.
+    rat, report = diagonal_rational(parse_ratfunc("1/(1-x-y)"), check_terms=30)
+    assert rat.is_zero
+    assert report.status == "method-assumption-violated"
+    assert report.checked_terms == 30
+    assert report.first_mismatch == 0
+    assert (report.lhs, report.rhs) == ("0", "1")
+    assert report.to_json_dict()["first_mismatch"] == 0
+
+
 def test_diagonal_rational_univariate_in_x_is_one():
     # The diagonal of 1/(1-x) is its constant term: the residue at t = 0.
     rat, report = diagonal_rational(parse_ratfunc("1/(1-x)"), check_terms=10)
@@ -523,7 +535,7 @@ def test_partial_fractions_resum_randomized():
             continue
         f = RatFunc(1, numer=[(numer, 1)], denom=bases)
         pf = partial_fractions(f)
-        total = RatFunc.from_poly(pf.poly_part) if not pf.poly_part.is_zero else RatFunc.zero()
+        total = RatFunc(1, [(pf.poly_part, 1)]) if not pf.poly_part.is_zero else RatFunc.zero()
         for pnum, base, power in pf.parts:
             if pnum.is_zero:
                 continue

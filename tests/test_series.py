@@ -26,7 +26,7 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
-from gfdiag.series import pascal_rows
+from gfdiag.series import _first_mismatch, pascal_rows
 from helpers import (
     rand_sequence_spec,
     rand_univariate_ratfunc,
@@ -131,6 +131,13 @@ def test_diagonal_matches_grid_entries():
         diag = diagonal_series(g, n)
         assert all(diag[i] == grid[i][i] for i in range(n))
 
+
+
+def test_first_mismatch_gives_the_first_index_and_both_values():
+    assert _first_mismatch([Fraction(0), Fraction(1), Fraction(1), Fraction(3)],
+                           [0, 1, 1, 2, 4]) == (3, "3", "2")
+    assert _first_mismatch([Fraction(1, 2)], [Fraction(2, 4), 7]) is None  # shorter side ends
+    assert _first_mismatch([], [1]) is None
 
 # -- sequences ----------------------------------------------------------------
 
