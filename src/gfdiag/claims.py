@@ -14,11 +14,20 @@ and the report records which convention passes.  A claim without
 conventions is about the shifted sequence, convention B.
 
 Every termwise claim finds its witness with series._first_mismatch, the
-comparison that the residue route's cross-check uses too.  A transcribed
-diagonal GF is compared with the brute-force self-convolution on as many
-terms as prove the two equal (_printed_vs_brute), and the transcribed
-double GF is decided by a rational-function identity with the derived
-one, so neither verdict depends on the truncation n.
+comparison that the residue route's cross-check uses too.  Each compares
+max(n + 1, d + 1) terms, d the degree bound of the difference of its two
+sides' GFs (see _printed_vs_brute), so every PASS is a proof at every n.
+A transcribed diagonal GF is compared with the brute-force
+self-convolution in this way, and the transcribed double GF is decided by
+a rational-function identity with the derived one, its witness searched
+only up to the total degree of the difference's numerator, so neither
+verdict depends on the truncation n.
+
+The oracles' right-hand sides are computed with Python ints over one
+cleared denominator, and each term becomes a Fraction only at the end, as
+in series._pascal_sum: a power of 2 is a shift, and the binomial sum of
+trib.U_binomial sums each integer Pascal row against the signed terms, so
+its cost is quadratic in n.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from operator import mul
 from typing import Callable
 
 from .gfbuild import build_convolution_gf, printed_gf
@@ -40,6 +50,7 @@ from .series import (
     convolution_grid,
     generate_sequence,
     kbonacci,
+    pascal_rows,
     _first_mismatch,
     series_of_rational,
 )
@@ -119,6 +130,12 @@ def _self_convolution(k: int, convention: str | None, count: int) -> list[Fracti
     return binomial_convolution_sequence(terms, terms, count)
 
 
+def _degree(factors) -> int:
+    """The total degree of a product of (polynomial, multiplicity) factors."""
+    return sum(m * max(i + len(row) - 1 for i, row in enumerate(p.rows) if row)
+               for p, m in factors)
+
+
 def _printed_vs_brute(catalog_id: str, k: int):
     """The check of a printed diagonal GF against the brute-force self-convolution.
 
@@ -130,10 +147,16 @@ def _printed_vs_brute(catalog_id: str, k: int):
     So the difference of the two series is N/D with deg N <= max(nu + k^2,
     delta + k^2 - 1), and a nonzero such series has a nonzero coefficient
     at or below deg N.
+
+    The same argument bounds every termwise claim below: sides P1/Q1 and
+    P2/Q2 with Q1(0) Q2(0) != 0 and degrees nu_i, delta_i differ, if at
+    all, within the first d + 1 terms, d = max(nu1 + delta2, nu2 + delta1).
+    So each compares max(n + 1, d + 1) terms, and its PASS is a proof at
+    every n.
     """
     def check(n: int, convention: str | None) -> CheckResult:
         f = printed_gf(catalog_id)
-        nu, delta = (sum(m * p.degree for p, m in fs) for fs in (f.numer, f.denom))
+        nu, delta = _degree(f.numer), _degree(f.denom)
         count = max(n + 1, max(nu + 1, delta) + k * k)
         return _compare_terms(series_of_rational(f, count), _self_convolution(k, convention, count))
     return check
@@ -142,10 +165,18 @@ def _printed_vs_brute(catalog_id: str, k: int):
 # -- individual checks -------------------------------------------------------
 
 def _check_fib_closed_form(n: int, convention=None) -> CheckResult:
-    fib = _kbonacci_terms(2, convention, n + 1)
-    lucas = generate_sequence(SequenceSpec(2, (1, 1), (2, 1)), n + 1)
-    lhs = binomial_convolution_sequence(fib, fib, n + 1)
-    rhs = [(Fraction(-2) + Fraction(2) ** m * lucas[m]) / 5 for m in range(n + 1)]
+    """Compares max(n + 1, 7) terms.
+
+    The brute-force side has a denominator of degree at most 4 and a
+    numerator of degree at most 3; the closed form's GF is
+    -2/(5(1 - z)) + L(2z)/5 = N/((1 - z)(1 - 2z - 4z^2)) with deg N <= 2.
+    So d = max(3 + 3, 2 + 4) = 6.
+    """
+    count = max(n + 1, 7)
+    fib = _kbonacci_terms(2, convention, count)
+    lucas, den = _cleared(generate_sequence(SequenceSpec(2, (1, 1), (2, 1)), count))
+    lhs = binomial_convolution_sequence(fib, fib, count)
+    rhs = [Fraction((v << m) - 2 * den, 5 * den) for m, v in enumerate(lucas)]
     return _compare_terms(lhs, rhs)
 
 
@@ -153,50 +184,83 @@ def _check_fib_h_printed(n: int, convention=None) -> CheckResult:
     # The derived GF's grid is the brute-force convolution grid, so the
     # identity decides the claim at every n; the grids give the witness.
     printed, derived = printed_gf("fib.H.printed"), printed_gf("fib.H.derived")
-    if identity_equal(printed, derived):
+    difference = printed - derived
+    if difference.is_zero:
         return CheckResult(True)
-    fib = _kbonacci_terms(2, convention, 40)
-    grid = bivariate_series(printed, 40, 40)
-    want = convolution_grid(fib, fib, 40, 40)
     # Scan by total degree so the reported witness has minimal order.  The
     # two series differ by N/D with D(0, 0) != 0, so they first differ at a
-    # total degree no higher than N's, far below 40 for these two GFs.
-    cells = [(i, s - i) for s in range(40) for i in range(s + 1)]
+    # total degree no higher than N's (10 for these two GFs): the box of
+    # that size holds the witness.
+    size = _degree(difference.numer) + 1
+    fib = _kbonacci_terms(2, convention, size)
+    grid = bivariate_series(printed, size, size)
+    want = convolution_grid(fib, fib, size, size)
+    cells = [(i, s - i) for s in range(size) for i in range(s + 1)]
     hit = _first_mismatch((grid[i][j] for i, j in cells), (want[i][j] for i, j in cells))
     i, j = cells[hit[0]]
     return CheckResult(False, f"x^{i}*y^{j}", *hit[1:])
 
 
+def _trib_first_term_rhs(convention: str, count: int) -> list[Fraction]:
+    """(1/11)(2^(m+1) T_{m+1} + (1/2) 2^m T_m + (5/2) 2^(m-1) T_{m-1}), T_{-1} = 0.
+
+    Over 44 times the denominator of T it is an integer:
+    2^(m+3) T_{m+1} + 2^(m+1) T_m + 5 * 2^m T_{m-1}.
+    """
+    t, den = _cleared(_kbonacci_terms(3, convention, count + 1))
+    return [Fraction((a << (m + 3)) + (b << (m + 1)) + 5 * (c << m), 44 * den)
+            for m, (a, b, c) in enumerate(zip(t[1:], t, [0] + t))]
+
+
 def _check_trib_first_term(n: int, convention: str) -> CheckResult:
-    lhs = series_of_rational(printed_gf("trib.diag.term1"), n + 1)
-    t = _kbonacci_terms(3, convention, n + 3)
+    """Compares max(n + 1, 6) terms.
 
-    def tt(i):
-        return t[i] if i >= 0 else Fraction(0)
+    The series side is (1 + z + 10z^2)/(11(1 - 2z - 4z^2 - 8z^3)); the
+    formula's GF, a sum of shifts of T(2z), has that denominator and a
+    numerator of degree at most 2.  So d = 2 + 3 = 5.
+    """
+    count = max(n + 1, 6)
+    lhs = series_of_rational(printed_gf("trib.diag.term1"), count)
+    return _compare_terms(lhs, _trib_first_term_rhs(convention, count))
 
-    rhs = [(Fraction(2) ** (m + 1) * tt(m + 1)
-            + Fraction(1, 2) * Fraction(2) ** m * tt(m)
-            + Fraction(5, 2) * Fraction(2) ** (m - 1) * tt(m - 1)) / 11
-           for m in range(n + 1)]
-    return _compare_terms(lhs, rhs)
+
+def _trib_u_binomial_rhs(convention: str, count: int) -> list[Fraction]:
+    """[sum_{k>=1} T_{k-1} (-1)^k C(m+2, k) for m < count], from Pascal rows.
+
+    With T cleared to integers over den, signed[k] = (-1)^k T_{k-1} and
+    signed[0] = 0, row m + 2 of Pascal's triangle sums against signed to
+    den times term m.
+    """
+    t, den = _cleared(_kbonacci_terms(3, convention, count + 1))
+    signed = [0, *(-v if k % 2 else v for k, v in enumerate(t, 1))]
+    return [Fraction(sum(map(mul, row, signed)), den)
+            for row in islice(pascal_rows(count + 2), 2, None)]
 
 
 def _check_trib_u_binomial(n: int, convention: str) -> CheckResult:
-    u = series_of_rational(printed_gf("trib.U_gf"), n + 1)
-    t, den = _cleared(_kbonacci_terms(3, convention, n + 3))
-    rhs = [Fraction(sum(t[k - 1] * (-1) ** k * comb(m + 2, k) for k in range(1, m + 3)), den)
-           for m in range(n + 1)]
-    return _compare_terms(u, rhs)
+    """Compares max(n + 1, 6) terms.
+
+    U is the series of 1/(1 - 2z + 2z^3).  The binomial sum is the series
+    of (B(z) - B(0) - B'(0) z)/z^2, B(x) = A(-x/(1 - x))/(1 - x) and
+    A(z) = z T(z), so its denominator has degree 3 and its numerator
+    degree at most 2.  So d = max(0 + 3, 2 + 3) = 5.
+    """
+    count = max(n + 1, 6)
+    u = series_of_rational(printed_gf("trib.U_gf"), count)
+    return _compare_terms(u, _trib_u_binomial_rhs(convention, count))
 
 
 def _check_trib_second_term(n: int, convention=None) -> CheckResult:
-    lhs = series_of_rational(printed_gf("trib.second_term"), n + 1)
-    u = series_of_rational(printed_gf("trib.U_gf"), n + 1)
+    """Compares max(n + 1, 6) terms.
 
-    def uu(i):
-        return u[i] if i >= 0 else Fraction(0)
-
-    rhs = [(uu(m) + uu(m - 1) - 8 * uu(m - 2)) / 11 for m in range(n + 1)]
+    The series side is (1 + z - 8z^2)/(11(1 - 2z + 2z^3)), and the
+    formula's GF is (1 + z - 8z^2) U(z)/11: each has a numerator of
+    degree 2 over 1 - 2z + 2z^3.  So d = 2 + 3 = 5.
+    """
+    count = max(n + 1, 6)
+    lhs = series_of_rational(printed_gf("trib.second_term"), count)
+    u, den = _cleared(series_of_rational(printed_gf("trib.U_gf"), count))
+    rhs = [Fraction(a + b - 8 * c, 11 * den) for a, b, c in zip(u, [0, *u], [0, 0, *u])]
     return _compare_terms(lhs, rhs)
 
 
@@ -211,12 +275,19 @@ def _check_trib_u_gf_identity(n: int, convention=None) -> CheckResult:
 
 
 def _check_trib_arbitrary_init(n: int, convention=None) -> CheckResult:
+    """Compares max(min(n, 60), L) + 1 terms, L = 9 + max(nu + 1, delta).
+
+    nu and delta are the degrees of the residue diagonal's numerator and
+    denominator; the brute-force self-convolution of an order-3 sequence
+    has a denominator of degree at most 9 and a numerator of lower degree,
+    as in _printed_vs_brute.
+    """
     spec = SequenceSpec(3, (1, 1, 1), (1, 0, 2))
-    depth = min(n, 60)
     gf = build_convolution_gf(spec, spec).F
-    result, report = diagonal_rational(gf, check_terms=depth)
+    result, report = diagonal_rational(gf, check_terms=min(n, 60))
     if report.status != "ok":
         return CheckResult(False, report.first_mismatch, report.lhs, report.rhs)
+    depth = max(min(n, 60), 9 + max(_degree(result.numer) + 1, _degree(result.denom)))
     terms = generate_sequence(spec, depth + 1)
     brute = binomial_convolution_sequence(terms, terms, depth + 1)
     got = series_of_rational(result, depth + 1)

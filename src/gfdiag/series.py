@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .poly import AnyPoly, Poly, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
@@ -291,11 +291,15 @@ def _first_mismatch(lhs: Iterable, rhs: Iterable) -> tuple[int, str, str] | None
 # ---------------------------------------------------------------------------
 
 def pascal_rows(limit: int) -> Iterator[list[int]]:
-    """Yield rows 0..limit-1 of Pascal's triangle as exact integers."""
+    """Yield rows 0..limit-1 of Pascal's triangle as exact integers.
+
+    Each row is the sums of neighbours in the one before, so the first
+    limit rows cost O(limit^2) additions and no multiplication.
+    """
     row = [1]
     for _ in range(limit):
         yield row
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+        row = [1, *map(add, row, row[1:]), 1]
 
 
 def _pascal_sum(row: list[int], a: list[int], b: list[int], m: int) -> int:

@@ -148,3 +148,69 @@ def test_claim_descriptions_present():
         claim = get_claim(claim_id)
         assert claim.description
         assert claim.expected_status in ("pass", "fail", "either")
+
+
+def test_u_binomial_rhs_matches_comb_formula():
+    # The Pascal-row right-hand side against the formula summed term by term.
+    from math import comb
+    from gfdiag import generate_sequence, kbonacci
+    from gfdiag.claims import _trib_u_binomial_rhs
+    for convention in ("A", "B"):
+        t = generate_sequence(kbonacci(3, shifted=convention == "B"), 43)
+        for n in range(41):
+            want = [sum(t[k - 1] * (-1) ** k * comb(m + 2, k) for k in range(1, m + 3))
+                    for m in range(n + 1)]
+            assert _trib_u_binomial_rhs(convention, n + 1) == want
+
+
+def test_first_term_rhs_matches_fraction_formula():
+    from gfdiag import generate_sequence, kbonacci
+    from gfdiag.claims import _trib_first_term_rhs
+    for convention in ("A", "B"):
+        t = generate_sequence(kbonacci(3, shifted=convention == "B"), 43)
+
+        def tt(i):
+            return t[i] if i >= 0 else Fraction(0)
+
+        for n in range(41):
+            want = [(Fraction(2) ** (m + 1) * tt(m + 1)
+                     + Fraction(1, 2) * Fraction(2) ** m * tt(m)
+                     + Fraction(5, 2) * Fraction(2) ** (m - 1) * tt(m - 1)) / 11
+                    for m in range(n + 1)]
+            assert _trib_first_term_rhs(convention, n + 1) == want
+
+
+def test_termwise_passes_compare_a_proof_length_at_n0(monkeypatch):
+    # Two sides P1/Q1 and P2/Q2 that agree on d + 1 terms, with
+    # d = max(nu1 + delta2, nu2 + delta1), agree everywhere; at n = 0 each
+    # termwise PASS must still compare that many.
+    from gfdiag import SequenceSpec, build_convolution_gf, claims, diagonal_rational
+    spec = SequenceSpec(3, (1, 1, 1), (1, 0, 2))
+    diag, _ = diagonal_rational(build_convolution_gf(spec, spec).F, check_terms=0)
+    nu, delta = (sum(m * p.degree for p, m in fs) for fs in (diag.numer, diag.denom))
+    proof = {
+        "fib.closed_form": 7,
+        "trib.U_binomial": 6,
+        "trib.second_term": 6,
+        "trib.diag.printed": 15,
+        "tetra.diag.printed": 26,
+        "penta.diag.printed": 40,
+        "trib.arbitrary_init": 9 + max(nu + 1, delta),
+    }
+    compared = []
+
+    def spy(lhs, rhs):
+        lhs, rhs = list(lhs), list(rhs)
+        compared.append(min(len(lhs), len(rhs)))
+        return first_mismatch(lhs, rhs)
+
+    first_mismatch = claims._first_mismatch
+    monkeypatch.setattr(claims, "_first_mismatch", spy)
+    passed = set()
+    for claim_id in claim_ids():
+        compared.clear()
+        report = run_claim(claim_id, 0)
+        if report.status == "pass" and compared:
+            passed.add(claim_id)
+            assert min(compared) >= proof[claim_id], (claim_id, compared)
+    assert passed == set(proof)

@@ -319,6 +319,13 @@ def test_bivariate_series_per_factor_division_matches_reference(constant, numer,
     assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
 
 
+def test_pascal_rows_match_math_comb():
+    rows = list(pascal_rows(60))
+    assert len(rows) == 60
+    for n, row in enumerate(rows):
+        assert row == [comb(n, k) for k in range(n + 1)]
+
+
 @_kernel_settings
 @given(a=st.lists(_rational, min_size=10, max_size=10),
        b=st.lists(_rational, min_size=10, max_size=10),
