@@ -228,11 +228,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.all and not args.claim:
-        raise ParseError("verify needs --all or --claim ID")
     if args.n < 0:
         raise ParseError("n must be >= 0")
-    reports = [run_claim(args.claim, args.n)] if args.claim else run_all(args.n)
+    reports = [run_claim(c, args.n) for c in args.claim] if args.claim else run_all(args.n)
     all_matched = all(r.matched_expected for r in reports)
     lines = []
     for r in reports:
@@ -296,8 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify", help="run the transcribed-identity claims")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--claim", help=f"one of: {', '.join(claim_ids())}")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--claim", action="append", choices=claim_ids(), metavar="ID",
+                       help=f"one of: {', '.join(claim_ids())}; repeat to run several, in order")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -137,7 +137,10 @@ def _label(names: tuple[str, ...]) -> str:
 
 
 class _Frozen:
-    """An immutable value whose fields, named by _fields, are set once."""
+    """An immutable value whose fields, named by _fields, are set once.
+
+    == and hash compare the fields, so a value's form must be canonical.
+    """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -155,6 +158,17 @@ class _Frozen:
         self = object.__new__(cls)
         self._fill(*fields)
         return self
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Frozen) or other._fields != self._fields:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class _Poly(_Frozen):
@@ -274,13 +288,9 @@ class _Poly(_Frozen):
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.const(*self.names, other)
-        if not isinstance(other, _Poly):
-            return NotImplemented
-        return (self.names == other.names and self.content == other.content
-                and self.rows == other.rows)
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.names, self.content, self.rows))
+    __hash__ = _Frozen.__hash__
 
     def __str__(self) -> str:
         if not self.rows:

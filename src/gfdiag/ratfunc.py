@@ -19,6 +19,11 @@ def _constant_of(p: AnyPoly) -> Fraction | None:
     return p.content if len(p.rows) == 1 and len(p.rows[0]) == 1 else None
 
 
+def _signed(numer: Iterable, denom: Iterable) -> list:
+    """(factor, multiplicity, sign) with sign +1 for the numerator, then -1 for the denominator."""
+    return [(p, m, 1) for p, m in numer] + [(p, m, -1) for p, m in denom]
+
+
 def _merge_factors(factors: Iterable) -> tuple:
     """Add the multiplicities of equal factors, keeping first-seen order.
 
@@ -47,39 +52,24 @@ class RatFunc(_Frozen):
         factor makes the function zero.
         """
         constant = as_fraction(constant)
-        numer, denom = list(numer), list(denom)
-        for p, m in numer:
+        kept = []
+        for p, m, sign in _signed(numer, denom):
             if m < 1:
                 raise ValueError("factor multiplicity must be positive")
             if p.is_zero:
+                if sign < 0:
+                    raise ZeroDivisionError("zero polynomial in denominator")
                 constant = Fraction(0)
-        for p, m in denom:
-            if m < 1:
-                raise ValueError("factor multiplicity must be positive")
-            if p.is_zero:
-                raise ZeroDivisionError("zero polynomial in denominator")
-        if constant == 0:
-            numer, denom = [], []
-        # Drop constant factors into the scalar so factor lists stay meaningful.
-        kept_numer = []
-        for p, m in numer:
-            c = _constant_of(p)
-            if c is not None:
-                constant *= c ** m
+            elif (c := _constant_of(p)) is None:
+                kept.append((p, m, sign))
             else:
-                kept_numer.append((p, m))
-        kept_denom = []
-        for p, m in denom:
-            c = _constant_of(p)
-            if c is not None:
-                constant /= c ** m
-            else:
-                kept_denom.append((p, m))
+                constant *= c ** (sign * m)
         if constant == 0:
-            kept_numer, kept_denom = [], []
-        lifted = iter(unify(*(p for p, _ in kept_numer + kept_denom)))
-        self._fill(constant, _merge_factors((next(lifted), m) for _, m in kept_numer),
-                   _merge_factors((next(lifted), m) for _, m in kept_denom))
+            kept = []
+        sides: tuple[list, list] = ([], [])
+        for q, (_, m, sign) in zip(unify(*(p for p, _, _ in kept)), kept):
+            sides[sign < 0].append((q, m))
+        self._fill(constant, *map(_merge_factors, sides))
 
     # -- constructors ------------------------------------------------------
 
@@ -90,10 +80,6 @@ class RatFunc(_Frozen):
     @classmethod
     def one(cls) -> "RatFunc":
         return cls(1)
-
-    @classmethod
-    def from_fraction(cls, c) -> "RatFunc":
-        return cls(c)
 
     # -- structure ---------------------------------------------------------
 
@@ -113,38 +99,19 @@ class RatFunc(_Frozen):
 
     # -- arithmetic --------------------------------------------------------
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatFunc.zero()
         return RatFunc(self.constant * other.constant,
                        self.numer + other.numer, self.denom + other.denom)
 
-    __rmul__ = __mul__
-
     def scale(self, c) -> "RatFunc":
-        c = as_fraction(c)
-        if c == 0 or self.is_zero:
-            return RatFunc.zero()
-        return RatFunc(self.constant * c, self.numer, self.denom)
+        return RatFunc(self.constant * as_fraction(c), self.numer, self.denom)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero function")
         return RatFunc(1 / self.constant, self.denom, self.numer)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                raise ZeroDivisionError("division by zero")
-            return self.scale(1 / c)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self * other.inverse()
 
     def __neg__(self):
         return self.scale(-1)
@@ -159,12 +126,10 @@ class RatFunc(_Frozen):
 
     def _expand_pair(self):
         """Expanded (numerator, denominator); polynomials, or Fractions if constant."""
-        num, den = self.constant, Fraction(1)
-        for p, m in self.numer:
-            num = p ** m * num
-        for p, m in self.denom:
-            den = p ** m * den
-        return num, den
+        pair = [self.constant, Fraction(1)]
+        for p, m, sign in _signed(self.numer, self.denom):
+            pair[sign < 0] = p ** m * pair[sign < 0]
+        return tuple(pair)
 
     def expand_to_single_fraction(self, default_var: str = "z") -> tuple[AnyPoly, AnyPoly]:
         """Fully expanded (numerator, denominator) polynomials, no cancellation."""
@@ -192,9 +157,10 @@ class RatFunc(_Frozen):
         scale = c0 if c0 != 0 else den.leading
         return num.scale(1 / scale), den.scale(1 / scale)
 
-    # -- addition (expands numerators, keeps denominators factored) ---------
-
-    def add(self, other: "RatFunc") -> "RatFunc":
+    def __add__(self, other: "RatFunc") -> "RatFunc":
+        """The sum, with both numerators expanded and the denominators kept factored."""
+        if not isinstance(other, RatFunc):
+            return NotImplemented
         if self.is_zero:
             return other
         if other.is_zero:
@@ -202,31 +168,14 @@ class RatFunc(_Frozen):
         n1, d1 = self._expand_pair()
         n2, d2 = other._expand_pair()
         if all(isinstance(v, Fraction) for v in (n1, d1, n2, d2)):
-            return RatFunc.from_fraction(n1 / d1 + n2 / d2)
+            return RatFunc(n1 / d1 + n2 / d2)
         n1, d1, n2, d2 = unify(n1, d1, n2, d2)
-        num = n1 * d2 + n2 * d1
-        if num.is_zero:
-            return RatFunc.zero()
-        return RatFunc(1, [(num, 1)], self.denom + other.denom)
+        return RatFunc(1, [(n1 * d2 + n2 * d1, 1)], self.denom + other.denom)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(other)
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.add(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.from_fraction(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.add(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self + -other
 
     # -- evaluation ---------------------------------------------------------
 
@@ -234,46 +183,28 @@ class RatFunc(_Frozen):
         """Evaluate at {variable: value}.  Raises ZeroDivisionError on a pole."""
         if self.is_zero:
             return Fraction(0)
-
-        def ev(p: AnyPoly) -> Fraction:
-            return p.evaluate(*(point[v] for v in p.names))
-
         acc = self.constant
-        for p, m in self.numer:
-            acc *= ev(p) ** m
-        for p, m in self.denom:
-            v = ev(p)
-            if v == 0:
+        for p, m, sign in _signed(self.numer, self.denom):
+            v = p.evaluate(*(point[name] for name in p.names))
+            if v == 0 and sign < 0:
                 raise ZeroDivisionError("evaluation at a pole")
-            acc /= v ** m
+            acc *= v ** (sign * m)
         return acc
 
     # -- display ------------------------------------------------------------
 
-    @staticmethod
-    def _display_factor(p: AnyPoly) -> tuple[AnyPoly, bool]:
-        # Print factors with a positive constant term when possible.
-        row = p.rows[0]
-        if row and row[0] * p.content < 0:
-            return -p, True
-        return p, False
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        constant = self.constant
-        num_parts = []
-        for p, m in self.numer:
-            p, flipped = self._display_factor(p)
-            if flipped and m % 2:
-                constant = -constant
-            num_parts.append(f"({p})" if m == 1 else f"({p})^{m}")
-        den_parts = []
-        for p, m in self.denom:
-            p, flipped = self._display_factor(p)
-            if flipped and m % 2:
-                constant = -constant
-            den_parts.append(f"({p})" if m == 1 else f"({p})^{m}")
+        constant, parts = self.constant, ([], [])
+        for p, m, sign in _signed(self.numer, self.denom):
+            # Print factors with a positive constant term when possible.
+            if p.rows[0] and p.rows[0][0] * p.content < 0:
+                p = -p
+                if m % 2:
+                    constant = -constant
+            parts[sign < 0].append(f"({p})" if m == 1 else f"({p})^{m}")
+        num_parts, den_parts = parts
         if constant != 1 or not num_parts:
             num_parts.insert(0, str(constant))
         text = "*".join(num_parts)
@@ -283,15 +214,6 @@ class RatFunc(_Frozen):
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return (self.constant == other.constant and self.numer == other.numer
-                and self.denom == other.denom)
-
-    def __hash__(self):
-        return hash((self.constant, self.numer, self.denom))
 
 
 def identity_equal(f: RatFunc, g: RatFunc) -> bool:

@@ -66,15 +66,6 @@ class HKTransform:
     cleared: tuple[int, ...]
     balance_power: int
 
-    def evaluate(self, t0, z0) -> Fraction:
-        acc = self.numerator.evaluate(t0, z0)
-        for p, m in self.denom_factors:
-            v = p.evaluate(t0, z0)
-            if v == 0:
-                raise ZeroDivisionError("evaluation at a pole")
-            acc /= v ** m
-        return acc
-
 
 def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
     """p(z*t, 1/t) * t^k with k minimal so the result is polynomial in t.

@@ -24,9 +24,10 @@ would hold without building it.  A sum is accumulated once: each term is
 expanded (a factor's power by poly's repeated squaring on _int_mul) and
 added into integer rows over one common denominator, laid out as a
 polynomial's rows, so that poly's _lift moves a term, or the sum, in one
-variable into two; one Poly or BiPoly is built at the end.  Only a sum that has a denominator adds through
-RatFunc.add.  The result equals folding the terms left to right through
-RatFunc.add, down to the factor order and the variable pair.
+variable into two; one Poly or BiPoly is built at the end.  Only a sum
+that has a denominator adds through RatFunc's +.  The result equals
+folding the terms left to right through RatFunc's +, down to the factor
+order and the variable pair.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class _Mono:
 def _as_ratfunc(v) -> RatFunc:
     if isinstance(v, _Mono):
         return v.ratfunc()
-    return v if isinstance(v, RatFunc) else RatFunc.from_fraction(v)
+    return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
 def _variables(v) -> tuple[str, ...]:
@@ -193,13 +194,13 @@ def _div(a, b):
 class _Sum:
     """The sum of an expression's terms, equal to folding them left to right.
 
-    The fold a + b through RatFunc.add keeps a when b is zero and b when a
+    The fold a + b through RatFunc's + keeps a when b is zero and b when a
     is zero, adds two constants as scalars, and otherwise expands both and
     holds their sum as one factor, in the variables of both, or as a
     constant.  _Sum gives the same value, but holds an expanded sum as rows
     of integer numerators over one common denominator, adds each term into
     them once, and builds its one Poly or BiPoly at the end.  A sum with a
-    denominator folds through RatFunc.add.
+    denominator folds through RatFunc's +.
     """
 
     def __init__(self, first):
@@ -224,7 +225,7 @@ class _Sum:
             self.held = (a if isinstance(a, Fraction) else a.constant) + \
                 (b if isinstance(b, Fraction) else b.constant)
         elif _has_denom(a) or _has_denom(b):
-            self.held = _as_ratfunc(self.value() if a is None else a).add(_as_ratfunc(b))
+            self.held = _as_ratfunc(self.value() if a is None else a) + _as_ratfunc(b)
         else:
             if a is not None:
                 self.names, self.rows, self.den, self.held = names, [], 1, None
@@ -243,7 +244,7 @@ class _Sum:
         if self.held is None:
             return RatFunc(1, [(self._poly(), 1)])
         if isinstance(self.held, Fraction) and not self.scalar:
-            return RatFunc.from_fraction(self.held)
+            return RatFunc(self.held)
         return self.held
 
     def _put(self, v) -> None:

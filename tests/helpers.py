@@ -642,13 +642,13 @@ def ref_unify(*values) -> tuple:
 
 # -- Fold reference for gfdiag.textform ------------------------------------------
 #
-# The parser as it was when it folded every '+' through RatFunc.add and built
+# The parser as it was when it folded every '+' through RatFunc's + and built
 # a RatFunc for every variable, kept so that the property tests can compare
 # the one-pass sums with it.  A third variable fails here with the
 # ValueError of unify, where textform raises a ParseError.
 
 def _ref_as_ratfunc(v) -> RatFunc:
-    return v if isinstance(v, RatFunc) else RatFunc.from_fraction(v)
+    return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
 def _ref_mul(a, b):
@@ -769,7 +769,7 @@ class _RefParser:
 
 
 def ref_parse_ratfunc(text: str) -> RatFunc:
-    """parse_ratfunc by the left-to-right fold of every sum through RatFunc.add."""
+    """parse_ratfunc by the left-to-right fold of every sum through RatFunc's +."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")

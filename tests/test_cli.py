@@ -467,6 +467,22 @@ def test_verify_unknown_claim_exits_2():
     assert res.returncode == 2
 
 
+def test_verify_runs_every_repeated_claim_in_order(capsys):
+    assert cli.main(["verify", "--claim", "trib.second_term", "--claim", "fib.closed_form",
+                     "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.index("trib.second_term") < out.index("fib.closed_form")
+    assert out.endswith("claims matching their expected status: 2/2\n")
+
+
+@pytest.mark.parametrize("selector", [(), ("--all", "--claim", "fib.closed_form")])
+def test_verify_needs_exactly_one_of_all_and_claim(selector, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *selector])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_all_json_exits_0_and_is_exact():
     res = run_cli("verify", "--all", "--n", "60", "--json")
     assert res.returncode == 0

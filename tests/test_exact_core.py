@@ -18,6 +18,7 @@ from gfdiag import (
     Poly,
     RatFunc,
     compose_rational,
+    identity_equal,
     parse_poly,
     parse_ratfunc,
     poly_gcd,
@@ -368,7 +369,7 @@ def test_parse_errors():
             parse_ratfunc(text)
 
 
-# -- the parser against the fold through RatFunc.add ------------------------------
+# -- the parser against the fold through RatFunc's + ------------------------------
 
 def _same_parse(text: str) -> None:
     """parse_ratfunc(text) equals ref_parse_ratfunc(text), or both raise one ParseError."""
@@ -476,6 +477,18 @@ def test_ratfunc_display_round_trips_by_value():
         num_f, den_f = f.expand_to_single_fraction()
         num_g, den_g = g.expand_to_single_fraction()
         assert num_f * den_g == num_g * den_f
+    # Two variables, every factor with a negative constant term: the printer
+    # negates each one and flips the constant once per odd multiplicity.
+    parities = set()
+    for _ in range(50):
+        factors = []
+        for _ in range(3):
+            p = rand_bipoly(rng, nonzero_at_0=True)
+            factors.append((-p if p.coeff(0).coeff(0) > 0 else p, rng.randint(1, 4)))
+        parities.update(m % 2 for _, m in factors)
+        f = RatFunc(rand_fraction(rng) or 1, factors[:1], factors[1:])
+        assert identity_equal(parse_ratfunc(str(f)), f)
+    assert parities == {0, 1}
 
 
 # -- package surface ---------------------------------------------------------
