@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 from .gfbuild import build_convolution_gf, printed_gf
@@ -228,13 +228,19 @@ def _trib_u_binomial_rhs(convention: str, count: int) -> list[Fraction]:
     """[sum_{k>=1} T_{k-1} (-1)^k C(m+2, k) for m < count], from Pascal rows.
 
     With T cleared to integers over den, signed[k] = (-1)^k T_{k-1} and
-    signed[0] = 0, row m + 2 of Pascal's triangle sums against signed to
-    den times term m.
+    signed[0] = 0, row n = m + 2 of Pascal's triangle sums against signed
+    to den times term m.  C(n,k) = C(n,n-k) folds the row: only k <= n/2
+    is read, against signed[k] + signed[n-k], and the middle term of an
+    even row, read twice, is taken off once.
     """
     t, den = _cleared(_kbonacci_terms(3, convention, count + 1))
     signed = [0, *(-v if k % 2 else v for k, v in enumerate(t, 1))]
-    return [Fraction(sum(map(mul, row, signed)), den)
-            for row in islice(pascal_rows(count + 2), 2, None)]
+    out = []
+    for n, row in enumerate(islice(pascal_rows(count + 2), 2, None), 2):
+        h = n // 2
+        s = sum(map(mul, row[:h + 1], map(add, signed, signed[n::-1])))
+        out.append(Fraction(s if n % 2 else s - row[h] * signed[h], den))
+    return out
 
 
 def _check_trib_u_binomial(n: int, convention: str) -> CheckResult:

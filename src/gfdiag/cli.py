@@ -149,6 +149,9 @@ def _diagonal_input(args):
 
 
 def cmd_diagonal(args) -> int:
+    if args.method != "residue" and args.n < 4:
+        raise ParseError(f"--n must be >= 4 for --method {args.method}: the series route "
+                         f"finds a recurrence from at least 4 diagonal terms, got {args.n}")
     label, f = _diagonal_input(args)
     payload: dict = {"input": label, "method": args.method, "n": args.n}
     lines = []

@@ -9,7 +9,10 @@ Fraction, and build the Fraction results only at the end.  A polynomial
 is already an integer part times a rational content (see gfdiag.poly):
 the Taylor division recurrence (one or two variables) reads the integer
 parts and folds the contents into one rational scale.  The Pascal-row
-sums take sequences, whose denominators are cleared once.  Division by
+sums take sequences, whose denominators are cleared once, and read each
+row n for k <= n/2 only, since C(n,k) = C(n,n-k): a convolution's pair
+a_k b_{n-k} + a_{n-k} b_k is one product, doubled, when both sides clear
+to the same integers, as every self-convolution does.  Division by
 the constant term d0 of the denominator is deferred by carrying
 e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
 needs no division at all.
@@ -307,19 +310,41 @@ def _pascal_sum(row: list[int], a: list[int], b: list[int], m: int) -> int:
     return sum(map(mul, row, map(mul, a, b[m::-1])))
 
 
+def _folded_pascal_sum(row: list[int], a: list[int], b: list[int], n: int) -> int:
+    """sum_k C(n,k) a_k b_{n-k} over the full row n, reading only k <= n/2.
+
+    C(n,k) = C(n,n-k) pairs a_k b_{n-k} with a_{n-k} b_k; when n is even
+    the middle pair is the middle term twice, so it is taken off once.  For
+    a is b the pair is one product, doubled.
+    """
+    h = n // 2
+    half = row[:h + 1]
+    if a is b:
+        s = sum(map(mul, half, map(mul, a, a[n::-1]))) << 1
+    else:
+        s = sum(map(mul, half, map(add, map(mul, a, b[n::-1]), map(mul, a[n::-1], b))))
+    return s if n % 2 else s - row[h] * a[h] * b[h]
+
+
 def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
                                   count: int) -> list[Fraction]:
     """[sum_k C(n,k) a_k b_{n-k} for n in range(count)], sharing Pascal rows."""
+    if count < 0:
+        raise ValueError("n must be >= 0")
     if len(a) < count or len(b) < count:
         raise ValueError(f"need at least {count} terms")
     (ia, la), (ib, lb) = _cleared(a[:count]), _cleared(b[:count])
-    return [Fraction(_pascal_sum(row, ia, ib, n), la * lb)
+    if ia == ib:  # a self-convolution: _folded_pascal_sum takes one product per pair
+        ib = ia
+    return [Fraction(_folded_pascal_sum(row, ia, ib, n), la * lb)
             for n, row in enumerate(pascal_rows(count))]
 
 
 def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
                      nn: int, nm: int) -> list[list[Fraction]]:
     """h[n][m] = sum_k C(n,k) a_k b_{m-k}; b out of range contributes 0."""
+    if nn < 0 or nm < 0:
+        raise ValueError("n must be >= 0")
     if len(a) < nn:
         raise ValueError(f"need at least {nn} terms of a")
     if len(b) < nm:

@@ -269,6 +269,25 @@ def test_diagonal_third_variable_exits_2(capsys):
     assert capsys.readouterr().err == "error: at most two variables are supported, found x, y, z\n"
 
 
+@pytest.mark.parametrize("method", ["both", "series"])
+@pytest.mark.parametrize("n", [3, 0, -1])
+def test_diagonal_series_route_checks_n_before_any_work(method, n, monkeypatch, capsys):
+    def no_work(args):
+        raise AssertionError("the input was read before --n was checked")
+
+    monkeypatch.setattr(cli, "_diagonal_input", no_work)
+    assert cli.main(["diagonal", "--catalog=trib.G", f"--method={method}", f"--n={n}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: --n must be >= 4 for --method {method}: the series route "
+                       f"finds a recurrence from at least 4 diagonal terms, got {n}\n")
+
+
+def test_diagonal_residue_route_takes_n_0(capsys):
+    assert cli.main(["diagonal", "--catalog=trib.G", "--method=residue", "--n=0"]) == 0
+    assert "series cross-check (0 terms): ok" in capsys.readouterr().out
+
+
 def test_diagonal_catalog_both_methods():
     res = run_cli("diagonal", "--catalog", "trib.G", "--method", "both", "--n", "60",
                   "--json")

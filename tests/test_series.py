@@ -200,6 +200,15 @@ def test_binomial_convolution_needs_enough_terms():
         binomial_convolution_sequence([Fraction(1)] * 3, [Fraction(1)] * 3, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: binomial_convolution_sequence(F(1, 2), F(1, 2), -1),
+    lambda: convolution_grid(F(1, 2), F(1, 2), -1, 1),
+    lambda: convolution_grid(F(1, 2), F(1, 2), 1, -1)])
+def test_convolution_oracles_reject_negative_n(call):
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        call()
+
+
 def test_binomial_convolution_symmetry_randomized():
     rng = Random(444)
     for _ in range(200):
@@ -336,3 +345,21 @@ def test_convolution_oracles_match_fraction_reference(a, b, count, nn, nm):
         ref_pascal_sum(rows[n], a, b, n) for n in range(count)]
     assert convolution_grid(a, b, nn, nm) == [
         [ref_pascal_sum(rows[n], a, b, m) for m in range(nm)] for n in range(nn)]
+
+
+@_kernel_settings
+@given(a=st.integers(0, 41).flatmap(lambda c: st.lists(_rational, min_size=c, max_size=c)),
+       tails=st.tuples(_rational, _rational).filter(lambda t: t[0] != t[1]))
+def test_folded_self_convolution_matches_fraction_reference(a, tails):
+    # Each row is read for k <= n/2 only: both parities of n occur, and a
+    # self-convolution takes the one-product path, whether a and b are one
+    # list, two lists that agree on the first count terms, or a and a/11,
+    # which clear to the same integers over different denominators.
+    count = len(a)
+    rows = list(pascal_rows(count))
+    want = [ref_pascal_sum(rows[n], a, a, n) for n in range(count)]
+    assert binomial_convolution_sequence(a, a, count) == want
+    assert binomial_convolution_sequence(a + [tails[0]], a + [tails[1]], count) == want
+    b = [v / 11 for v in a]
+    assert binomial_convolution_sequence(a, b, count) == [
+        ref_pascal_sum(rows[n], a, b, n) for n in range(count)]
