@@ -33,14 +33,13 @@ its cost is quadratic in n.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 from operator import add, mul
-from typing import Callable
 
 from .gfbuild import build_convolution_gf, printed_gf
-from .poly import Poly, _cleared
+from .poly import Poly, _Frozen, _cleared
 from .ratfunc import compose_rational, identity_equal
 from .residues import diagonal_rational
 from .series import (
@@ -59,12 +58,13 @@ from .textform import parse_ratfunc
 CONVENTIONS = ("A", "B")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Frozen):
+    __slots__ = _fields = ("passed", "first_mismatch", "lhs", "rhs")
+    _defaults = {"first_mismatch": None, "lhs": None, "rhs": None}
     passed: bool
-    first_mismatch: int | str | None = None
-    lhs: str | None = None
-    rhs: str | None = None
+    first_mismatch: int | str | None
+    lhs: str | None
+    rhs: str | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,18 +75,22 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Frozen):
+    __slots__ = _fields = ("id", "description", "expected_status", "check", "conventions",
+                           "note")
+    _defaults = {"conventions": (), "note": ""}
     id: str
     description: str
     expected_status: str                       # "pass", "fail", or "either"
     check: Callable[[int, str | None], CheckResult]
-    conventions: tuple[str, ...] = ()
-    note: str = ""
+    conventions: tuple[str, ...]
+    note: str
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(_Frozen):
+    __slots__ = _fields = ("id", "status", "first_mismatch", "lhs", "rhs", "runtime_ms",
+                           "expected_status", "matched_expected", "note", "conventions")
+    _defaults = {"note": "", "conventions": None}
     id: str
     status: str                                # "pass" or "fail"
     first_mismatch: int | str | None
@@ -95,8 +99,8 @@ class ClaimReport:
     runtime_ms: int
     expected_status: str
     matched_expected: bool
-    note: str = ""
-    conventions: dict | None = None
+    note: str
+    conventions: dict | None
 
     def to_json_dict(self) -> dict:
         out = {

@@ -15,13 +15,12 @@ textform's for a rational function and _parse_fraction_list's for a list.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable
 
 from .claims import claim_ids, run_all, run_claim
 from .gfbuild import catalog_entry, catalog_ids, printed_gf
@@ -70,9 +69,11 @@ def _emit(args, command: str, payload: Callable[[], dict], parts: Iterable[str],
     """Print the command's JSON envelope or its text, and return its exit status.
 
     Only the form asked for is built: payload() is called for --json only,
-    and the text is printed from its parts, never joined into one string.
+    and the text is printed from its parts, never joined into one string;
+    json is imported here, so a text command never loads it.
     """
     if args.json:
+        import json
         print(json.dumps({"command": command, "status": status, **payload()}, indent=2))
     else:
         print(*parts, sep=sep)

@@ -15,20 +15,19 @@ reports the difference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache, partial
-from typing import Callable
 
-from .poly import BiPoly, Poly
+from .poly import BiPoly, Poly, _Frozen
 from .ratfunc import RatFunc, compose_rational
 from .series import SequenceSpec, gf_of_sequence, kbonacci
 from .textform import parse_ratfunc
 
 
-@dataclass(frozen=True)
-class ConvolutionGF:
+class ConvolutionGF(_Frozen):
     """A convolution generating function with its provenance."""
 
+    __slots__ = _fields = ("F", "spec_a", "spec_b", "provenance")
     F: RatFunc
     spec_a: SequenceSpec
     spec_b: SequenceSpec
@@ -52,13 +51,14 @@ def build_convolution_gf(a: SequenceSpec, b: SequenceSpec) -> ConvolutionGF:
 # Catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Frozen):
+    __slots__ = _fields = ("id", "kind", "provenance", "description", "build")
+    _defaults = {"build": None}
     id: str
     kind: str                   # "bivariate-gf", "univariate-gf", "formula"
     provenance: str             # "printed" or "derived"
     description: str
-    build: Callable[[], RatFunc] | None = None
+    build: Callable[[], RatFunc] | None
 
 
 def _self_convolution_gf(k: int) -> RatFunc:

@@ -40,10 +40,10 @@ trade-off.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as gcd_int, lcm
-from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -139,18 +139,40 @@ def _label(names: tuple[str, ...]) -> str:
 class _Frozen:
     """An immutable value whose fields, named by _fields, are set once.
 
-    == and hash compare the fields, so a value's form must be canonical.
+    The one immutable-value base: Poly, BiPoly, RatFunc and every record
+    of the package derive from it.  A record declares __slots__ = _fields
+    and, in _defaults, the values of its optional fields; its constructor
+    takes the fields by position or keyword.  == and hash compare the
+    fields, so a value's form must be canonical.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} fields but {len(args)} were given")
+        values = dict(zip(self._fields, args))
+        for key in kwargs:
+            if key in values or key not in self._fields:
+                raise TypeError(f"{name}() got {'a repeated' if key in values else 'an unknown'} "
+                                f"field {key!r}")
+        values = {**self._defaults, **values, **kwargs}
+        missing = [key for key in self._fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing field(s) {', '.join(map(repr, missing))}")
+        self._fill(*(values[key] for key in self._fields))
 
     def _fill(self, *fields) -> None:
         for name, value in zip(self._fields, fields):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _make(cls, *fields):
@@ -162,6 +184,9 @@ class _Frozen:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def __reduce__(self):
+        return self._make, self._values()
+
     def __eq__(self, other):
         if not isinstance(other, _Frozen) or other._fields != self._fields:
             return NotImplemented
@@ -169,6 +194,10 @@ class _Frozen:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class _Poly(_Frozen):
@@ -457,7 +486,7 @@ class BiPoly(_Poly):
         return f"BiPoly({self.outer!r}, {self.inner!r}, {[repr(c) for c in self.coeffs]})"
 
 
-AnyPoly = Union[Poly, BiPoly]
+AnyPoly = Poly | BiPoly
 
 
 def unify(*values) -> tuple:

@@ -8,8 +8,8 @@ multivariate polynomial factorization.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .poly import AnyPoly, Poly, _Frozen, as_fraction, poly_gcd, unify
 

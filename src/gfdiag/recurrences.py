@@ -12,10 +12,10 @@ terms that determine its recurrence.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
 
 from .poly import _cleared, as_fraction
 from .series import SequenceSpec, binomial_convolution_sequence, generate_sequence

@@ -32,12 +32,11 @@ and its witness is the report's first_mismatch, lhs and rhs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .poly import (BiPoly, Poly, _horner, _int_add, _int_mul, _int_prem, _int_resultant,
-                   _power)
+from .poly import (BiPoly, Poly, _Frozen, _horner, _int_add, _int_mul, _int_prem,
+                   _int_resultant, _power)
 from .ratfunc import RatFunc
 from .series import _first_mismatch, diagonal_series, series_of_rational
 
@@ -50,8 +49,7 @@ class DegeneratePoleError(ArithmeticError):
 # The substitution x -> z*t, y -> 1/t with t-clearing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HKTransform:
+class HKTransform(_Frozen):
     """F(z*t, 1/t)/t in cleared form: numerator and factored denominator.
 
     cleared records the power of t multiplied into each denominator factor
@@ -61,6 +59,7 @@ class HKTransform:
     as a t^k factor (when negative).
     """
 
+    __slots__ = _fields = ("numerator", "denom_factors", "cleared", "balance_power")
     numerator: BiPoly                       # variables (t, z)
     denom_factors: tuple[tuple[BiPoly, int], ...]
     cleared: tuple[int, ...]
@@ -129,14 +128,15 @@ def hk_transform(f: RatFunc) -> HKTransform:
 # Pole classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoleClass:
+class PoleClass(_Frozen):
+    __slots__ = _fields = ("factor", "multiplicity", "index", "kept", "reason", "leading_at_zero")
+    _defaults = {"leading_at_zero": None}
     factor: BiPoly
     multiplicity: int
     index: int                     # position in HKTransform.denom_factors
     kept: bool
     reason: str
-    leading_at_zero: Fraction | None = None
+    leading_at_zero: Fraction | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -308,14 +308,15 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
 # The full diagonal extractor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(_Frozen):
+    __slots__ = _fields = ("poles", "status", "checked_terms", "first_mismatch", "lhs", "rhs")
+    _defaults = {"first_mismatch": None, "lhs": None, "rhs": None}
     poles: tuple[PoleClass, ...]
     status: str                    # "ok" or "method-assumption-violated"
     checked_terms: int
-    first_mismatch: int | None = None
-    lhs: str | None = None
-    rhs: str | None = None
+    first_mismatch: int | None
+    lhs: str | None
+    rhs: str | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -349,10 +350,10 @@ def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, Diag
 # Partial fractions over the supplied (pairwise coprime) factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartialFractions:
+class PartialFractions(_Frozen):
     """poly_part + sum(numerator / base^power for each part)."""
 
+    __slots__ = _fields = ("poly_part", "parts")
     poly_part: Poly
     parts: tuple[tuple[Poly, Poly, int], ...]
 

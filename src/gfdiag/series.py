@@ -40,13 +40,12 @@ coefficient times D^(i+j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partial
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
 
-from .poly import AnyPoly, Poly, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
+from .poly import AnyPoly, Poly, _Frozen, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
 from .ratfunc import RatFunc
 
 
@@ -54,8 +53,7 @@ class PoleAtOriginError(ArithmeticError):
     """The denominator vanishes at the expansion point."""
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(_Frozen):
     """Order-k constant-coefficient recurrence with initial terms.
 
     a_n = initial[n] for n < k, else sum(coeffs[i] * a_{n-1-i}).
@@ -63,21 +61,21 @@ class SequenceSpec:
     is the zero sequence.
     """
 
+    __slots__ = _fields = ("order", "coeffs", "initial")
     order: int
-    coeffs: tuple[Fraction, ...] = ()
-    initial: tuple[Fraction, ...] = ()
+    coeffs: tuple[Fraction, ...]
+    initial: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: Iterable = (), initial: Iterable = ()):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        coeffs = tuple(as_fraction(c) for c in (self.coeffs or (1,) * self.order))
-        initial = tuple(as_fraction(c) for c in self.initial)
-        if len(coeffs) != self.order:
-            raise ValueError(f"need {self.order} recurrence coefficients, got {len(coeffs)}")
-        if len(initial) != self.order:
-            raise ValueError(f"need {self.order} initial terms, got {len(initial)}")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "initial", initial)
+        coeffs = tuple(as_fraction(c) for c in (coeffs or (1,) * order))
+        initial = tuple(as_fraction(c) for c in initial)
+        if len(coeffs) != order:
+            raise ValueError(f"need {order} recurrence coefficients, got {len(coeffs)}")
+        if len(initial) != order:
+            raise ValueError(f"need {order} initial terms, got {len(initial)}")
+        self._fill(order, coeffs, initial)
 
 
 def kbonacci(k: int, shifted: bool = False) -> SequenceSpec:

@@ -2,7 +2,9 @@
 rational functions, composition, and the text format."""
 
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +25,11 @@ from gfdiag import (
     parse_ratfunc,
     poly_gcd,
 )
+from gfdiag.claims import CheckResult, Claim, ClaimReport
+from gfdiag.gfbuild import CatalogEntry, ConvolutionGF
 from gfdiag.poly import VARIABLES
+from gfdiag.residues import DiagnosticReport, HKTransform, PartialFractions, PoleClass
+from gfdiag.series import SequenceSpec
 from helpers import (
     poly_xgcd,
     rand_bipoly,
@@ -491,6 +497,70 @@ def test_ratfunc_display_round_trips_by_value():
     assert parities == {0, 1}
 
 
+# -- records -----------------------------------------------------------------
+
+# Each record with its fields, in order, and its optional fields' defaults.
+# SequenceSpec derives its defaults from order in its own constructor (see
+# the test after this one).
+RECORDS = [
+    (SequenceSpec, "order coeffs initial", {}),
+    (HKTransform, "numerator denom_factors cleared balance_power", {}),
+    (PoleClass, "factor multiplicity index kept reason leading_at_zero",
+     {"leading_at_zero": None}),
+    (DiagnosticReport, "poles status checked_terms first_mismatch lhs rhs",
+     {"first_mismatch": None, "lhs": None, "rhs": None}),
+    (PartialFractions, "poly_part parts", {}),
+    (CheckResult, "passed first_mismatch lhs rhs",
+     {"first_mismatch": None, "lhs": None, "rhs": None}),
+    (Claim, "id description expected_status check conventions note",
+     {"conventions": (), "note": ""}),
+    (ClaimReport, "id status first_mismatch lhs rhs runtime_ms expected_status "
+                  "matched_expected note conventions", {"note": "", "conventions": None}),
+    (ConvolutionGF, "F spec_a spec_b provenance", {}),
+    (CatalogEntry, "id kind provenance description build", {"build": None}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_records_are_immutable_values(cls, fields, defaults):
+    fields = tuple(fields.split())
+    assert tuple(cls.__annotations__) == fields
+    values = ((2, (Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1, 2)))
+              if cls is SequenceSpec else tuple(f"v{i}" for i in range(len(fields))))
+    a, b = cls(*values), cls(**dict(zip(fields, values)))
+    assert [getattr(a, name) for name in fields] == list(values)
+    assert a == b and hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(fields, values))})"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert getattr(a, fields[0]) == values[0]
+    required = [name for name in fields if name not in defaults]
+    short = cls(*values[:len(required)])
+    assert {name: getattr(short, name) for name in defaults} == defaults
+    for bad_args, bad_kwargs in [((), {}), (values[:1], {fields[0]: values[0]}),
+                                 (values, {"unknown": 1}), (values + (0,), {})]:
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+def test_sequence_spec_checks_and_normalises():
+    spec = SequenceSpec(2, initial=[0, "1/2"])
+    assert spec.coeffs == (1, 1) and spec.initial == (0, Fraction(1, 2))
+    assert all(type(v) is Fraction for v in spec.coeffs + spec.initial)
+    assert spec == SequenceSpec(2, (1, 1), (0, Fraction(1, 2)))
+    assert SequenceSpec(0) == SequenceSpec(0, (), ())
+    for args, message in [((-1,), "order must be >= 0"),
+                          ((2, (1,), (0, 1)), "need 2 recurrence coefficients, got 1"),
+                          ((2, (), (0,)), "need 2 initial terms, got 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SequenceSpec(*args)
+
+
 # -- package surface ---------------------------------------------------------
 
 def test_public_names_resolve_once():
@@ -509,4 +579,16 @@ def test_import_loads_no_test_only_package():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_what_start_up_uses():
+    # Every command pays for import gfdiag.cli: the records are built on
+    # poly._Frozen, not dataclasses (which loads inspect), the annotations
+    # name collections.abc, not typing, and --json imports json in cli._emit.
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport gfdiag.cli\n"
+            "gfdiag.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(REPO / "src")],
+                         capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
