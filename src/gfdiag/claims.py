@@ -1,8 +1,7 @@
 """The claims catalog: every transcribed identity checked exactly.
 
-Each claim compares two exactly computed objects, either termwise up to a
-truncation or as a cross-multiplied rational-function identity.  Claims
-whose transcribed form is known (from recomputation) to disagree with the
+Each claim compares two exactly computed objects.  Claims whose
+transcribed form is known (from recomputation) to disagree with the
 brute-force oracles carry an expected_status annotation, so the suite is
 deterministic: it exits cleanly when every claim matches its recorded
 expectation, and a failing claim always carries an exact witness.
@@ -13,21 +12,39 @@ k-bonacci claims run under both index conventions:
 and the report records which convention passes.  A claim without
 conventions is about the shifted sequence, convention B.
 
-Every termwise claim finds its witness with series._first_mismatch, the
-comparison that the residue route's cross-check uses too.  Each compares
-max(n + 1, d + 1) terms, d the degree bound of the difference of its two
-sides' GFs (see _printed_vs_brute), so every PASS is a proof at every n.
-A transcribed diagonal GF is compared with the brute-force
-self-convolution in this way, and the transcribed double GF is decided by
-a rational-function identity with the derived one, its witness searched
-only up to the total degree of the difference's numerator, so neither
-verdict depends on the truncation n.
+A termwise claim is a row naming two sides, and one rule, _termwise,
+checks every such row.  A side is a sequence, as integers over one
+denominator, with bounds (nu, delta) on the numerator and denominator
+degrees of its generating function P/Q, Q(0) != 0.  Two sides differ by
+(P1 Q2 - P2 Q1)/(Q1 Q2), whose numerator has degree at most
+d = max(nu1 + delta2, nu2 + delta1), and a nonzero such series has a
+nonzero coefficient at or below d.  So max(n + 1, d + 1) terms either
+prove the two sides equal at every n or hold the first index where they
+differ.  Each side reads its bounds from its own object, by the closure
+of C-finite sequences under sums, shifts and r^n scaling (Kauers and
+Paule, The Concrete Tetrahedron, Springer 2011, ch. 4):
 
-The oracles' right-hand sides are computed with Python ints over one
-cleared denominator, and each term becomes a Fraction only at the end, as
-in series._pascal_sum: a power of 2 is a shift, and the binomial sum of
-trib.U_binomial sums each integer Pascal row against the signed terms, so
-its cost is quadratic in n.
+    a RatFunc                                its own degrees
+    r^m a_m, a a SequenceSpec of order k     (k - 1, k)
+    sum_j C(m,j) a_j b_{m-j}, specs a and b  (k_a k_b - 1, k_a k_b)
+    sum_j C(m,j) a_j, a a side               (max(nu, delta - 1), max(nu + 1, delta))
+    a_{m-s}, a delay by s                    (nu + s, delta)
+    a_{m+s}, an advance by s                 (max(nu - s, delta - 1), delta)
+    sum_i c_i a_i, distinct sides a_i        (max_i nu_i + delta - delta_i, delta),
+                                             delta the sum of the delta_i
+
+The convolution's bound is the EGF argument of
+recurrences.convolution_terms.  The binomial transform's GF is
+A(z/(1 - z))/(1 - z), and an advance's is (A - its first s terms)/z^s;
+shifts of one side keep its denominator, and distinct sides share none.
+The two identity claims, fib.H.printed and trib.U_gf_identity, are
+decided by cross-multiplied rational-function identities, so neither
+verdict depends on n either.
+
+Sides compute on Python ints over one cleared denominator, as
+series._pascal_sum does: a Pascal-row sum reads row m for j <= m/2
+only, since C(m,j) = C(m,m-j), and the two sides are compared
+cross-multiplied, so a term becomes a Fraction only as a witness.
 """
 
 from __future__ import annotations
@@ -35,24 +52,17 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import islice
+from itertools import repeat
+from math import lcm
 from operator import add, mul
 
 from .gfbuild import build_convolution_gf, printed_gf
 from .poly import Poly, _Frozen, _cleared
 from .ratfunc import compose_rational, identity_equal
 from .residues import diagonal_rational
-from .series import (
-    SequenceSpec,
-    binomial_convolution_sequence,
-    bivariate_series,
-    convolution_grid,
-    generate_sequence,
-    kbonacci,
-    pascal_rows,
-    _first_mismatch,
-    series_of_rational,
-)
+from .series import (SequenceSpec, bivariate_series, convolution_grid, generate_sequence,
+                     kbonacci, pascal_rows, _first_mismatch, _folded_pascal_sum,
+                     series_of_rational)
 from .textform import parse_ratfunc
 
 CONVENTIONS = ("A", "B")
@@ -67,17 +77,12 @@ class CheckResult(_Frozen):
     rhs: str | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": "pass" if self.passed else "fail",
-            "first_mismatch": self.first_mismatch,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return {"status": "pass" if self.passed else "fail",
+                "first_mismatch": self.first_mismatch, "lhs": self.lhs, "rhs": self.rhs}
 
 
 class Claim(_Frozen):
-    __slots__ = _fields = ("id", "description", "expected_status", "check", "conventions",
-                           "note")
+    __slots__ = _fields = ("id", "description", "expected_status", "check", "conventions", "note")
     _defaults = {"conventions": (), "note": ""}
     id: str
     description: str
@@ -103,35 +108,10 @@ class ClaimReport(_Frozen):
     conventions: dict | None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "status": self.status,
-            "first_mismatch": self.first_mismatch,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "runtime_ms": self.runtime_ms,
-            "expected_status": self.expected_status,
-            "matched_expected": self.matched_expected,
-            "note": self.note,
-        }
+        out = dict(zip(self._fields[:-1], self._values()))  # each field but conventions
         if self.conventions is not None:
             out["conventions"] = {k: v.to_json_dict() for k, v in self.conventions.items()}
         return out
-
-
-def _compare_terms(lhs, rhs) -> CheckResult:
-    hit = _first_mismatch(lhs, rhs)
-    return CheckResult(True) if hit is None else CheckResult(False, *hit)
-
-
-def _kbonacci_terms(k: int, convention: str | None, count: int) -> list[Fraction]:
-    """The first count k-bonacci terms; no convention means convention B."""
-    return generate_sequence(kbonacci(k, shifted=convention != "A"), count)
-
-
-def _self_convolution(k: int, convention: str | None, count: int) -> list[Fraction]:
-    terms = _kbonacci_terms(k, convention, count)
-    return binomial_convolution_sequence(terms, terms, count)
 
 
 def _degree(factors) -> int:
@@ -140,49 +120,113 @@ def _degree(factors) -> int:
                for p, m in factors)
 
 
-def _printed_vs_brute(catalog_id: str, k: int):
-    """The check of a printed diagonal GF against the brute-force self-convolution.
+# -- sides -------------------------------------------------------------------
+#
+# A side maps a convention to (nu, delta, make), and make(count) returns the
+# first count terms as (ints, den).  A spec argument is a SequenceSpec, or an
+# int k for the k-bonacci sequence under the running convention.
 
-    It compares max(n + 1, max(nu + 1, delta) + k^2) terms, nu and delta the
-    degrees of the printed GF's numerator and denominator, and that many
-    prove the two equal.  The self-convolution's GF has a denominator of
-    degree at most k^2 and a numerator of lower degree (the EGF argument of
-    recurrences.convolution_terms), and both denominators are nonzero at 0.
-    So the difference of the two series is N/D with deg N <= max(nu + k^2,
-    delta + k^2 - 1), and a nonzero such series has a nonzero coefficient
-    at or below deg N.
+def _spec(s, convention: str | None) -> SequenceSpec:
+    return kbonacci(s, shifted=convention != "A") if isinstance(s, int) else s
 
-    The same argument bounds every termwise claim below: sides P1/Q1 and
-    P2/Q2 with Q1(0) Q2(0) != 0 and degrees nu_i, delta_i differ, if at
-    all, within the first d + 1 terms, d = max(nu1 + delta2, nu2 + delta1).
-    So each compares max(n + 1, d + 1) terms, and its PASS is a proof at
-    every n.
+
+def _rat(source):
+    """The series of a RatFunc: printed_gf(source) for an id, else source()."""
+    def side(convention):
+        f = printed_gf(source) if isinstance(source, str) else source()
+        return (_degree(f.numer), _degree(f.denom),
+                lambda count: _cleared(series_of_rational(f, count)))
+    return side
+
+
+def _scaled(s, r: int = 1):
+    """r^m a_m for the spec s, whose GF is A(rz)."""
+    def side(convention):
+        spec = _spec(s, convention)
+
+        def make(count):
+            a, den = _cleared(generate_sequence(spec, count))
+            return [v * r ** m for m, v in enumerate(a)], den
+        return spec.order - 1, spec.order, make
+    return side
+
+
+def _brute(sa, sb):
+    """The brute-force binomial convolution sum_j C(m,j) a_j b_{m-j} of two specs."""
+    def side(convention):
+        a, b = _spec(sa, convention), _spec(sb, convention)
+
+        def make(count):
+            ia, la = _cleared(generate_sequence(a, count))
+            ib, lb = (ia, la) if b == a else _cleared(generate_sequence(b, count))
+            rows = enumerate(pascal_rows(count))
+            return [_folded_pascal_sum(row, ia, ib, m) for m, row in rows], la * lb
+        return a.order * b.order - 1, a.order * b.order, make
+    return side
+
+
+def _binomial(inner):
+    """The binomial transform sum_j C(m,j) a_j of a side.
+
+    C(m,j) = C(m,m-j) folds row m: only j <= m/2 is read, against
+    a_j + a_{m-j}, and the middle term of an even row, read twice, is
+    taken off once.
     """
+    def side(convention):
+        nu, delta, terms = inner(convention)
+
+        def make(count):
+            a, den = terms(count)
+            out = []
+            for m, row in enumerate(pascal_rows(count)):
+                h = m // 2
+                s = sum(map(mul, row[:h + 1], map(add, a, a[m::-1])))
+                out.append(s if m % 2 else s - row[h] * a[h])
+            return out, den
+        return max(nu, delta - 1), max(nu + 1, delta), make
+    return side
+
+
+def _combo(divisor: int, *parts):
+    """(sum c a_{m+s}) / divisor over the parts (side, {s: c}), each c an int.
+
+    s > 0 advances a side and s < 0 delays it, with a_m = 0 for m < 0.
+    """
+    def side(convention):
+        sides = [(inner(convention), shifts) for inner, shifts in parts]
+        delta = sum(d for (_, d, _), _ in sides)
+        nu = max(max(v - s if s <= 0 else max(v - s, d - 1) for s in shifts) + delta - d
+                 for (v, d, _), shifts in sides)
+
+        def make(count):
+            got = [(terms(count + max(0, *shifts)), shifts) for (_, _, terms), shifts in sides]
+            scale = lcm(*(den for (_, den), _ in got))
+            out = [0] * count
+            for (a, den), shifts in got:
+                for s, c in shifts.items():
+                    shifted = a[s:s + count] if s >= 0 else ([0] * -s + a)[:count]
+                    out = list(map(add, out, map(mul, shifted, repeat(c * (scale // den)))))
+            return out, scale * divisor
+        return nu, delta, make
+    return side
+
+
+def _termwise(lhs, rhs):
+    """The check of a termwise claim: lhs against rhs, cross-multiplied, on
+    max(n + 1, d + 1) terms, d = max(nu1 + delta2, nu2 + delta1)."""
     def check(n: int, convention: str | None) -> CheckResult:
-        f = printed_gf(catalog_id)
-        nu, delta = _degree(f.numer), _degree(f.denom)
-        count = max(n + 1, max(nu + 1, delta) + k * k)
-        return _compare_terms(series_of_rational(f, count), _self_convolution(k, convention, count))
+        (nu1, delta1, terms1), (nu2, delta2, terms2) = lhs(convention), rhs(convention)
+        count = max(n + 1, max(nu1 + delta2, nu2 + delta1) + 1)
+        (a, da), (b, db) = terms1(count), terms2(count)
+        hit = _first_mismatch(map(mul, a, repeat(db)), map(mul, b, repeat(da)))
+        if hit is None:
+            return CheckResult(True)
+        i = hit[0]
+        return CheckResult(False, i, str(Fraction(a[i], da)), str(Fraction(b[i], db)))
     return check
 
 
-# -- individual checks -------------------------------------------------------
-
-def _check_fib_closed_form(n: int, convention=None) -> CheckResult:
-    """Compares max(n + 1, 7) terms.
-
-    The brute-force side has a denominator of degree at most 4 and a
-    numerator of degree at most 3; the closed form's GF is
-    -2/(5(1 - z)) + L(2z)/5 = N/((1 - z)(1 - 2z - 4z^2)) with deg N <= 2.
-    So d = max(3 + 3, 2 + 4) = 6.
-    """
-    count = max(n + 1, 7)
-    fib = _kbonacci_terms(2, convention, count)
-    lucas, den = _cleared(generate_sequence(SequenceSpec(2, (1, 1), (2, 1)), count))
-    lhs = binomial_convolution_sequence(fib, fib, count)
-    rhs = [Fraction((v << m) - 2 * den, 5 * den) for m, v in enumerate(lucas)]
-    return _compare_terms(lhs, rhs)
-
+# -- identity checks ---------------------------------------------------------
 
 def _check_fib_h_printed(n: int, convention=None) -> CheckResult:
     # The derived GF's grid is the brute-force convolution grid, so the
@@ -196,82 +240,13 @@ def _check_fib_h_printed(n: int, convention=None) -> CheckResult:
     # total degree no higher than N's (10 for these two GFs): the box of
     # that size holds the witness.
     size = _degree(difference.numer) + 1
-    fib = _kbonacci_terms(2, convention, size)
+    fib = generate_sequence(kbonacci(2, shifted=True), size)
     grid = bivariate_series(printed, size, size)
     want = convolution_grid(fib, fib, size, size)
     cells = [(i, s - i) for s in range(size) for i in range(s + 1)]
     hit = _first_mismatch((grid[i][j] for i, j in cells), (want[i][j] for i, j in cells))
     i, j = cells[hit[0]]
     return CheckResult(False, f"x^{i}*y^{j}", *hit[1:])
-
-
-def _trib_first_term_rhs(convention: str, count: int) -> list[Fraction]:
-    """(1/11)(2^(m+1) T_{m+1} + (1/2) 2^m T_m + (5/2) 2^(m-1) T_{m-1}), T_{-1} = 0.
-
-    Over 44 times the denominator of T it is an integer:
-    2^(m+3) T_{m+1} + 2^(m+1) T_m + 5 * 2^m T_{m-1}.
-    """
-    t, den = _cleared(_kbonacci_terms(3, convention, count + 1))
-    return [Fraction((a << (m + 3)) + (b << (m + 1)) + 5 * (c << m), 44 * den)
-            for m, (a, b, c) in enumerate(zip(t[1:], t, [0] + t))]
-
-
-def _check_trib_first_term(n: int, convention: str) -> CheckResult:
-    """Compares max(n + 1, 6) terms.
-
-    The series side is (1 + z + 10z^2)/(11(1 - 2z - 4z^2 - 8z^3)); the
-    formula's GF, a sum of shifts of T(2z), has that denominator and a
-    numerator of degree at most 2.  So d = 2 + 3 = 5.
-    """
-    count = max(n + 1, 6)
-    lhs = series_of_rational(printed_gf("trib.diag.term1"), count)
-    return _compare_terms(lhs, _trib_first_term_rhs(convention, count))
-
-
-def _trib_u_binomial_rhs(convention: str, count: int) -> list[Fraction]:
-    """[sum_{k>=1} T_{k-1} (-1)^k C(m+2, k) for m < count], from Pascal rows.
-
-    With T cleared to integers over den, signed[k] = (-1)^k T_{k-1} and
-    signed[0] = 0, row n = m + 2 of Pascal's triangle sums against signed
-    to den times term m.  C(n,k) = C(n,n-k) folds the row: only k <= n/2
-    is read, against signed[k] + signed[n-k], and the middle term of an
-    even row, read twice, is taken off once.
-    """
-    t, den = _cleared(_kbonacci_terms(3, convention, count + 1))
-    signed = [0, *(-v if k % 2 else v for k, v in enumerate(t, 1))]
-    out = []
-    for n, row in enumerate(islice(pascal_rows(count + 2), 2, None), 2):
-        h = n // 2
-        s = sum(map(mul, row[:h + 1], map(add, signed, signed[n::-1])))
-        out.append(Fraction(s if n % 2 else s - row[h] * signed[h], den))
-    return out
-
-
-def _check_trib_u_binomial(n: int, convention: str) -> CheckResult:
-    """Compares max(n + 1, 6) terms.
-
-    U is the series of 1/(1 - 2z + 2z^3).  The binomial sum is the series
-    of (B(z) - B(0) - B'(0) z)/z^2, B(x) = A(-x/(1 - x))/(1 - x) and
-    A(z) = z T(z), so its denominator has degree 3 and its numerator
-    degree at most 2.  So d = max(0 + 3, 2 + 3) = 5.
-    """
-    count = max(n + 1, 6)
-    u = series_of_rational(printed_gf("trib.U_gf"), count)
-    return _compare_terms(u, _trib_u_binomial_rhs(convention, count))
-
-
-def _check_trib_second_term(n: int, convention=None) -> CheckResult:
-    """Compares max(n + 1, 6) terms.
-
-    The series side is (1 + z - 8z^2)/(11(1 - 2z + 2z^3)), and the
-    formula's GF is (1 + z - 8z^2) U(z)/11: each has a numerator of
-    degree 2 over 1 - 2z + 2z^3.  So d = 2 + 3 = 5.
-    """
-    count = max(n + 1, 6)
-    lhs = series_of_rational(printed_gf("trib.second_term"), count)
-    u, den = _cleared(series_of_rational(printed_gf("trib.U_gf"), count))
-    rhs = [Fraction(a + b - 8 * c, 11 * den) for a, b, c in zip(u, [0, *u], [0, 0, *u])]
-    return _compare_terms(lhs, rhs)
 
 
 def _check_trib_u_gf_identity(n: int, convention=None) -> CheckResult:
@@ -284,94 +259,69 @@ def _check_trib_u_gf_identity(n: int, convention=None) -> CheckResult:
     return CheckResult(False, "identity", str(composed), str(target))
 
 
-def _check_trib_arbitrary_init(n: int, convention=None) -> CheckResult:
-    """Compares max(min(n, 60), L) + 1 terms, L = 9 + max(nu + 1, delta).
-
-    nu and delta are the degrees of the residue diagonal's numerator and
-    denominator; the brute-force self-convolution of an order-3 sequence
-    has a denominator of degree at most 9 and a numerator of lower degree,
-    as in _printed_vs_brute.
-    """
-    spec = SequenceSpec(3, (1, 1, 1), (1, 0, 2))
-    gf = build_convolution_gf(spec, spec).F
-    result, report = diagonal_rational(gf, check_terms=min(n, 60))
-    if report.status != "ok":
-        return CheckResult(False, report.first_mismatch, report.lhs, report.rhs)
-    depth = max(min(n, 60), 9 + max(_degree(result.numer) + 1, _degree(result.denom)))
-    terms = generate_sequence(spec, depth + 1)
-    brute = binomial_convolution_sequence(terms, terms, depth + 1)
-    got = series_of_rational(result, depth + 1)
-    return _compare_terms(got, brute)
-
-
 # -- registry ----------------------------------------------------------------
 
-_CLAIMS: dict[str, Claim] = {}
+_CUSTOM = SequenceSpec(3, (1, 1, 1), (1, 0, 2))
+_U = _rat("trib.U_gf")
+# (1/11)(2^(m+1) T_{m+1} + (1/2) 2^m T_m + (5/2) 2^(m-1) T_{m-1}) and
+# sum_{k>=1} T_{k-1} (-1)^k C(m+2,k): the binomial transform of (-1)^k T_{k-1}, advanced by 2.
+_FIRST_TERM = _combo(22, (_scaled(3, 2), {1: 2, 0: 1, -1: 5}))
+_U_BINOMIAL = _combo(1, (_binomial(_combo(1, (_scaled(3, -1), {-1: -1}))), {2: 1}))
 
-
-def _register(claim: Claim) -> None:
-    _CLAIMS[claim.id] = claim
-
-
-_register(Claim(
-    "fib.closed_form",
-    "sum C(n,k) F_k F_{n-k} equals (-2 + 2^n L_n)/5 with Lucas numbers (2, 1, ...)",
-    "pass", _check_fib_closed_form))
-_register(Claim(
-    "fib.diag.printed",
-    "Transcribed diagonal GF z^2/((1-z)(1-2z-4z^2)) vs the brute-force "
-    "Fibonacci self-convolution",
-    "fail", _printed_vs_brute("fib.diag.printed", 2),
-    note="recomputation shows the transcribed form is off by a factor 2; "
-         "2 * printed equals the brute-force GF as a rational-function identity"))
-_register(Claim(
-    "fib.H.printed",
-    "Transcribed double GF vs the brute-force convolution grid",
-    "fail", _check_fib_h_printed,
-    note="the transcribed denominator's x^2*y and x^2*y^2 signs differ from the "
-         "derived construction; first grid disagreement is at x^3*y^3"))
-_register(Claim(
-    "trib.diag.printed",
-    "Transcribed two-term diagonal GF vs the brute-force Tribonacci "
-    "self-convolution",
-    "pass", _printed_vs_brute("trib.diag.printed", 3), conventions=CONVENTIONS))
-_register(Claim(
-    "trib.first_term",
-    "Coefficient formula (1/11)(2^(n+1) T_{n+1} + (1/2) 2^n T_n + (5/2) 2^(n-1) "
-    "T_{n-1}) vs the series of (1/11)(1+z+10z^2)/(1-2z-4z^2-8z^3)",
-    "either", _check_trib_first_term, conventions=CONVENTIONS,
-    note="recomputation finds a mismatch under both conventions (series term "
-         "20/11 at n=2 vs formula values 23/11 under B and 41/11 under A); "
-         "witnesses are the first disagreeing index per convention"))
-_register(Claim(
-    "trib.U_binomial",
-    "U_m = sum_{k>=1} T_{k-1} (-1)^k C(m+2,k) with U the series of 1/(1-2z+2z^3)",
-    "pass", _check_trib_u_binomial, conventions=CONVENTIONS))
-_register(Claim(
-    "trib.second_term",
-    "Coefficient n of (1/11)(1+z-8z^2)/(1-2z+2z^3) equals "
-    "(1/11)(U_n + U_{n-1} - 8 U_{n-2})",
-    "pass", _check_trib_second_term))
-_register(Claim(
-    "trib.U_gf_identity",
-    "z^3/(1-z-z^2-z^3) at z = -x/(1-x) equals -x^3/(1-2x+2x^3), as a "
-    "cross-multiplied polynomial identity",
-    "pass", _check_trib_u_gf_identity))
-_register(Claim(
-    "tetra.diag.printed",
-    "Transcribed Tetranacci diagonal GF vs the brute-force self-convolution",
-    "pass", _printed_vs_brute("tetra.diag.printed", 4), conventions=CONVENTIONS))
-_register(Claim(
-    "penta.diag.printed",
-    "Transcribed Pentanacci diagonal GF vs the brute-force self-convolution",
-    "pass", _printed_vs_brute("penta.diag.printed", 5), conventions=CONVENTIONS,
-    note="verified at build time: passes under convention B (shifted), "
-         "fails under convention A"))
-_register(Claim(
-    "trib.arbitrary_init",
-    "Smoke claim: the residue diagonal of a custom-initial (1, 0, 2) Tribonacci "
-    "convolution GF agrees with the series and the brute-force oracle",
-    "pass", _check_trib_arbitrary_init))
+_CLAIMS = {claim.id: claim for claim in (
+    Claim("fib.closed_form",
+          "sum C(n,k) F_k F_{n-k} equals (-2 + 2^n L_n)/5 with Lucas numbers (2, 1, ...)",
+          "pass", _termwise(_brute(2, 2), _combo(
+              5, (_scaled(SequenceSpec(2, (1, 1), (2, 1)), 2), {0: 1}),
+              (_scaled(SequenceSpec(1, (1,), (1,))), {0: -2})))),
+    Claim("fib.diag.printed",
+          "Transcribed diagonal GF z^2/((1-z)(1-2z-4z^2)) vs the brute-force "
+          "Fibonacci self-convolution",
+          "fail", _termwise(_rat("fib.diag.printed"), _brute(2, 2)),
+          note="recomputation shows the transcribed form is off by a factor 2; "
+               "2 * printed equals the brute-force GF as a rational-function identity"),
+    Claim("fib.H.printed",
+          "Transcribed double GF vs the brute-force convolution grid",
+          "fail", _check_fib_h_printed,
+          note="the transcribed denominator's x^2*y and x^2*y^2 signs differ from the "
+               "derived construction; first grid disagreement is at x^3*y^3"),
+    Claim("trib.diag.printed",
+          "Transcribed two-term diagonal GF vs the brute-force Tribonacci "
+          "self-convolution",
+          "pass", _termwise(_rat("trib.diag.printed"), _brute(3, 3)), CONVENTIONS),
+    Claim("trib.first_term",
+          "Coefficient formula (1/11)(2^(n+1) T_{n+1} + (1/2) 2^n T_n + (5/2) 2^(n-1) "
+          "T_{n-1}) vs the series of (1/11)(1+z+10z^2)/(1-2z-4z^2-8z^3)",
+          "either", _termwise(_rat("trib.diag.term1"), _FIRST_TERM), CONVENTIONS,
+          note="recomputation finds a mismatch under both conventions (series term "
+               "20/11 at n=2 vs formula values 23/11 under B and 41/11 under A); "
+               "witnesses are the first disagreeing index per convention"),
+    Claim("trib.U_binomial",
+          "U_m = sum_{k>=1} T_{k-1} (-1)^k C(m+2,k) with U the series of 1/(1-2z+2z^3)",
+          "pass", _termwise(_U, _U_BINOMIAL), CONVENTIONS),
+    Claim("trib.second_term",
+          "Coefficient n of (1/11)(1+z-8z^2)/(1-2z+2z^3) equals "
+          "(1/11)(U_n + U_{n-1} - 8 U_{n-2})",
+          "pass", _termwise(_rat("trib.second_term"), _combo(11, (_U, {0: 1, -1: 1, -2: -8})))),
+    Claim("trib.U_gf_identity",
+          "z^3/(1-z-z^2-z^3) at z = -x/(1-x) equals -x^3/(1-2x+2x^3), as a "
+          "cross-multiplied polynomial identity",
+          "pass", _check_trib_u_gf_identity),
+    Claim("tetra.diag.printed",
+          "Transcribed Tetranacci diagonal GF vs the brute-force self-convolution",
+          "pass", _termwise(_rat("tetra.diag.printed"), _brute(4, 4)), CONVENTIONS),
+    Claim("penta.diag.printed",
+          "Transcribed Pentanacci diagonal GF vs the brute-force self-convolution",
+          "pass", _termwise(_rat("penta.diag.printed"), _brute(5, 5)), CONVENTIONS,
+          note="verified at build time: passes under convention B (shifted), "
+               "fails under convention A"),
+    Claim("trib.arbitrary_init",
+          "Smoke claim: the residue diagonal of a custom-initial (1, 0, 2) Tribonacci "
+          "convolution GF equals the brute-force self-convolution, proved termwise",
+          "pass", _termwise(_rat(lambda: diagonal_rational(
+              build_convolution_gf(_CUSTOM, _CUSTOM).F, check_terms=0)[0]),
+              _brute(_CUSTOM, _CUSTOM))),
+)}
 
 
 def claim_ids() -> list[str]:
@@ -387,34 +337,27 @@ def get_claim(claim_id: str) -> Claim:
 
 def run_claim(claim_id: str, n: int = 200) -> ClaimReport:
     """Run one claim to truncation n (ignored by identity claims)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     claim = get_claim(claim_id)
     start = time.perf_counter()
+    results = {c: claim.check(n, c) for c in claim.conventions or (None,)}
+    passing = [c for c, res in results.items() if res.passed]
+    # A failing claim surfaces the first convention's witness; all are in `conventions`.
+    lead = results[passing[0] if passing else next(iter(results))]
+    note = claim.note
     if claim.conventions:
-        results = {c: claim.check(n, c) for c in claim.conventions}
-        passing = [c for c in claim.conventions if results[c].passed]
-        status = "pass" if passing else "fail"
-        if passing:
-            first, lhs, rhs = None, None, None
-            verdicts = f"passes under convention {', '.join(passing)}"
-            failing = [c for c in claim.conventions if not results[c].passed]
-            if failing:
-                verdicts += f"; fails under {', '.join(failing)}"
-        else:
-            # Surface the first convention's witness; all are in `conventions`.
-            lead = results[claim.conventions[0]]
-            first, lhs, rhs = lead.first_mismatch, lead.lhs, lead.rhs
-            verdicts = "fails under every convention"
-        note = f"{verdicts}. {claim.note}".strip()
-    else:
-        results = None
-        res = claim.check(n, None)
-        status = "pass" if res.passed else "fail"
-        first, lhs, rhs = res.first_mismatch, res.lhs, res.rhs
-        note = claim.note
+        failing = ", ".join(c for c in claim.conventions if c not in passing)
+        verdicts = (f"passes under convention {', '.join(passing)}"
+                    + (failing and f"; fails under {failing}") if passing
+                    else "fails under every convention")
+        note = f"{verdicts}. {note}".strip()
     runtime_ms = int((time.perf_counter() - start) * 1000)
+    status = "pass" if passing else "fail"
     matched = claim.expected_status == "either" or status == claim.expected_status
-    return ClaimReport(claim.id, status, first, lhs, rhs, runtime_ms,
-                       claim.expected_status, matched, note, results)
+    return ClaimReport(claim.id, status, lead.first_mismatch, lead.lhs, lead.rhs, runtime_ms,
+                       claim.expected_status, matched, note,
+                       results if claim.conventions else None)
 
 
 def run_all(n: int = 200) -> list[ClaimReport]:

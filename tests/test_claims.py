@@ -2,11 +2,19 @@
 
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gfdiag import claim_ids, get_claim, run_all, run_claim
+from gfdiag import claim_ids, claims, get_claim, run_all, run_claim
 from gfdiag import gfbuild, parse_ratfunc, printed_gf, series_of_rational
+from gfdiag.poly import Poly
+from gfdiag.ratfunc import RatFunc, identity_equal
+from gfdiag.recurrences import _berlekamp_massey
+from gfdiag.series import SequenceSpec
+
+from helpers import rand_univariate_ratfunc
 
 
 EXPECTED = {
@@ -37,6 +45,20 @@ def test_registry_contains_all_claims():
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError, match="unknown claim"):
         run_claim("no.such")
+
+
+def test_negative_n_is_rejected_before_any_check_runs(monkeypatch):
+    def never(n, convention):
+        raise AssertionError(f"a check ran at n = {n}")
+
+    for claim_id in claim_ids():
+        claim = get_claim(claim_id)
+        monkeypatch.setitem(claims._CLAIMS, claim_id, claims.Claim(
+            claim.id, claim.description, claim.expected_status, never, claim.conventions))
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            run_claim(claim_id, -3)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        run_all(-1)
 
 
 def test_all_claims_match_expected_status():
@@ -149,22 +171,26 @@ def test_claim_descriptions_present():
         assert claim.expected_status in ("pass", "fail", "either")
 
 
+def _side_terms(side, convention, count):
+    """The first count terms of a claims side, as Fractions."""
+    ints, den = side(convention)[2](count)
+    return [Fraction(v, den) for v in ints]
+
+
 def test_u_binomial_rhs_matches_comb_formula():
     # The Pascal-row right-hand side against the formula summed term by term.
     from math import comb
     from gfdiag import generate_sequence, kbonacci
-    from gfdiag.claims import _trib_u_binomial_rhs
     for convention in ("A", "B"):
         t = generate_sequence(kbonacci(3, shifted=convention == "B"), 43)
         for n in range(41):
             want = [sum(t[k - 1] * (-1) ** k * comb(m + 2, k) for k in range(1, m + 3))
                     for m in range(n + 1)]
-            assert _trib_u_binomial_rhs(convention, n + 1) == want
+            assert _side_terms(claims._U_BINOMIAL, convention, n + 1) == want
 
 
 def test_first_term_rhs_matches_fraction_formula():
     from gfdiag import generate_sequence, kbonacci
-    from gfdiag.claims import _trib_first_term_rhs
     for convention in ("A", "B"):
         t = generate_sequence(kbonacci(3, shifted=convention == "B"), 43)
 
@@ -176,7 +202,7 @@ def test_first_term_rhs_matches_fraction_formula():
                      + Fraction(1, 2) * Fraction(2) ** m * tt(m)
                      + Fraction(5, 2) * Fraction(2) ** (m - 1) * tt(m - 1)) / 11
                     for m in range(n + 1)]
-            assert _trib_first_term_rhs(convention, n + 1) == want
+            assert _side_terms(claims._FIRST_TERM, convention, n + 1) == want
 
 
 def test_termwise_passes_compare_a_proof_length_at_n0(monkeypatch):
@@ -213,3 +239,84 @@ def test_termwise_passes_compare_a_proof_length_at_n0(monkeypatch):
             passed.add(claim_id)
             assert min(compared) >= proof[claim_id], (claim_id, compared)
     assert passed == set(proof)
+
+
+# -- the sides' degree bounds --------------------------------------------------
+#
+# Every termwise verdict is a proof only if each side's GF P/Q has deg P <= nu
+# and deg Q <= delta.  Berlekamp-Massey on 2(nu + delta) + 10 terms, more
+# than twice the sequence's linear complexity max(deg P + 1, deg Q), returns
+# its reduced GF: the connection polynomial Q and P = (series * Q) below the
+# complexity.  A delay's complexity exceeds delta, its denominator's degree
+# does not.
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def _specs(draw):
+    k = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(_small, min_size=k, max_size=k).filter(any))
+    initial = draw(st.lists(st.builds(Fraction, _small, st.sampled_from((1, 2, 3))),
+                            min_size=k, max_size=k))
+    return SequenceSpec(k, coeffs, initial)
+
+
+# A spec argument of a side: a SequenceSpec, or k for the k-bonacci
+# sequence under the drawn convention.
+_spec_args = st.one_of(st.integers(2, 4), _specs())
+
+
+@st.composite
+def _sides(draw, depth=2):
+    """A random side of any kind, with sides nested up to depth deep."""
+    kinds = ["rat", "scaled", "brute"] + (["binomial", "combo"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rat":
+        f = rand_univariate_ratfunc(Random(draw(st.integers(0, 10 ** 6))))
+        return claims._rat(lambda: f)
+    if kind == "scaled":
+        return claims._scaled(draw(_spec_args), draw(st.sampled_from((1, -1, 2, 3))))
+    if kind == "brute":
+        return claims._brute(draw(_spec_args), draw(_spec_args))
+    if kind == "binomial":
+        return claims._binomial(draw(_sides(depth - 1)))
+    parts = draw(st.lists(st.tuples(_sides(depth - 1), st.dictionaries(
+        st.integers(-2, 2), _small.filter(bool), min_size=1, max_size=3)), min_size=1, max_size=2))
+    return claims._combo(draw(st.integers(1, 5)), *parts)
+
+
+def _degree_of(coeffs):
+    return max((i for i, c in enumerate(coeffs) if c), default=-1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(side=_sides(), convention=st.sampled_from(("A", "B")))
+def test_side_bounds_hold_for_berlekamp_massey(side, convention):
+    nu, delta, make = side(convention)
+    ints, den = make(2 * (nu + delta) + 10)
+    terms = [Fraction(v, den) for v in ints]
+    connection, complexity = _berlekamp_massey(terms)
+    assert 2 * complexity < len(terms)
+    assert _degree_of(connection) <= delta
+    numerator = [sum(connection[j] * terms[i - j] for j in range(min(i, len(connection) - 1) + 1))
+                 for i in range(complexity)]
+    assert _degree_of(numerator) <= nu
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), e=st.integers(0, 8), differ=st.booleans())
+def test_rational_sides_agreeing_on_the_proof_length_are_identical(seed, e, differ):
+    # g is f + z^e h, a different function, or f times p/p, the same one in
+    # an unreduced form.  Their series agree on max(nu1 + delta2, nu2 + delta1) + 1
+    # terms exactly when they are identical, the degrees read as _rat reads them.
+    rng = Random(seed)
+    f, h, p = (rand_univariate_ratfunc(rng) for _ in range(3))
+    if differ:
+        g = f + RatFunc(1, [(Poly.monomial("z", e), 1)]) * h
+    else:
+        g = f * p * p.inverse()
+    (nu1, delta1, _), (nu2, delta2, _) = claims._rat(lambda: f)(None), claims._rat(lambda: g)(None)
+    count = max(nu1 + delta2, nu2 + delta1) + 1
+    agree = series_of_rational(f, count) == series_of_rational(g, count)
+    assert agree == identity_equal(f, g) == (not differ)

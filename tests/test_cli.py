@@ -7,6 +7,7 @@ import sys
 import time
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -479,6 +480,20 @@ def test_verify_rejects_negative_n(selector, capsys):
     assert cli.main(["verify", *selector, "--n=-1"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: n must be >= 0\n"
+
+
+# verify --all --json at n = 0, 1, 2, 3 and 200, each claim's runtime_ms
+# taken out: every status, witness and note, pinned byte for byte.
+GOLDEN_VERIFY = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("golden", GOLDEN_VERIFY, ids=lambda doc: f"n={doc['n']}")
+def test_verify_all_json_matches_golden_output(golden, capsys):
+    assert cli.main(["verify", "--all", "--n", str(golden["n"]), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for report in out["reports"]:
+        del report["runtime_ms"]
+    assert json.dumps(out, indent=2) == json.dumps(golden, indent=2)
 
 
 def test_verify_unknown_claim_exits_2():
