@@ -167,8 +167,11 @@ def cmd_diagonal(args) -> int:
             tag = "kept" if pole.kept else "discarded"
             power = f"^{pole.multiplicity}" if pole.multiplicity > 1 else ""
             lines.append(f"  pole factor [{tag:9s}] ({pole.factor}){power}  [{pole.reason}]")
-        lines.append(f"  series cross-check ({report.checked_terms} terms): {report.status}")
-        if report.status != "ok":
+        if report.status == "unchecked":
+            lines.append(f"  series cross-check: not run (--n {args.n})")
+        else:
+            lines.append(f"  series cross-check ({report.checked_terms} terms): {report.status}")
+        if report.status == "method-assumption-violated":
             status = EXIT_METHOD
 
     if args.method in ("series", "both"):
@@ -189,11 +192,17 @@ def cmd_diagonal(args) -> int:
                          f"(confidence {confidence}), {payload['series']['gf']}")
 
     if args.method == "both":
-        both_ok = series_gf is not None and identity_equal(residue_gf, series_gf)
-        payload["match"] = both_ok
-        lines.append(f"cross-check (residue vs series): {'pass' if both_ok else 'FAIL'}")
-        if not both_ok and status == EXIT_OK:
-            status = EXIT_METHOD
+        # Without a series GF there is nothing to compare: the exit status
+        # is the residue report's alone.
+        if series_gf is None:
+            payload["match"] = None
+            lines.append(f"cross-check (residue vs series): undecided: {payload['series']['note']}")
+        else:
+            payload["match"] = identity_equal(residue_gf, series_gf)
+            lines.append("cross-check (residue vs series): "
+                         f"{'pass' if payload['match'] else 'FAIL'}")
+            if not payload["match"]:
+                status = EXIT_METHOD
 
     return _emit(args, "diagonal", lambda: payload, lines, status=status)
 

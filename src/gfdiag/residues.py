@@ -312,7 +312,9 @@ class DiagnosticReport(_Frozen):
     __slots__ = _fields = ("poles", "status", "checked_terms", "first_mismatch", "lhs", "rhs")
     _defaults = {"first_mismatch": None, "lhs": None, "rhs": None}
     poles: tuple[PoleClass, ...]
-    status: str                    # "ok" or "method-assumption-violated"
+    # "ok", "unchecked" (check_terms == 0: nothing compared) or
+    # "method-assumption-violated"
+    status: str
     checked_terms: int
     first_mismatch: int | None
     lhs: str | None
@@ -335,14 +337,16 @@ def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, Diag
     Sums the residues over the kept factors' roots, reduces and normalizes
     the result, then cross-checks its series against the series diagonal of f.
     A mismatch is reported as status "method-assumption-violated" together
-    with the first disagreeing index and both exact values.
+    with the first disagreeing index and both exact values.  With
+    check_terms == 0 nothing is compared, and the status is "unchecked".
     """
     h = hk_transform(f)
     poles = classify_poles(h)
     result = _residue_sum(h, [p for p in poles if p.kept])
     hit = _first_mismatch(series_of_rational(result, check_terms), diagonal_series(f, check_terms))
     if hit is None:
-        return result, DiagnosticReport(tuple(poles), "ok", check_terms)
+        return result, DiagnosticReport(tuple(poles), "ok" if check_terms else "unchecked",
+                                        check_terms)
     return result, DiagnosticReport(tuple(poles), "method-assumption-violated", check_terms, *hit)
 
 

@@ -28,14 +28,25 @@ stripped of the largest monomial that divides it.  Over Q a univariate
 P/Q has a power series exactly when ord_0 Q <= ord_0 P, so the net
 monomial decides the pole at the origin and shifts the output; in two
 variables a stripped denominator factor must also have a constant term.
-The numerator is the product of its factors' powers, each by repeated
-squaring, truncated to the nx x ny box.  The box is then divided in
-place by one denominator factor at a time, m times for multiplicity m,
-each factor with its own integer coefficients.  A few sparse factors
-cost fewer steps per row than their expanded product.  Once the factors'
-constant terms multiply to D, the box carries c * D^(n+m+1): the series
-at (D*x, D*y), times D.  So the next factor enters with its (i, j)
-coefficient times D^(i+j).
+A stripped factor on both sides, up to sign, cancels by the smaller
+multiplicity: it is compared, not divided.  The numerator is the product
+of its factors' powers, each by repeated squaring, truncated to the
+nx x ny box.
+
+The box is then divided in place by one denominator factor at a time, m
+times for multiplicity m, each factor with its own integer coefficients.
+A few sparse factors cost fewer steps per row than their expanded
+product.  Each division runs only over the cells it can reach: the box
+keeps the number of rows and of columns that can be nonzero, starting
+from the numerator's extent.  A factor in the inner variable alone
+divides only the occupied rows, and fills their columns; a factor in the
+outer variable alone divides only the occupied columns, and fills their
+rows; a mixed factor runs over the whole box.  So the univariate class
+with more division steps (nonzero non-constant terms times multiplicity)
+runs first, while the box is still narrow in its direction, and the mixed
+factors run last.  Once the factors' constant terms multiply to D, the
+box carries c * D^(n+m+1): the series at (D*x, D*y), times D.  So the
+next factor enters with its (i, j) coefficient times D^(i+j).
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from operator import add, mul
 
 from .poly import AnyPoly, Poly, _Frozen, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
@@ -133,12 +145,19 @@ def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> None:
 
 
 def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
-    """[e[m] / (den * d0^m)]: the division the integer recurrence deferred."""
+    """[e[m] / (den * d0^m)]: the division the integer recurrence deferred.
+
+    Fraction defines no __init__, so calling Fraction.__new__ directly
+    gives the same Fraction without type.__call__'s overhead per cell.
+    """
+    new = Fraction.__new__
     if d0 == 1:
-        return [Fraction(v) for v in e] if den == 1 else [Fraction(v, den) for v in e]
+        if den == 1:
+            return list(map(new, repeat(Fraction), e))
+        return list(map(new, repeat(Fraction), e, repeat(den)))
     out = []
     for v in e:
-        out.append(Fraction(v, den))
+        out.append(new(Fraction, v, den))
         den *= d0
     return out
 
@@ -157,7 +176,8 @@ def _box_mul(a: _Box, b: _Box, nx: int, ny: int) -> _Box:
     return out
 
 
-def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int) -> None:
+def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int,
+                rows: int, cols: int) -> tuple[int, int]:
     """Divide box in place by the factor sum v * outer^i * inner^j over terms.
 
     f0 is the factor's constant term.  box holds the series at
@@ -166,11 +186,15 @@ def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int) -
     the factor's coefficients are v * d^(i+j), and the recurrence runs on
     the box scaled by f0^(n+m), with the terms v * d^(i+j) * f0^(i+j-1).
     The powers of f0 are built only as far as a nonzero entry reads them.
+
+    Only box[:rows] and the first cols entries of each row may be nonzero.
+    A term with i > 0 can reach every row and one with j > 0 every column;
+    the division runs over the cells it can reach and returns their limits.
     """
     if f0 != 1:
         powers = [1]
-        for n, row in enumerate(box):
-            end = len(row)
+        for n, row in enumerate(box[:rows]):
+            end = cols
             while end and not row[end - 1]:
                 end -= 1
             while len(powers) < n + end:
@@ -180,20 +204,25 @@ def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int) -
     steps = [(i, j, v * d ** (i + j) * f0 ** (i + j - 1)) for i, j, v in terms if i + j]
     inner = [(j, v) for i, j, v in steps if i == 0]
     outer = [(i, j, v) for i, j, v in steps if i > 0]
-    for n, row in enumerate(box):
+    if outer:
+        rows = len(box)
+    if any(j for _, j, _ in steps):
+        cols = len(box[0])
+    for n, row in enumerate(box[:rows]):
         for i, j, v in outer:
             if i > n:
                 continue
             prev = box[n - i]
             # Most catalog factors have unit coefficients: skip multiplying by them.
             if v == 1:
-                row[j:] = [a - b for a, b in zip(row[j:], prev)]
+                row[j:cols] = [a - b for a, b in zip(row[j:cols], prev)]
             elif v == -1:
-                row[j:] = [a + b for a, b in zip(row[j:], prev)]
+                row[j:cols] = [a + b for a, b in zip(row[j:cols], prev)]
             else:
-                row[j:] = [a - v * b for a, b in zip(row[j:], prev)]
+                row[j:cols] = [a - v * b for a, b in zip(row[j:cols], prev)]
         if inner:
             _solve_row(row, inner)
+    return rows, cols
 
 
 def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
@@ -207,46 +236,65 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     Each factor is stripped of the largest monomial outer^a * inner^b that
     divides it.  The net monomial must be a power series and each stripped
     denominator factor must have a constant term, or PoleAtOriginError is
-    raised; the net monomial shifts the grid.  The numerator is the product
-    of the factors' powers, each by repeated squaring, truncated to the box;
-    the box is then divided by each denominator factor in turn, m times for
-    multiplicity m.
+    raised; the net monomial shifts the grid.  A stripped factor on both
+    sides cancels by the smaller multiplicity.  The numerator is the
+    product of the factors' powers, each by repeated squaring, truncated to
+    the box; the box is then divided by each denominator factor in turn, m
+    times for multiplicity m: the heavier univariate class first, the mixed
+    factors last (see the module docstring).
     """
     zero = Fraction(0)
     if constant == 0 or any(p.is_zero for p, _ in numer):
         return [[zero] * ny for _ in range(nx)]
-    scale, si, sj, stripped = constant, 0, 0, {1: [], -1: []}
+    scale, si, sj, stripped = constant, 0, 0, {1: {}, -1: {}}
     for sign, factors in ((1, numer), (-1, denom)):
         for p, m in factors:
             s, rows = p.content, p.rows if inner else _lift(p, p.names[0])
             a = next(i for i, row in enumerate(rows) if row)
             b = min(next(j for j, v in enumerate(row) if v) for row in rows if row)
-            rows = [row[b:] for row in rows[a:]]
+            rows = tuple(row[b:] for row in rows[a:])
             if sign < 0 and rows[0][0] == 0:
                 raise PoleAtOriginError("pole at the origin")
-            if sign < 0 and rows[0][0] < 0:
+            if rows[0][0] < 0:
                 # The canonical sign is the last entry's: 1 - x - y comes as
-                # -1 * (-1 + x + y), whose constant term -1 would scale the box.
-                s, rows = -s, [[-v for v in row] for row in rows]
+                # -1 * (-1 + x + y), whose constant term -1 would scale the
+                # box.  Both sides flip alike, so a shared factor compares equal.
+                s, rows = -s, tuple(tuple(-v for v in row) for row in rows)
             scale *= s ** (sign * m)
             si, sj = si + sign * m * a, sj + sign * m * b
-            stripped[sign].append((rows, m))
+            stripped[sign][rows] = stripped[sign].get(rows, 0) + m
     if si < 0 or sj < 0:
         raise PoleAtOriginError("pole at the origin")
     bx, by = nx - si, ny - sj
     if bx <= 0 or by <= 0:
         return [[zero] * ny for _ in range(nx)]
+    numer_rows, denom_rows = stripped[1], stripped[-1]
+    for rows in numer_rows.keys() & denom_rows.keys():
+        net = numer_rows.pop(rows) - denom_rows.pop(rows)
+        if net:
+            (numer_rows if net > 0 else denom_rows)[rows] = abs(net)
     box: _Box = [[scale.numerator]]
     times = partial(_box_mul, nx=bx, ny=by)
-    for rows, m in stripped[1]:
+    for rows, m in numer_rows.items():
         box = times(box, _power([[1]], rows, m, times))
+    reach = len(box), max(map(len, box))
     box = [row + [0] * (by - len(row)) for row in box] + [[0] * by for _ in range(bx - len(box))]
-    d = 1
-    for rows, m in stripped[-1]:
+    # Class 0 is a factor in the inner variable alone (one row), 1 one in
+    # the outer variable alone (one column), 2 a mixed factor; a class's
+    # weight is its division steps.
+    divisions, weight = [], [0, 0, 0]
+    for rows, m in denom_rows.items():
         terms = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        kind = 0 if len(rows) == 1 else 1 if max(map(len, rows)) == 1 else 2
+        weight[kind] += (len(terms) - 1) * m
+        divisions.append((kind, terms, rows[0][0], m))
+    first = int(weight[1] > weight[0])
+    divisions.sort(key=lambda t: (t[0] == 2, t[0] != first))
+    d = 1
+    for _, terms, f0, m in divisions:
         for _ in range(m):
-            _divide_box(box, terms, rows[0][0], d)
-            d *= rows[0][0]
+            reach = _divide_box(box, terms, f0, d, *reach)
+            d *= f0
     return [[zero] * ny for _ in range(si)] + [
         [zero] * sj + _unscaled(row, d, scale.denominator * d ** (n + 1))
         for n, row in enumerate(box)]

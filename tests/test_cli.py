@@ -285,8 +285,43 @@ def test_diagonal_series_route_checks_n_before_any_work(method, n, monkeypatch, 
 
 
 def test_diagonal_residue_route_takes_n_0(capsys):
+    # With --n 0 nothing is compared: the cross-check says so, and is no failure.
     assert cli.main(["diagonal", "--catalog=trib.G", "--method=residue", "--n=0"]) == 0
-    assert "series cross-check (0 terms): ok" in capsys.readouterr().out
+    assert "series cross-check: not run (--n 0)" in capsys.readouterr().out
+    assert cli.main(["diagonal", "--catalog=trib.G", "--method=residue", "--n=0", "--json"]) == 0
+    crosscheck = json.loads(capsys.readouterr().out)["residue"]["crosscheck"]
+    assert (crosscheck["status"], crosscheck["checked_terms"]) == ("unchecked", 0)
+
+
+def test_diagonal_both_is_undecided_when_the_series_route_lacks_terms(capsys):
+    # The diagonal of 1/((1-x)*(1-y)^40) has order 40, which 60 terms cannot
+    # show; the residue route's own cross-check passes, so the exit is 0.
+    argv = ["diagonal", "--gf-text=1/((1-x)*(1-y)^40)", "--method=both", "--n=60"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "series cross-check (60 terms): ok" in out
+    assert ("cross-check (residue vs series): undecided: "
+            "no recurrence of order <= 29 fits 60 diagonal terms") in out
+    assert cli.main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["match"], data["series"]["recurrence_order"]) == (0, None, None)
+    # An algebraic diagonal still exits 4, on the residue report alone.
+    assert cli.main(["diagonal", "--gf-text=1/(1-x-y)", "--method=both", "--n=10", "--json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["match"] is None
+    assert data["residue"]["crosscheck"]["status"] == "method-assumption-violated"
+
+
+def test_diagonal_both_fails_when_the_two_gfs_differ(capsys):
+    # Five zero terms fit the zero recurrence, while the residue route finds
+    # z^5/(1-z), whose first five terms agree with the series diagonal.
+    argv = ["diagonal", "--gf-text=x^5*y^5/((1-x)*(1-y))", "--method=both", "--n=5"]
+    assert cli.main(argv + ["--json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert (data["match"], data["series"]["recurrence_order"]) == (False, 0)
+    assert data["residue"]["crosscheck"]["status"] == "ok"
+    assert cli.main(argv) == 4
+    assert "cross-check (residue vs series): FAIL" in capsys.readouterr().out
 
 
 def test_diagonal_catalog_both_methods():

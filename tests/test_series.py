@@ -328,6 +328,38 @@ def test_bivariate_series_per_factor_division_matches_reference(constant, numer,
     assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
 
 
+@st.composite
+def _shared_factors(draw):
+    """(numer, denom): univariate factors of multiplicity 1-4, one or two in
+    x and one or two in y, and at most one mixed factor; the numerator
+    repeats some of them, scaled by 1, -1 or -2/3, with a multiplicity
+    below, equal to or above theirs, and may carry a monomial and one factor
+    of its own."""
+    denom = [(Poly(v, [draw(_constant_term), *draw(st.lists(_rational, min_size=1, max_size=2))]),
+              draw(st.integers(1, 4)))
+             for v in "xy" + draw(st.sampled_from(("", "x", "y")))]
+    denom += draw(st.lists(_factor(), max_size=1))
+    numer = [(p.scale(draw(st.sampled_from((1, -1, Fraction(-2, 3))))), k)
+             for p, m in denom if (k := draw(st.integers(0, m + 1)))]
+    numer += draw(st.lists(_factor(), max_size=1))
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if a or b:
+        numer.append((BiPoly.from_monomials("x", "y", {(a, b): 1}), 1))
+    return numer, denom
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((1, -2, Fraction(3, 5))), factors=_shared_factors(),
+       nx=st.integers(0, 8), ny=st.integers(0, 8))
+def test_bivariate_series_cancels_and_orders_factors_like_reference(constant, factors, nx, ny):
+    # A numerator factor equal to a denominator factor up to sign cancels
+    # fully or in part, and the univariate classes are divided in either
+    # order with the rows or columns they reach; the reference divides the
+    # expanded fraction over the whole grid.
+    f = RatFunc(constant, *factors)
+    assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
+
+
 def test_pascal_rows_match_math_comb():
     rows = list(pascal_rows(60))
     assert len(rows) == 60
