@@ -17,21 +17,28 @@ the constant term d0 of the denominator is deferred by carrying
 e_k = c_k * d0^(k+1), where k is the total degree, so the recurrence
 needs no division at all.
 
+Each result v / (den * d0^m) is built in lowest terms without Fraction's
+constructor, which takes a full gcd per value.  Every prime of
+den * d0^m divides den * d0, a far smaller number, so one gcd with it
+proves most terms already reduced.  Only a term that fails this screen is
+reduced, first by the screen's gcd and then, if the screen still fails,
+by one full gcd.
+
 One kernel, _series_grid, computes every series here: the Taylor series
 of a univariate function (one row, its variable the inner one), the
 bivariate grid and its diagonal, the terms of a recurrence (a linear
 recurrence is division by its characteristic polynomial: the terms of a
 SequenceSpec are the series of P/Q, Q = 1 - sum c_i z^i) and the initial
 k-bonacci terms.  It reads the terms from the factors as they are given:
-it expands no product in full and takes no gcd.  Each factor is first
-stripped of the largest monomial that divides it.  Over Q a univariate
-P/Q has a power series exactly when ord_0 Q <= ord_0 P, so the net
-monomial decides the pole at the origin and shifts the output; in two
-variables a stripped denominator factor must also have a constant term.
-A stripped factor on both sides, up to sign, cancels by the smaller
-multiplicity: it is compared, not divided.  The numerator is the product
-of its factors' powers, each by repeated squaring, truncated to the
-nx x ny box.
+it expands no product in full and takes no polynomial gcd.  Each factor
+is first stripped of the largest monomial that divides it.  Over Q a
+univariate P/Q has a power series exactly when ord_0 Q <= ord_0 P, so
+the net monomial decides the pole at the origin and shifts the output;
+in two variables a stripped denominator factor must also have a constant
+term.  A stripped factor on both sides, up to sign, cancels by the
+smaller multiplicity: it is compared, not divided.  The numerator is the
+product of its factors' powers, each by repeated squaring, truncated to
+the nx x ny box.
 
 The box is then divided in place by one denominator factor at a time, m
 times for multiplicity m, each factor with its own integer coefficients.
@@ -51,10 +58,12 @@ next factor enters with its (i, j) coefficient times D^(i+j).
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
+from math import gcd
 from operator import add, mul
 
 from .poly import AnyPoly, Poly, _Frozen, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
@@ -144,22 +153,48 @@ def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> None:
         e[m] = acc
 
 
-def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
-    """[e[m] / (den * d0^m)]: the division the integer recurrence deferred.
+def _coprime(nums: list[int], dens: list[int]) -> list[Fraction]:
+    """[nums[m] / dens[m]] for pairs already in lowest terms, dens[m] > 0.
 
-    Fraction defines no __init__, so calling Fraction.__new__ directly
-    gives the same Fraction without type.__call__'s overhead per cell.
+    Fraction's constructor takes a gcd per value.  This sets the two slots
+    of a bare instance instead, as CPython 3.12's Fraction._from_coprime_ints
+    does, with every loop in C.
     """
-    new = Fraction.__new__
-    if d0 == 1:
-        if den == 1:
-            return list(map(new, repeat(Fraction), e))
-        return list(map(new, repeat(Fraction), e, repeat(den)))
-    out = []
-    for v in e:
-        out.append(new(Fraction, v, den))
-        den *= d0
+    out = list(map(object.__new__, repeat(Fraction, len(nums))))
+    deque(map(Fraction._numerator.__set__, out, nums), 0)
+    deque(map(Fraction._denominator.__set__, out, dens), 0)
     return out
+
+
+def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
+    """[e[m] / (den * d0^m)]: the division the integer recurrence deferred, in lowest terms.
+
+    den and d0 must be positive, as _series_grid's sign flip makes every
+    constant term and the scale's denominator.  Every prime of den * d0^m
+    divides r = den * d0, so gcd(v, r) == 1, a gcd with a number far
+    smaller than den * d0^m, proves v / (den * d0^m) in lowest terms.  A
+    term that fails this screen, a zero among them, is divided by the part
+    of that gcd its denominator holds, and takes one full gcd only if it
+    still fails.
+    """
+    n, r = len(e), den * d0
+    if not n:
+        return []
+    dens = [den] * n if d0 == 1 else list(accumulate(repeat(d0, n - 1), mul, initial=den))
+    if r == 1:
+        return _coprime(e, dens)
+    nums = e[:]
+    for m, g in enumerate(map(gcd, e, repeat(r))):
+        if g != 1:
+            # A factor common to every term, such as a numerator content
+            # sharing a prime with d0, comes off with the screen's small gcd.
+            g = gcd(g, dens[m])
+            v, dm = e[m] // g, dens[m] // g
+            if gcd(v, r) != 1:
+                g = gcd(v, dm)
+                v, dm = v // g, dm // g
+            nums[m], dens[m] = v, dm
+    return _coprime(nums, dens)
 
 
 _Box = list[list[int]]
@@ -382,8 +417,8 @@ def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
     (ia, la), (ib, lb) = _cleared(a[:count]), _cleared(b[:count])
     if ia == ib:  # a self-convolution: _folded_pascal_sum takes one product per pair
         ib = ia
-    return [Fraction(_folded_pascal_sum(row, ia, ib, n), la * lb)
-            for n, row in enumerate(pascal_rows(count))]
+    return _unscaled([_folded_pascal_sum(row, ia, ib, n)
+                      for n, row in enumerate(pascal_rows(count))], 1, la * lb)
 
 
 def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
@@ -396,5 +431,5 @@ def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],
     if len(b) < nm:
         raise ValueError(f"need at least {nm} terms of b")
     (ia, la), (ib, lb) = _cleared(a[:nn]), _cleared(b[:nm])
-    return [[Fraction(_pascal_sum(row, ia, ib, m), la * lb) for m in range(nm)]
+    return [_unscaled([_pascal_sum(row, ia, ib, m) for m in range(nm)], 1, la * lb)
             for row in pascal_rows(nn)]

@@ -1,6 +1,8 @@
 """Series engine: univariate/bivariate expansion, diagonals, sequences,
 and the binomial-convolution oracles."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -26,7 +28,7 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
-from gfdiag.series import _first_mismatch, pascal_rows
+from gfdiag.series import _first_mismatch, _unscaled, pascal_rows
 from helpers import (
     rand_sequence_spec,
     rand_univariate_ratfunc,
@@ -358,6 +360,65 @@ def test_bivariate_series_cancels_and_orders_factors_like_reference(constant, fa
     # expanded fraction over the whole grid.
     f = RatFunc(constant, *factors)
     assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
+
+
+# -- Fractions built in lowest terms without the constructor --------------------
+#
+# _unscaled sets a bare Fraction's two slots; every value must be the one
+# Fraction's constructor gives, in every field and through every protocol.
+
+def _exact(q):
+    return type(q), type(q.numerator), q.numerator, type(q.denominator), q.denominator
+
+
+def _fields(q):
+    return (*_exact(q), hash(q), str(q), repr(q), _exact(pickle.loads(pickle.dumps(q))),
+            _exact(copy.copy(q)), _exact(copy.deepcopy(q)))
+
+
+def test_fraction_slot_layout_is_pinned():
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+_D0S = (1, 2, 4, 6, 12, 35, 1024)
+
+
+@st.composite
+def _screened_terms(draw):
+    """(e, d0, den): d0 and den share primes, and the terms are zeros or carry
+    powers of those primes up to well past what den * d0^m holds."""
+    d0 = draw(st.sampled_from(_D0S))
+    den = draw(st.sampled_from((1, 2, 3, 6, 7, 10, 12, 35, 48, 1024, 2 * 3 * 5 * 7)))
+    term = st.one_of(
+        st.just(0),
+        st.builds(lambda s, a, b, c, d, u: s * 2 ** a * 3 ** b * 5 ** c * 7 ** d * u,
+                  st.sampled_from((1, -1)), *[st.integers(0, 60)] * 4,
+                  st.integers(1, 10 ** 6)))
+    return draw(st.lists(term, max_size=12)), d0, den
+
+
+@_kernel_settings
+@given(terms=_screened_terms())
+def test_unscaled_is_fraction_field_by_field(terms):
+    e, d0, den = terms
+    got = _unscaled(e, d0, den)
+    assert list(map(_fields, got)) == [_fields(Fraction(v, den * d0 ** m)) for m, v in enumerate(e)]
+
+
+@pytest.mark.parametrize("text, grid", [
+    ("(-1/2)/(-3+z)", False),
+    ("-1/(-(2/3)+z-z^2)", False),
+    ("1/((-2+x)*(-3-y))", True),
+])
+def test_negative_constant_terms_and_contents_give_reduced_fractions(text, grid):
+    # _unscaled assumes den > 0 and d0 > 0: the kernel moves a factor's
+    # negative constant term into its content, so the scale carries the sign.
+    f = parse_ratfunc(text)
+    if grid:
+        got, want = bivariate_series(f, 12, 12), ref_bivariate_series(f, 12, 12)
+    else:
+        got, want = [series_of_rational(f, 40)], [ref_series_of_rational(f, 40)]
+    assert [list(map(_fields, row)) for row in got] == [list(map(_fields, row)) for row in want]
 
 
 def test_pascal_rows_match_math_comb():
