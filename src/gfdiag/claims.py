@@ -61,7 +61,7 @@ from .poly import Poly, _Frozen, _cleared
 from .ratfunc import compose_rational, identity_equal
 from .residues import diagonal_rational
 from .series import (SequenceSpec, bivariate_series, convolution_grid, generate_sequence,
-                     kbonacci, pascal_rows, _first_mismatch, _folded_pascal_sum,
+                     kbonacci, pascal_rows, _binomial_convolution_ints, _first_mismatch,
                      series_of_rational)
 from .textform import parse_ratfunc
 
@@ -157,10 +157,9 @@ def _brute(sa, sb):
         a, b = _spec(sa, convention), _spec(sb, convention)
 
         def make(count):
-            ia, la = _cleared(generate_sequence(a, count))
-            ib, lb = (ia, la) if b == a else _cleared(generate_sequence(b, count))
-            rows = enumerate(pascal_rows(count))
-            return [_folded_pascal_sum(row, ia, ib, m) for m, row in rows], la * lb
+            ta = generate_sequence(a, count)
+            return _binomial_convolution_ints(ta, ta if b == a else generate_sequence(b, count),
+                                              count)
         return a.order * b.order - 1, a.order * b.order, make
     return side
 

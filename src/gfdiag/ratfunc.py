@@ -29,7 +29,7 @@ def _merge_factors(factors: Iterable) -> tuple:
 
     RatFunc merges its factors once they are lifted to one shape, so x in
     one variable and x lifted to two are one factor by then; the parser's
-    _Mono merges its variables by the same rule.
+    cap check merges the factors of a term, lifted, by the same rule.
     """
     out: dict = {}
     for p, m in factors:

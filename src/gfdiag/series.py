@@ -414,11 +414,24 @@ def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
         raise ValueError("n must be >= 0")
     if len(a) < count or len(b) < count:
         raise ValueError(f"need at least {count} terms")
-    (ia, la), (ib, lb) = _cleared(a[:count]), _cleared(b[:count])
+    sums, den = _binomial_convolution_ints(a, b, count)
+    return _unscaled(sums, 1, den)
+
+
+def _binomial_convolution_ints(a: Sequence[Fraction], b: Sequence[Fraction],
+                               count: int) -> tuple[list[int], int]:
+    """(sums, den): den * sum_k C(n,k) a_k b_{n-k} for n in range(count), as ints.
+
+    The one convolution oracle loop: folded Pascal-row sums over the first
+    count terms of a and b, each cleared to integers once (a only, when b
+    is a), with one product per pair when both clear to the same integers.
+    """
+    ia, la = _cleared(a[:count])
+    ib, lb = (ia, la) if b is a else _cleared(b[:count])
     if ia == ib:  # a self-convolution: _folded_pascal_sum takes one product per pair
         ib = ia
-    return _unscaled([_folded_pascal_sum(row, ia, ib, n)
-                      for n, row in enumerate(pascal_rows(count))], 1, la * lb)
+    return [_folded_pascal_sum(row, ia, ib, n)
+            for n, row in enumerate(pascal_rows(count))], la * lb
 
 
 def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],

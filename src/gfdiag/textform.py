@@ -2,32 +2,32 @@
 
 Grammar (whitespace insensitive):
 
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | primary
-    primary := atom ('^' INT)?
-    atom    := INT | VAR | '(' expr ')'
+    expr   := term (('+' | '-') term)*
+    term   := factor (('*' | '/') factor)*
+    factor := '-'* atom ('^' INT)?
+    atom   := INT | VAR | '(' expr ')'
 
 Variables come from {x, y, z, t, w}, at most two in one function;
 rationals are written p/q, which the grammar handles as ordinary division.
 A factor whose power, after '^', '*' or '/', is above MAX_EXPONENT is a
 ParseError, and so is a power of a scalar (or of a function's constant
-factor) whose bits would pass MAX_SCALAR_BITS, and an integer literal
-longer than MAX_LITERAL_DIGITS.  Printing (str of a Poly or a BiPoly,
-one method in gfdiag.poly) emits terms like "1 - 2*z - 4*z^2" that parse
-back to the same polynomial.
+factor) whose bits would pass MAX_SCALAR_BITS, an integer literal longer
+than MAX_LITERAL_DIGITS, and parentheses and minus signs nested deeper
+than MAX_NESTING.  Printing (str of a Poly or a BiPoly, one method in
+gfdiag.poly) emits terms like "1 - 2*z - 4*z^2" that parse back to the
+same polynomial.
 
-Products and quotients stay factored: a term is a RatFunc whose factors
-are the parenthesized sums it multiplies, or, while it is a scalar times
-powers of variables, a _Mono that holds the factor list such a RatFunc
-would hold without building it.  A sum is accumulated once: each term is
-expanded (a factor's power by poly's repeated squaring on _int_mul) and
-added into integer rows over one common denominator, laid out as a
-polynomial's rows, so that poly's _lift moves a term, or the sum, in one
-variable into two; one Poly or BiPoly is built at the end.  Only a sum
-that has a denominator adds through RatFunc's +.  The result equals
-folding the terms left to right through RatFunc's +, down to the factor
-order and the variable pair.
+The parser computes with one value kind, _Term: a constant times factors
+over factors, each a Poly or BiPoly kept as parsed, in its own variables.
+'*', '/', '^' and unary '-' concatenate or scale the factor lists; no
+factor is lifted or merged until the one RatFunc of the parse is built
+at the end.  A sum is accumulated once: each term is expanded (a factor's
+power by poly's repeated squaring on _int_mul) and added into integer
+rows over one common denominator, laid out as a polynomial's rows, and
+one Poly or BiPoly is built at the end.  Only a sum that has a
+denominator adds through RatFunc's +.  The result equals folding the
+terms left to right through RatFunc's +, down to the factor order and the
+variable pair.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .poly import BiPoly, Poly, VARIABLES, _int_add, _lift
+from .poly import BiPoly, Poly, VARIABLES, _int_add
 from .ratfunc import RatFunc, _merge_factors
 
 
@@ -49,6 +49,11 @@ class ParseError(ValueError):
 #: coefficients grow too: 0.2 s at e = 1000, 1.9 s at 2000 and 21 s at 4000
 #: (2-core Xeon VM, Python 3.11).
 MAX_EXPONENT = 1000
+
+#: Deepest nesting accepted, counting each open parenthesis and each unary
+#: minus sign that applies.  The parser recurses once per parenthesis:
+#: uncapped, 200 nested parentheses passed Python's recursion limit.
+MAX_NESTING = 100
 
 #: Longest integer literal the parser reads, in digits: Python's default
 #: int_max_str_digits, past which int() refuses a decimal string.
@@ -89,222 +94,173 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 _SLOT = {v: i for i, v in enumerate(VARIABLES)}
+_VARIABLE = {v: Poly.from_ints(v, (0, 1)) for v in VARIABLES}
 
 
 def _joined(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     """The variables of a and b in VARIABLES order, at most two of them."""
+    if not b or a == b:
+        return a
     names = tuple(sorted(set(a) | set(b), key=_SLOT.__getitem__))
     if len(names) > 2:
         raise ParseError(f"at most two variables are supported, found {', '.join(names)}")
     return names
 
 
-class _Mono:
-    """A scalar times powers of variables: a product the parser keeps unbuilt.
+def _lifted(p, names: tuple[str, ...]):
+    return p if p.names == names else BiPoly.embed(p, *names)
 
-    factors holds the (variable, multiplicity) pairs of the RatFunc that the
-    same product would build, each variable once, in first-seen order:
-    RatFunc lifts its factors to one shape before it merges equal ones, so
-    x*y*x holds x once, squared, as x^2*y does.
+
+class _Term:
+    """constant * prod(numer) / prod(denom): the one value the parser computes with.
+
+    numer and denom hold (Poly or BiPoly, multiplicity) pairs as parsed,
+    each factor in its own variables, neither lifted nor merged; names are
+    the variables of them all.  fn is False for a scalar, where the fold
+    through RatFunc's + holds a Fraction, and True for a function, even a
+    constant one: it decides whether dividing by a zero is "division by
+    zero" or "division by the zero function".
     """
 
-    __slots__ = ("constant", "factors")
+    __slots__ = ("constant", "numer", "denom", "names", "fn")
 
-    def __init__(self, constant: Fraction, factors: tuple = ()):
-        self.constant = constant
-        self.factors = factors if constant else ()
+    def __init__(self, constant: Fraction, numer: tuple = (), denom: tuple = (),
+                 names: tuple[str, ...] = (), fn: bool = True):
+        if not constant:
+            numer = denom = names = ()
+        self.constant, self.numer, self.denom, self.names, self.fn = \
+            constant, numer, denom, names, fn
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.constant
+    def __neg__(self) -> "_Term":
+        return _Term(-self.constant, self.numer, self.denom, self.names, self.fn)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return _joined((), tuple(v for v, _ in self.factors))
+    def __mul__(self, other: "_Term") -> "_Term":
+        constant = self.constant * other.constant
+        names = _joined(self.names, other.names) if constant else ()
+        return _Term(constant, self.numer + other.numer, self.denom + other.denom,
+                     names, self.fn or other.fn)._capped()
 
-    def scale(self, c: Fraction) -> "_Mono":
-        return _Mono(self.constant * c, self.factors)
+    def __truediv__(self, other: "_Term") -> "_Term":
+        if not other.constant:
+            raise ParseError("division by the zero function" if other.fn else "division by zero")
+        return self * _Term(1 / other.constant, other.denom, other.numer, other.names, other.fn)
 
-    def __neg__(self) -> "_Mono":
-        return self.scale(Fraction(-1))
-
-    def __pow__(self, n: int) -> "_Mono":
+    def __pow__(self, n: int) -> "_Term":
         if n == 0:
-            return _Mono(Fraction(1))
-        return _Mono(self.constant ** n, tuple((v, e * n) for v, e in self.factors))
+            return _Term(Fraction(1), fn=self.fn)
+        return _Term(self.constant ** n, tuple((p, m * n) for p, m in self.numer),
+                     tuple((p, m * n) for p, m in self.denom), self.names, self.fn)._capped()
 
-    def __mul__(self, other: "_Mono") -> "_Mono":
-        if self.is_zero or other.is_zero:
-            return _Mono(Fraction(0))
-        _joined(self.variables, other.variables)
-        return _Mono(self.constant * other.constant, _merge_factors(self.factors + other.factors))
+    def _capped(self) -> "_Term":
+        """self, unless a factor's multiplicity exceeds MAX_EXPONENT.
+
+        Equal factors add their multiplicities once lifted to self.names,
+        as in RatFunc; a side whose multiplicities sum to at most the cap
+        is not merged.
+        """
+        for side in (self.numer, self.denom):
+            if sum(m for _, m in side) > MAX_EXPONENT and any(
+                    m > MAX_EXPONENT for _, m in
+                    _merge_factors((_lifted(p, self.names), m) for p, m in side)):
+                raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
+        return self
+
+    def _rows(self, names: tuple[str, ...]) -> tuple[Fraction, list]:
+        """(scale, rows): self, which has no denominator, expanded in names.
+
+        rows[i][j] is an integer coefficient of names[0]^i * names[-1]^j,
+        laid out as a polynomial's rows; a variable to a power only shifts
+        them.
+        """
+        shift: dict = {}
+        poly = None
+        for p, m in self.numer:
+            if len(p.names) == 1 and p.rows == ((0, 1),) and p.content == 1:
+                shift[p.names[0]] = shift.get(p.names[0], 0) + m
+            else:
+                p = _lifted(p, names)
+                p = p ** m if m > 1 else p
+                poly = p if poly is None else poly * p
+        i = shift.get(names[0], 0) if len(names) == 2 else 0
+        zeros = (0,) * shift.get(names[-1], 0)
+        if poly is None:
+            return self.constant, [()] * i + [zeros + (1,)]
+        return self.constant * poly.content, [()] * i + [zeros + row for row in poly.rows]
 
     def ratfunc(self) -> RatFunc:
-        if self.is_zero:
-            return RatFunc.zero()
-        names = self.variables
-        polys = {v: Poly.monomial(v, 1) for v in names}
-        if len(names) == 2:
-            polys = {v: BiPoly.embed(p, *names) for v, p in polys.items()}
-        return RatFunc._make(self.constant, tuple((polys[v], e) for v, e in self.factors), ())
+        return RatFunc(self.constant, self.numer, self.denom)
 
 
-def _as_ratfunc(v) -> RatFunc:
-    if isinstance(v, _Mono):
-        return v.ratfunc()
-    return v if isinstance(v, RatFunc) else RatFunc(v)
+def _expanded(names: tuple[str, ...], rows: list, den: int) -> _Term:
+    """The term of one factor: the sum of rows[i][j] * names[0]^i * names[-1]^j, over den."""
+    poly = (Poly.from_ints(names[0], rows[0], Fraction(1, den)) if len(names) == 1
+            else BiPoly.from_ints(*names, rows, Fraction(1, den)))
+    return _Term(Fraction(1), ((poly, 1),), (), names)
 
 
-def _variables(v) -> tuple[str, ...]:
-    return () if isinstance(v, Fraction) else v.variables
+def _fold(terms) -> _Term:
+    """The sum of the terms, equal to folding them left to right through RatFunc's +.
 
-
-def _is_zero(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero
-
-
-def _has_denom(v) -> bool:
-    return isinstance(v, RatFunc) and bool(v.denom)
-
-
-def _mul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    if isinstance(a, Fraction):
-        return b.scale(a)
-    if isinstance(b, Fraction):
-        return a.scale(b)
-    if isinstance(a, _Mono) and isinstance(b, _Mono):
-        return a * b
-    if not (a.is_zero or b.is_zero):
-        _joined(a.variables, b.variables)
-    return _as_ratfunc(a) * _as_ratfunc(b)
-
-
-def _div(a, b):
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise ParseError("division by zero")
-        return _mul(a, Fraction(1) / b)
-    if b.is_zero:
-        raise ParseError("division by the zero function")
-    return _mul(a, _as_ratfunc(b).inverse())
-
-
-class _Sum:
-    """The sum of an expression's terms, equal to folding them left to right.
-
-    The fold a + b through RatFunc's + keeps a when b is zero and b when a
-    is zero, adds two constants as scalars, and otherwise expands both and
-    holds their sum as one factor, in the variables of both, or as a
-    constant.  _Sum gives the same value, but holds an expanded sum as rows
-    of integer numerators over one common denominator, adds each term into
-    them once, and builds its one Poly or BiPoly at the end.  A sum with a
-    denominator folds through RatFunc's +.
+    The fold a + b keeps a when b is zero and b when a is zero, adds two
+    constants as scalars, and otherwise expands both and holds their sum
+    as one factor, in the variables of both, or as a constant, whose
+    variables start afresh.  Here an expanded sum is held as integer rows
+    over one common denominator, each term added into them once, and
+    built as one Poly or BiPoly at the end.  A sum with a denominator folds
+    through RatFunc's +.  The sum is a function if any term is one.
     """
+    terms = iter(terms)
+    held = next(terms)      # the sum as a term, or None while it is expanded
+    fn = held.fn
+    names, rows, den = (), [], 1
 
-    def __init__(self, first):
-        self.scalar = isinstance(first, Fraction)   # every term a Fraction
-        self.held = first       # the sum as a term, or None while it is expanded
-        # The expanded sum: rows[i][j] / den is its coefficient of
-        # names[0]^i * names[-1]^j, laid out as a polynomial's rows.
-        self.names: tuple[str, ...] = ()
-        self.rows: list = []
-        self.den = 1
-
-    def add(self, b) -> None:
-        self.scalar = self.scalar and isinstance(b, Fraction)
-        a = self.held
-        if _is_zero(b):
-            return
-        if a is not None and _is_zero(a):
-            self.held = b
-            return
-        names = _joined(self.names if a is None else _variables(a), _variables(b))
-        if not names:
-            self.held = (a if isinstance(a, Fraction) else a.constant) + \
-                (b if isinstance(b, Fraction) else b.constant)
-        elif _has_denom(a) or _has_denom(b):
-            self.held = _as_ratfunc(self.value() if a is None else a) + _as_ratfunc(b)
-        else:
-            if a is not None:
-                self.names, self.rows, self.den, self.held = names, [], 1, None
-                self._put(a)
-            elif len(names) > len(self.names):
-                # A second variable: the first may become the outer one.
-                self.rows = list(_lift(self, names[0]))
-            self.names = names
-            self._put(b)
-            if not self.rows:
-                self.held = RatFunc.zero()
-            elif len(self.rows) == 1 and len(self.rows[0]) == 1:
-                self.held = Fraction(self.rows[0][0], self.den)
-
-    def value(self):
-        if self.held is None:
-            return RatFunc(1, [(self._poly(), 1)])
-        if isinstance(self.held, Fraction) and not self.scalar:
-            return RatFunc(self.held)
-        return self.held
-
-    def _put(self, v) -> None:
-        """Add the expansion of a term without a denominator, in self.names."""
-        outer = self.names[0] if len(self.names) == 2 else None
-        if isinstance(v, _Mono):
-            exps = dict(v.factors)
-            self._add_rows(v.constant, [[]] * exps.get(outer, 0)
-                           + [[0] * exps.get(self.names[-1], 0) + [1]])
-            return
-        if isinstance(v, RatFunc):
-            v = v._expand_pair()[0]
-        if isinstance(v, Fraction):
-            self._add_rows(v, [[1]])
-        else:
-            self._add_rows(v.content, _lift(v, outer))
-
-    def _add_rows(self, scale: Fraction, rows) -> None:
-        """Add scale * rows[i][j] at each [i][j], trimming zeros at the ends."""
+    def add(t: _Term) -> None:
+        nonlocal rows, den
+        scale, more = t._rows(names)
         d = scale.denominator
-        if self.den % d:
-            f = d // gcd(self.den, d)
-            self.den *= f
-            self.rows = [[f * c for c in row] for row in self.rows]
-        s = scale.numerator * (self.den // d)
-        out = self.rows
-        out.extend([] for _ in range(len(rows) - len(out)))
-        for i, row in enumerate(rows):
+        if den % d:
+            f = d // gcd(den, d)
+            den *= f
+            rows = [[f * c for c in row] for row in rows]
+        s = scale.numerator * (den // d)
+        rows.extend([] for _ in range(len(more) - len(rows)))
+        for i, row in enumerate(more):
             if any(row):
-                new = _int_add(out[i], [s * c for c in row])
+                new = _int_add(rows[i], [s * c for c in row])
                 while new and not new[-1]:
                     new.pop()
-                out[i] = new
-        while out and not out[-1]:
-            out.pop()
+                rows[i] = new
+        while rows and not rows[-1]:
+            rows.pop()
 
-    def _poly(self):
-        """The expanded sum as a Poly or BiPoly in its variables."""
-        scale = Fraction(1, self.den)
-        if len(self.names) == 1:
-            return Poly.from_ints(self.names[0], self.rows[0], scale)
-        outer, inner = self.names
-        return BiPoly.from_ints(outer, inner, self.rows, scale)
-
-
-def _capped(value):
-    """value, unless a factor's multiplicity exceeds MAX_EXPONENT.
-
-    A power of a power multiplies the multiplicities, and a product or a
-    quotient adds those of equal factors.
-    """
-    if isinstance(value, RatFunc):
-        factors = value.numer + value.denom
-    elif isinstance(value, _Mono):
-        factors = value.factors
-    else:
-        return value
-    if any(m > MAX_EXPONENT for _, m in factors):
-        raise ParseError(f"a factor's power exceeds the cap {MAX_EXPONENT}")
-    return value
+    for b in terms:
+        fn, a = fn or b.fn, held
+        if not b.constant:
+            continue
+        if a is not None and not a.constant:
+            held = b
+            continue
+        both = _joined(names if a is None else a.names, b.names)
+        if not both:
+            held = _Term(a.constant + b.constant)
+            continue
+        if a is None and (b.denom or len(both) > len(names)):
+            # A denominator or a second variable: the rows become a term again.
+            a = _expanded(names, rows, den)
+        if a is not None and (a.denom or b.denom):
+            s = a.ratfunc() + b.ratfunc()
+            held = _Term(s.constant, s.numer, s.denom, s.variables)
+            continue
+        if a is not None:
+            names, rows, den = both, [], 1
+            add(a)
+        add(b)
+        # A constant sum, zero too, is held as a constant: its variables start afresh.
+        constant = not rows[1:] and not (rows and rows[0][1:])
+        held = _Term(Fraction(rows[0][0] if rows else 0, den)) if constant else None
+    if held is None:
+        held = _expanded(names, rows, den)
+    return held if held.fn == fn else _Term(held.constant, held.numer, held.denom, held.names, fn)
 
 
 def _literal(digits: str) -> int:
@@ -318,6 +274,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -332,45 +289,42 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}")
 
-    def parse(self):
-        value = self.expr()
+    def nest(self, levels: int) -> None:
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and minus signs nest deeper than the cap {MAX_NESTING}")
+
+    def parse(self) -> _Term:
+        value = _fold(self.expr())
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input near token {self.pos}")
         return value
 
     def expr(self):
-        total = _Sum(self.term())
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                total.add(-rhs if val == "-" else rhs)
-            else:
-                return total.value()
+        """The terms of an expression, each with its sign, as they are read."""
+        yield self.term()
+        while self.peek() in (("op", "+"), ("op", "-")):
+            minus = self.take()[1] == "-"
+            term = self.term()
+            yield -term if minus else term
 
-    def term(self):
-        value = self.unary()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.unary()
-                value = _capped(_mul(value, rhs) if val == "*" else _div(value, rhs))
-            else:
-                return value
+    def term(self) -> _Term:
+        value = self.factor()
+        while self.peek() in (("op", "*"), ("op", "/")):
+            times = self.take()[1] == "*"
+            rhs = self.factor()
+            value = value * rhs if times else value / rhs
+        return value
 
-    def unary(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
+    def factor(self) -> _Term:
+        """A power binds before the minus signs: -x^2 is -(x^2)."""
+        signs = 0
+        while self.peek() == ("op", "-"):
             self.take()
-            return -self.unary()
-        return self.primary()
-
-    def primary(self):
+            signs += 1
+        self.nest(signs)
         value = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
+        if self.peek() == ("op", "^"):
             self.take()
             kind, exp = self.take()
             if kind != "int":
@@ -378,23 +332,26 @@ class _Parser:
             power = _literal(exp)
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
-            scalar = value if isinstance(value, Fraction) else value.constant
+            scalar = value.constant
             bits = max(scalar.numerator.bit_length(), scalar.denominator.bit_length())
             if power * bits > MAX_SCALAR_BITS:
                 raise ParseError(f"a power of a {bits}-bit scalar to {power} exceeds "
                                  f"the cap of {MAX_SCALAR_BITS} bits")
-            value = _capped(value ** power)
-        return value
+            value = value ** power
+        self.depth -= signs
+        return -value if signs % 2 else value
 
-    def atom(self):
+    def atom(self) -> _Term:
         kind, val = self.take()
         if kind == "int":
-            return Fraction(_literal(val))
+            return _Term(Fraction(_literal(val)), fn=False)
         if kind == "var":
-            return _Mono(Fraction(1), ((val, 1),))
+            return _Term(Fraction(1), ((_VARIABLE[val], 1),), (), (val,))
         if kind == "op" and val == "(":
-            value = self.expr()
+            self.nest(1)
+            value = _fold(self.expr())
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {val!r}")
 
@@ -404,8 +361,7 @@ def parse_ratfunc(text: str) -> RatFunc:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    value = _Parser(tokens).parse()
-    return _as_ratfunc(value)
+    return _Parser(tokens).parse().ratfunc()
 
 
 def parse_poly(text: str, var: str | None = None) -> Poly:

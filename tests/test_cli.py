@@ -61,6 +61,20 @@ def test_expand_hostile_power_exits_2_fast():
     assert "exceeds the cap 1000" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "(" * 200 + "z" + ")" * 200],
+    ["diagonal", "--gf-text=" + "-" * 1000 + "x*y"],
+], ids=["parentheses", "signs"])
+def test_deep_nesting_exits_2(argv):
+    # Both ended in an uncaught RecursionError, exit 1, when the parser
+    # recursed once per minus sign and had no cap on its nesting.
+    res = subprocess.run([sys.executable, "-m", "gfdiag", *argv], capture_output=True,
+                         text=True, timeout=10)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "nest deeper than the cap 100" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_expand_json_round_trips():
     res = run_cli("expand", "(1/3)/(1-z-z^2)", "--n", "8", "--json")
     assert res.returncode == 0

@@ -375,6 +375,20 @@ def test_parse_errors():
             parse_ratfunc(text)
 
 
+def test_parse_nesting_cap():
+    # Each open parenthesis and each unary minus sign that applies nests one
+    # level; MAX_NESTING (100) levels parse, one more is a ParseError.
+    z = parse_ratfunc("z")
+    assert parse_ratfunc("(" * 100 + "z" + ")" * 100) == z
+    assert parse_ratfunc("-" * 100 + "z") == z
+    assert parse_ratfunc("-(" * 50 + "z" + ")" * 50) == z
+    assert parse_ratfunc("(" * 99 + "-z" + ")" * 99 + "*" + "-" * 99 + "z") == parse_ratfunc("z^2")
+    for text in ("(" * 101 + "z" + ")" * 101, "-" * 101 + "z", "-(" * 50 + "-z" + ")" * 50,
+                 "(" * 100 + "-z" + ")" * 100, "1 - (" * 101 + "z" + ")" * 101):
+        with pytest.raises(ParseError, match="nest deeper than the cap 100"):
+            parse_ratfunc(text)
+
+
 # -- the parser against the fold through RatFunc's + ------------------------------
 
 def _same_parse(text: str) -> None:
@@ -435,6 +449,9 @@ def test_parse_matches_fold_through_ratfunc_add(data):
     "x*y*x", "x*y*x*y", "(x*y*x)^2", "-(x*y*x)", "x*y*x/(1-x-y)", "2*x*y/(1-x)",
     # Sums with denominators, and rational scalars.
     "1/x + 1/y + x", "x + 1/(1-x) - 1/(1-x)", "(1/2)*x + (1/3)*y - x/2", "w - x", "t*z - 1",
+    # A factor equal to another only once lifted passes the cap with it,
+    # before the rest of the text is read.
+    "x^600*(x+y-y)^600", "(x+y-y)^600*x^600 + 1/0",
 ])
 def test_parse_matches_fold_on_edge_cases(text):
     _same_parse(text)
