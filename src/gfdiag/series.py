@@ -54,6 +54,12 @@ runs first, while the box is still narrow in its direction, and the mixed
 factors run last.  Once the factors' constant terms multiply to D, the
 box carries c * D^(n+m+1): the series at (D*x, D*y), times D.  So the
 next factor enters with its (i, j) coefficient times D^(i+j).
+
+A diagonal divides the same box in full, but builds Fractions for its
+diagonal cells only, n of them and not n^2.  Diagonal term i sits in the
+box at [i - a][i - b] for the net monomial outer^a * inner^b, and carries
+c * D^(2i - a - b + 1): the terms from i = max(a, b) on are one sequence
+over a power of D^2, unscaled as a row is.
 """
 
 from __future__ import annotations
@@ -262,8 +268,11 @@ def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int,
 
 def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
                  denom: Sequence[tuple[AnyPoly, int]], nx: int, ny: int,
-                 inner: bool = False) -> list[list[Fraction]]:
+                 inner: bool = False, *, diagonal: bool = False) -> list:
     """Grid c[n][m] of outer^n * inner^m, n < nx and m < ny, of constant * numer / denom.
+
+    With diagonal, only [c[i][i] for i < min(nx, ny)]: the box is divided
+    in full, and only its diagonal cells become Fractions.
 
     numer and denom are products of (polynomial, multiplicity) factors; a
     Poly's variable is the inner one if inner, else the outer one.
@@ -278,9 +287,15 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     times for multiplicity m: the heavier univariate class first, the mixed
     factors last (see the module docstring).
     """
+    if diagonal:
+        nx = ny = min(nx, ny)
     zero = Fraction(0)
+
+    def zeros() -> list:
+        return [zero] * nx if diagonal else [[zero] * ny for _ in range(nx)]
+
     if constant == 0 or any(p.is_zero for p, _ in numer):
-        return [[zero] * ny for _ in range(nx)]
+        return zeros()
     scale, si, sj, stripped = constant, 0, 0, {1: {}, -1: {}}
     for sign, factors in ((1, numer), (-1, denom)):
         for p, m in factors:
@@ -302,7 +317,7 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
         raise PoleAtOriginError("pole at the origin")
     bx, by = nx - si, ny - sj
     if bx <= 0 or by <= 0:
-        return [[zero] * ny for _ in range(nx)]
+        return zeros()
     numer_rows, denom_rows = stripped[1], stripped[-1]
     for rows in numer_rows.keys() & denom_rows.keys():
         net = numer_rows.pop(rows) - denom_rows.pop(rows)
@@ -330,6 +345,12 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
         for _ in range(m):
             reach = _divide_box(box, terms, f0, d, *reach)
             d *= f0
+    if diagonal:
+        # Cell i is box[i - si][i - sj], which carries c * d^(2i - si - sj + 1).
+        i0 = max(si, sj)
+        cells = [box[i - si][i - sj] for i in range(i0, nx)]
+        den = scale.denominator * d ** (2 * i0 - si - sj + 1)
+        return [zero] * i0 + _unscaled(cells, d * d, den)
     return [[zero] * ny for _ in range(si)] + [
         [zero] * sj + _unscaled(row, d, scale.denominator * d ** (n + 1))
         for n, row in enumerate(box)]
@@ -344,17 +365,24 @@ def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
     return _series_grid(f.constant, f.numer, f.denom, 1, n, True)[0]
 
 
-def bivariate_series(f: RatFunc, nx: int, ny: int) -> list[list[Fraction]]:
+def bivariate_series(f: RatFunc, nx: int, ny: int, *, diagonal: bool = False) -> list:
     """Coefficient grid c[n][m] of outer^n * inner^m for n < nx, m < ny.
 
-    A univariate f's variable is the outer one.
+    A univariate f's variable is the outer one.  With diagonal, the list
+    [c[i][i] for i < min(nx, ny)] instead: the integer box is divided as
+    for the grid, but only its min(nx, ny) diagonal cells are built as
+    Fractions.
     """
-    return _series_grid(f.constant, f.numer, f.denom, nx, ny)
+    return _series_grid(f.constant, f.numer, f.denom, nx, ny, diagonal=diagonal)
 
 
 def diagonal_series(f: RatFunc, n: int) -> list[Fraction]:
-    """The first n diagonal terms: entry i is the coefficient of outer^i * inner^i."""
-    return [row[i] for i, row in enumerate(bivariate_series(f, n, n))]
+    """The first n diagonal terms: entry i is the coefficient of outer^i * inner^i.
+
+    The n x n box is divided in full, and n Fractions are built from it,
+    not n^2.
+    """
+    return bivariate_series(f, n, n, diagonal=True)
 
 
 def _first_mismatch(lhs: Iterable, rhs: Iterable) -> tuple[int, str, str] | None:

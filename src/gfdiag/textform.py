@@ -24,10 +24,12 @@ factor is lifted or merged until the one RatFunc of the parse is built
 at the end.  A sum is accumulated once: each term is expanded (a factor's
 power by poly's repeated squaring on _int_mul) and added into integer
 rows over one common denominator, laid out as a polynomial's rows, and
-one Poly or BiPoly is built at the end.  Only a sum that has a
-denominator adds through RatFunc's +.  The result equals folding the
-terms left to right through RatFunc's +, down to the factor order and the
-variable pair.
+one Poly or BiPoly is built at the end, in the variables its rows use.
+Only a sum that has a denominator adds through RatFunc's +.  The result
+equals folding the terms left to right through RatFunc's +, each
+polynomial sum taking the variables it uses, down to the factor order and
+the variable pair.  A sum whose terms pass three variables before one
+cancels, such as x*y + z - x*y, is still refused.
 """
 
 from __future__ import annotations
@@ -192,7 +194,16 @@ class _Term:
 
 
 def _expanded(names: tuple[str, ...], rows: list, den: int) -> _Term:
-    """The term of one factor: the sum of rows[i][j] * names[0]^i * names[-1]^j, over den."""
+    """The term of one factor: the sum of rows[i][j] * names[0]^i * names[-1]^j, over den.
+
+    rows must not be constant.  The factor's variables are the ones its
+    rows use: x + z - x is z alone, not z in x and z.
+    """
+    if len(names) == 2:
+        if len(rows) == 1:
+            names = names[1:]
+        elif all(len(row) <= 1 for row in rows):
+            names, rows = names[:1], [[row[0] if row else 0 for row in rows]]
     poly = (Poly.from_ints(names[0], rows[0], Fraction(1, den)) if len(names) == 1
             else BiPoly.from_ints(*names, rows, Fraction(1, den)))
     return _Term(Fraction(1), ((poly, 1),), (), names)
@@ -203,11 +214,13 @@ def _fold(terms) -> _Term:
 
     The fold a + b keeps a when b is zero and b when a is zero, adds two
     constants as scalars, and otherwise expands both and holds their sum
-    as one factor, in the variables of both, or as a constant, whose
-    variables start afresh.  Here an expanded sum is held as integer rows
-    over one common denominator, each term added into them once, and
-    built as one Poly or BiPoly at the end.  A sum with a denominator folds
-    through RatFunc's +.  The sum is a function if any term is one.
+    as one factor, or as a constant, whose variables start afresh.  A sum
+    with no denominator takes the variables its expansion uses.  Here an
+    expanded sum is held as integer rows over one common denominator, each
+    term added into them once, and built as one Poly or BiPoly, in the
+    variables the rows use, once the terms end or a denominator comes.  A
+    sum with a denominator folds through RatFunc's +.  The sum is a
+    function if any term is one.
     """
     terms = iter(terms)
     held = next(terms)      # the sum as a term, or None while it is expanded

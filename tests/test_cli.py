@@ -43,6 +43,12 @@ def test_expand_geometric():
     assert res.stdout.split() == ["1", "1", "1"]
 
 
+def test_expand_takes_a_sum_whose_second_variable_cancels():
+    res = run_cli("expand", "(x+z-x)/(1-z)", "--n", "4")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "1", "1", "1"]
+
+
 def test_expand_pole_at_origin_exits_3():
     res = run_cli("expand", "1/z")
     assert res.returncode == 3
@@ -296,6 +302,31 @@ def test_diagonal_series_route_checks_n_before_any_work(method, n, monkeypatch, 
     assert out.out == ""
     assert out.err == (f"error: --n must be >= 4 for --method {method}: the series route "
                        f"finds a recurrence from at least 4 diagonal terms, got {n}\n")
+
+
+@pytest.mark.parametrize("source", ["--catalog=trib.G", "--catalog=tetra.G", "--catalog=penta.G",
+                                    "--gf-text=1/(1-x-y)"])
+def test_diagonal_json_is_unchanged_by_building_only_diagonal_fractions(source, monkeypatch,
+                                                                        capsys):
+    # diagonal_series builds Fractions for the diagonal cells only; the full
+    # grid's diagonal must give the same document byte for byte, through
+    # both the series route and the residue route's cross-check.
+    from gfdiag import residues, series
+
+    calls = []
+
+    def full_grid_diagonal(f, n):
+        calls.append(n)
+        return [row[i] for i, row in enumerate(series.bivariate_series(f, n, n))]
+
+    argv = ["diagonal", source, "--json", "--method=both", "--n=200"]
+    status = cli.main(argv)
+    fast = capsys.readouterr().out
+    for module in (series, residues, cli):
+        monkeypatch.setattr(module, "diagonal_series", full_grid_diagonal)
+    assert cli.main(argv) == status
+    assert capsys.readouterr().out == fast
+    assert calls
 
 
 def test_diagonal_residue_route_takes_n_0(capsys):

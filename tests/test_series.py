@@ -8,7 +8,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfdiag import (
     BiPoly,
@@ -28,6 +28,7 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
+from gfdiag import series
 from gfdiag.series import _first_mismatch, _unscaled, pascal_rows
 from helpers import (
     rand_sequence_spec,
@@ -403,6 +404,63 @@ def test_unscaled_is_fraction_field_by_field(terms):
     e, d0, den = terms
     got = _unscaled(e, d0, den)
     assert list(map(_fields, got)) == [_fields(Fraction(v, den * d0 ** m)) for m, v in enumerate(e)]
+
+
+def _monomial(a: int, b: int) -> BiPoly:
+    return BiPoly.from_monomials("x", "y", {(a, b): 1})
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((1, -2, Fraction(3, 5), 0)),
+       shift=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       pole=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       numer=st.lists(_factor(), max_size=1), denom=st.lists(_factor(), max_size=3),
+       n=st.integers(0, 12), nx=st.integers(0, 12), ny=st.integers(0, 12))
+@example(constant=0, shift=(1, 0), pole=(0, 0), numer=[], denom=[], n=5, nx=3, ny=6)
+@example(constant=Fraction(3, 5), shift=(0, 0), pole=(0, 0), numer=[], denom=[], n=5, nx=6, ny=3)
+def test_diagonal_matches_the_reference_grid_field_by_field(constant, shift, pole, numer, denom,
+                                                           n, nx, ny):
+    # The numerator's monomial x^a * y^b, with a != b, starts the diagonal
+    # off the box's corner; constant terms other than +-1 make the diagonal
+    # step D^2 with D != 1.  A denominator monomial beyond it is a pole at
+    # the origin, and one within it only shifts the reference's numerator.
+    (a, b), (c, e) = shift, pole
+    f = RatFunc(constant, [*numer, (_monomial(a, b), 1)], [*denom, (_monomial(c, e), 1)])
+    if constant and (c > a or e > b):
+        with pytest.raises(PoleAtOriginError):
+            diagonal_series(f, n)
+        with pytest.raises(PoleAtOriginError):
+            bivariate_series(f, n, n)
+        return
+    reduced = RatFunc(constant, [*numer, (_monomial(max(a - c, 0), max(b - e, 0)), 1)], denom)
+    grid = ref_bivariate_series(reduced, n, n)
+    want = [row[i] for i, row in enumerate(grid)]
+    assert list(map(_fields, diagonal_series(f, n))) == list(map(_fields, want))
+    grid = ref_bivariate_series(reduced, nx, ny)
+    got = bivariate_series(f, nx, ny, diagonal=True)
+    assert list(map(_fields, got)) == [_fields(grid[i][i]) for i in range(min(nx, ny))]
+
+
+def test_diagonal_builds_one_fraction_per_term(monkeypatch):
+    built = []
+    coprime = series._coprime
+
+    def counted(nums, dens):
+        built.append(len(nums))
+        return coprime(nums, dens)
+
+    monkeypatch.setattr(series, "_coprime", counted)
+    # The grid builds every cell off the monomial's zero rows and columns:
+    # x*y^3 leaves 49 rows of 47.
+    for text, cells in (("1/(1-x-y)", 2500), ("1/((2-x)*(3-y)*(1-x*y))", 2500),
+                        ("x*y^3/((2-x)*(3-y))", 49 * 47)):
+        f = parse_ratfunc(text)
+        built.clear()
+        diagonal_series(f, 50)
+        assert sum(built) <= 50, text
+        built.clear()
+        bivariate_series(f, 50, 50)
+        assert sum(built) == cells, text
 
 
 @pytest.mark.parametrize("text, grid", [
