@@ -37,6 +37,26 @@ def _merge_factors(factors: Iterable) -> tuple:
     return tuple(out.items())
 
 
+def _narrowed(factors: list) -> list:
+    """The factors in the one variable their terms use, if they use one; else as given.
+
+    A sum's numerator and denominators share its terms' variable pair, and
+    1/(1-z) + x - x uses z alone.
+    """
+    used = set()
+    for p, _ in factors:
+        if len(p.rows) > 1:
+            used.add(p.names[0])
+        if any(len(row) > 1 for row in p.rows):
+            used.add(p.names[-1])
+    if len(used) != 1:
+        return factors
+    (var,) = used
+    return [(p if p.names == (var,) else Poly.from_ints(
+        var, p.rows[0] if var == p.names[-1] else [row[0] if row else 0 for row in p.rows],
+        p.content), m) for p, m in factors]
+
+
 class RatFunc(_Frozen):
     """Factored rational function over the rationals (1 or 2 variables)."""
 
@@ -170,7 +190,11 @@ class RatFunc(_Frozen):
         if all(isinstance(v, Fraction) for v in (n1, d1, n2, d2)):
             return RatFunc(n1 / d1 + n2 / d2)
         n1, d1, n2, d2 = unify(n1, d1, n2, d2)
-        return RatFunc(1, [(n1 * d2 + n2 * d1, 1)], self.denom + other.denom)
+        numer = n1 * d2 + n2 * d1
+        if numer.is_zero:
+            return RatFunc.zero()
+        numer, *denom = _narrowed([(numer, 1), *self.denom, *other.denom])
+        return RatFunc(1, [numer], denom)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):

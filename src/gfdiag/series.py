@@ -41,7 +41,8 @@ product of its factors' powers, each by repeated squaring, truncated to
 the nx x ny box.
 
 The box is then divided in place by one denominator factor at a time, m
-times for multiplicity m, each factor with its own integer coefficients.
+times for multiplicity m, each factor with its own integer coefficients
+(the division kernels are in gfdiag._division, loaded on first use).
 A few sparse factors cost fewer steps per row than their expanded
 product.  Each division runs only over the cells it can reach: the box
 keeps the number of rows and of columns that can be nonzero, starting
@@ -54,6 +55,27 @@ runs first, while the box is still narrow in its direction, and the mixed
 factors run last.  Once the factors' constant terms multiply to D, the
 box carries c * D^(n+m+1): the series at (D*x, D*y), times D.  So the
 next factor enters with its (i, j) coefficient times D^(i+j).
+
+A run of consecutive divisions by outer-only factors, each with constant
+term 1 and the outer variable in every other term (every convolution
+GF's mixed factor is one), divides whole rows instead (_divide_packed).
+Row n becomes one integer, sum c[n][m] * 2^(k*m): its evaluation at
+inner = 2^k.  That evaluation is a ring map, so a term v * outer^i *
+inner^j is r -= v * (row n - i << k*j), one shift-and-add in C on a whole
+row (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+Algebra, 8.4).  A row held mod inner^width is the balanced residue of r
+mod 2^(k*width), which is exact while every cell is below 2^(k-1) in
+magnitude, and a bound proved before any work sets k (_digit_bytes).
+Each term reads rows n - i, i >= 1, of its own factor's output, so row n
+passes through the whole run before row n + 1 starts, each factor keeps
+only its last rows, and a diagonal reads its cell from the run's last row
+and drops the row.  The box holds only the rows in its reach until a
+division or the result reads past them, so a diagonal whose last run is
+packed never builds the zero rows.  Every digit is k bits wide, and the
+bound is about twice the largest cell, so packing wins where Python's
+cost per cell dominates and loses where big-int arithmetic does: a cost
+test from k and the step count (_packs, at _PACK_BITS) picks the path
+first.
 
 A diagonal divides the same box in full, but builds Fractions for its
 diagonal cells only, n of them and not n^2.  Diagonal term i sits in the
@@ -68,7 +90,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from math import gcd
 from operator import add, mul
 
@@ -145,20 +167,6 @@ def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
 # The series kernel
 # ---------------------------------------------------------------------------
 
-def _solve_row(e: list[int], steps: Sequence[tuple[int, int]]) -> None:
-    """In place, for m ascending: e[m] -= sum of v * e[m - j] over steps (j, v), j <= m.
-
-    steps is sorted by j, and every j is at least 1.
-    """
-    for m in range(len(e)):
-        acc = e[m]
-        for j, v in steps:
-            if j > m:
-                break
-            acc -= v * e[m - j]
-        e[m] = acc
-
-
 def _coprime(nums: list[int], dens: list[int]) -> list[Fraction]:
     """[nums[m] / dens[m]] for pairs already in lowest terms, dens[m] > 0.
 
@@ -217,55 +225,6 @@ def _box_mul(a: _Box, b: _Box, nx: int, ny: int) -> _Box:
     return out
 
 
-def _divide_box(box: _Box, terms: list[tuple[int, int, int]], f0: int, d: int,
-                rows: int, cols: int) -> tuple[int, int]:
-    """Divide box in place by the factor sum v * outer^i * inner^j over terms.
-
-    f0 is the factor's constant term.  box holds the series at
-    (d*outer, d*inner) times d: entry [n][m] carries c[n][m] * d^(n+m+1).
-    So does the result, with d*f0 in place of d.  At (d*outer, d*inner)
-    the factor's coefficients are v * d^(i+j), and the recurrence runs on
-    the box scaled by f0^(n+m), with the terms v * d^(i+j) * f0^(i+j-1).
-    The powers of f0 are built only as far as a nonzero entry reads them.
-
-    Only box[:rows] and the first cols entries of each row may be nonzero.
-    A term with i > 0 can reach every row and one with j > 0 every column;
-    the division runs over the cells it can reach and returns their limits.
-    """
-    if f0 != 1:
-        powers = [1]
-        for n, row in enumerate(box[:rows]):
-            end = cols
-            while end and not row[end - 1]:
-                end -= 1
-            while len(powers) < n + end:
-                powers.append(powers[-1] * f0)
-            row[:end] = [v * powers[n + m] if v else 0 for m, v in enumerate(row[:end])]
-    # Row by row, so the i = 0 terms come sorted by j, as _solve_row needs.
-    steps = [(i, j, v * d ** (i + j) * f0 ** (i + j - 1)) for i, j, v in terms if i + j]
-    inner = [(j, v) for i, j, v in steps if i == 0]
-    outer = [(i, j, v) for i, j, v in steps if i > 0]
-    if outer:
-        rows = len(box)
-    if any(j for _, j, _ in steps):
-        cols = len(box[0])
-    for n, row in enumerate(box[:rows]):
-        for i, j, v in outer:
-            if i > n:
-                continue
-            prev = box[n - i]
-            # Most catalog factors have unit coefficients: skip multiplying by them.
-            if v == 1:
-                row[j:cols] = [a - b for a, b in zip(row[j:cols], prev)]
-            elif v == -1:
-                row[j:cols] = [a + b for a, b in zip(row[j:cols], prev)]
-            else:
-                row[j:cols] = [a - v * b for a, b in zip(row[j:cols], prev)]
-        if inner:
-            _solve_row(row, inner)
-    return rows, cols
-
-
 def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
                  denom: Sequence[tuple[AnyPoly, int]], nx: int, ny: int,
                  inner: bool = False, *, diagonal: bool = False) -> list:
@@ -285,7 +244,9 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     product of the factors' powers, each by repeated squaring, truncated to
     the box; the box is then divided by each denominator factor in turn, m
     times for multiplicity m: the heavier univariate class first, the mixed
-    factors last (see the module docstring).
+    factors last (see the module docstring).  A run of outer-only factors
+    divides packed rows instead where _packs finds that it pays; if it is
+    the last run of a diagonal, it returns the diagonal's cells itself.
     """
     if diagonal:
         nx = ny = min(nx, ny)
@@ -328,7 +289,18 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     for rows, m in numer_rows.items():
         box = times(box, _power([[1]], rows, m, times))
     reach = len(box), max(map(len, box))
-    box = [row + [0] * (by - len(row)) for row in box] + [[0] * by for _ in range(bx - len(box))]
+    # Rows past the reach are all 0: they are appended only once a
+    # division or the result reads them.
+    box = [row + [0] * (by - len(row)) for row in box]
+
+    def full() -> _Box:
+        box.extend([0] * by for _ in range(bx - len(box)))
+        return box
+
+    # The division kernels load on first use, so that start-up without a
+    # bytecode cache compiles none of them.
+    from ._division import _digit_bytes, _divide_box, _divide_packed, _packable, _packs
+
     # Class 0 is a factor in the inner variable alone (one row), 1 one in
     # the outer variable alone (one column), 2 a mixed factor; a class's
     # weight is its division steps.
@@ -340,20 +312,37 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
         divisions.append((kind, terms, rows[0][0], m))
     first = int(weight[1] > weight[0])
     divisions.sort(key=lambda t: (t[0] == 2, t[0] != first))
-    d = 1
-    for _, terms, f0, m in divisions:
-        for _ in range(m):
-            reach = _divide_box(box, terms, f0, d, *reach)
+    runs = [list(run) for _, run in groupby(
+        ((terms, f0) for _, terms, f0, m in divisions for _ in range(m)), lambda t: _packable(*t))]
+    d, cells = 1, None
+    for p, run in enumerate(runs):
+        if _packable(*run[0]):
+            stages = [[(i, j, v * d ** (i + j)) for i, j, v in terms[1:]] for terms, _ in run]
+            width = by if any(j for steps in stages for _, j, _ in steps) else reach[1]
+            size = _digit_bytes(box, stages, bx, *reach)
+            last = diagonal and p == len(runs) - 1
+            if _packs(8 * size, sum(map(len, stages)), bx, reach[0], not last):
+                if last:
+                    cells = _divide_packed(box, stages, bx, reach[0], width, size, si - sj)
+                else:
+                    _divide_packed(full(), stages, bx, reach[0], width, size, None)
+                reach = bx, width
+                continue
+        for terms, f0 in run:
+            # Only a term in outer (terms are sorted by it) reaches past the rows in reach.
+            reach = _divide_box(full() if terms[-1][0] else box, terms, f0, d, *reach)
             d *= f0
     if diagonal:
         # Cell i is box[i - si][i - sj], which carries c * d^(2i - si - sj + 1).
         i0 = max(si, sj)
-        cells = [box[i - si][i - sj] for i in range(i0, nx)]
+        if cells is None:
+            full()
+            cells = [box[i - si][i - sj] for i in range(i0, nx)]
         den = scale.denominator * d ** (2 * i0 - si - sj + 1)
         return [zero] * i0 + _unscaled(cells, d * d, den)
     return [[zero] * ny for _ in range(si)] + [
         [zero] * sj + _unscaled(row, d, scale.denominator * d ** (n + 1))
-        for n, row in enumerate(box)]
+        for n, row in enumerate(full())]
 
 
 def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:

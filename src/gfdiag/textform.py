@@ -25,11 +25,12 @@ at the end.  A sum is accumulated once: each term is expanded (a factor's
 power by poly's repeated squaring on _int_mul) and added into integer
 rows over one common denominator, laid out as a polynomial's rows, and
 one Poly or BiPoly is built at the end, in the variables its rows use.
-Only a sum that has a denominator adds through RatFunc's +.  The result
-equals folding the terms left to right through RatFunc's +, each
-polynomial sum taking the variables it uses, down to the factor order and
-the variable pair.  A sum whose terms pass three variables before one
-cancels, such as x*y + z - x*y, is still refused.
+Only a sum that has a denominator adds through RatFunc's +, which also
+narrows the sum to the variables its factors use: 1/(1-z) + x - x is in z
+alone.  The result equals folding the terms left to right through
+RatFunc's +, down to the factor order and the variable pair.  A sum whose
+terms pass three variables before one cancels, such as x*y + z - x*y, is
+still refused.
 """
 
 from __future__ import annotations
@@ -215,12 +216,11 @@ def _fold(terms) -> _Term:
     The fold a + b keeps a when b is zero and b when a is zero, adds two
     constants as scalars, and otherwise expands both and holds their sum
     as one factor, or as a constant, whose variables start afresh.  A sum
-    with no denominator takes the variables its expansion uses.  Here an
-    expanded sum is held as integer rows over one common denominator, each
-    term added into them once, and built as one Poly or BiPoly, in the
-    variables the rows use, once the terms end or a denominator comes.  A
-    sum with a denominator folds through RatFunc's +.  The sum is a
-    function if any term is one.
+    takes the variables its factors use.  Here an expanded sum is held as
+    integer rows over one common denominator, each term added into them
+    once, and built as one Poly or BiPoly, in the variables the rows use,
+    once the terms end or a denominator comes.  A sum with a denominator
+    folds through RatFunc's +.  The sum is a function if any term is one.
     """
     terms = iter(terms)
     held = next(terms)      # the sum as a term, or None while it is expanded

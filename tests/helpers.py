@@ -644,9 +644,9 @@ def ref_unify(*values) -> tuple:
 #
 # The parser as it was when it folded every '+' through RatFunc's + and built
 # a RatFunc for every variable, kept so that the property tests can compare
-# the one-pass sums with it; only a polynomial sum now drops a variable that
-# cancels out of it, as textform's sums do.  A third variable fails here with
-# the ValueError of unify, where textform raises a ParseError.
+# the one-pass sums with it; only a sum now drops a variable that cancels
+# out of it, as textform's sums and RatFunc's + do.  A third variable fails
+# here with the ValueError of unify, where textform raises a ParseError.
 
 def _ref_as_ratfunc(v) -> RatFunc:
     return v if isinstance(v, RatFunc) else RatFunc(v)
@@ -673,20 +673,23 @@ def _ref_div(a, b):
 
 
 def _ref_add(a, b):
-    """a + b; a sum of two nonzero polynomials takes the variables it uses."""
+    """a + b; a sum of two nonzero functions takes the variables its factors use."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     a, b = _ref_as_ratfunc(a), _ref_as_ratfunc(b)
     s = a + b
-    if a.is_zero or b.is_zero or s.denom or len(s.variables) < 2:
+    if a.is_zero or b.is_zero or len(s.variables) < 2:
         return s
-    (p, _), = s.numer
-    if len(p.rows) == 1:
-        return RatFunc(s.constant, [(Poly.from_ints(p.names[1], p.rows[0], p.content), 1)])
-    if all(len(row) <= 1 for row in p.rows):
-        column = [row[0] if row else 0 for row in p.rows]
-        return RatFunc(s.constant, [(Poly.from_ints(p.names[0], column, p.content), 1)])
-    return s
+    factors = s.numer + s.denom
+    if all(len(p.rows) == 1 for p, _ in factors):
+        var, narrow = s.variables[1], lambda p: p.rows[0]
+    elif all(len(row) <= 1 for p, _ in factors for row in p.rows):
+        var, narrow = s.variables[0], lambda p: [row[0] if row else 0 for row in p.rows]
+    else:
+        return s
+    numer, denom = ([(Poly.from_ints(var, narrow(p), p.content), m) for p, m in side]
+                    for side in (s.numer, s.denom))
+    return RatFunc(s.constant, numer, denom)
 
 
 def _ref_capped(value):

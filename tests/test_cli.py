@@ -49,6 +49,16 @@ def test_expand_takes_a_sum_whose_second_variable_cancels():
     assert res.stdout.split() == ["0", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("1/(1-z) + x - x", ["1", "1", "1", "1"]),
+    ("x/(1-z) + z - x/(1-z)", ["0", "1", "0", "0"]),
+])
+def test_expand_takes_a_sum_with_a_denominator_whose_variable_cancels(text, terms):
+    res = run_cli("expand", text, "--n", "4")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == terms
+
+
 def test_expand_pole_at_origin_exits_3():
     res = run_cli("expand", "1/z")
     assert res.returncode == 3
@@ -327,6 +337,37 @@ def test_diagonal_json_is_unchanged_by_building_only_diagonal_fractions(source, 
     assert cli.main(argv) == status
     assert capsys.readouterr().out == fast
     assert calls
+
+
+def _seeded_convolution_text() -> str:
+    from random import Random
+
+    from gfdiag import SequenceSpec, build_convolution_gf
+
+    rng = Random(3)
+    a, b = (SequenceSpec(k, [rng.choice((-2, -1, 1, 2)) for _ in range(k)],
+                         [rng.randint(-2, 2) for _ in range(k)]) for k in (3, 2))
+    return str(build_convolution_gf(a, b).F)
+
+
+@pytest.mark.parametrize("source", ["--catalog=trib.G", "--catalog=tetra.G", "--catalog=penta.G",
+                                    f"--gf-text={_seeded_convolution_text()}"])
+def test_diagonal_json_is_unchanged_by_packed_rows(source, monkeypatch, capsys):
+    # Each source's mixed denominator factor is outer-only, so its diagonal
+    # divides packed rows; dividing every factor cell by cell must give the
+    # same document byte for byte, through both routes.
+    from gfdiag import _division
+
+    runs = []
+    divide = _division._divide_packed
+    monkeypatch.setattr(_division, "_divide_packed", lambda *args: runs.append(1) or divide(*args))
+    argv = ["diagonal", source, "--json", "--method=both", "--n=200"]
+    status = cli.main(argv)
+    packed = capsys.readouterr().out
+    assert runs
+    monkeypatch.setattr(_division, "_packable", lambda terms, f0: False)
+    assert cli.main(argv) == status
+    assert capsys.readouterr().out == packed
 
 
 def test_diagonal_residue_route_takes_n_0(capsys):

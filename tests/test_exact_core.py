@@ -452,10 +452,10 @@ def test_parse_matches_fold_through_ratfunc_add(data):
     # A factor equal to another only once lifted passes the cap with it,
     # before the rest of the text is read.
     "x^600*(x+y-y)^600", "(x+y-y)^600*x^600 + 1/0",
-    # A polynomial sum drops a variable that cancels out of it, also before
-    # a denominator comes; a sum with a denominator keeps both variables.
+    # A sum drops a variable that cancels out of it, before a denominator
+    # comes and after one.
     "(x+z-x)/(1-z)", "x + z - x + 1/(1-z)", "y*x + y - x*y + x", "x*y - x + x",
-    "1/(1/(1-z) + x - x) + 1", "1/(1-z) + x - x",
+    "1/(1/(1-z) + x - x) + 1", "1/(1-z) + x - x", "x/(1-z) + z - x/(1-z)",
 ])
 def test_parse_matches_fold_on_edge_cases(text):
     _same_parse(text)
@@ -467,6 +467,8 @@ def test_a_variable_that_cancels_out_of_a_sum_is_dropped():
     assert got.variables == want.variables == ("z",)
     assert parse_ratfunc("(1/2)*x + (1/3)*y - x/2").variables == ("y",)
     assert parse_ratfunc("x^2*y + x - x^2*y").variables == ("x",)
+    assert parse_ratfunc("1/(1-z) + x - x").variables == ("z",)
+    assert parse_ratfunc("x/(1-x) + y - y").variables == ("x",)
     # A sum that passes three variables before one cancels is still refused.
     with pytest.raises(ParseError, match="at most two variables are supported, found x, y, z"):
         parse_ratfunc("x*y + z - x*y")

@@ -6,6 +6,7 @@ import pickle
 from fractions import Fraction
 from math import comb
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,7 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
-from gfdiag import series
+from gfdiag import _division, series
 from gfdiag.series import _first_mismatch, _unscaled, pascal_rows
 from helpers import (
     rand_sequence_spec,
@@ -477,6 +478,97 @@ def test_negative_constant_terms_and_contents_give_reduced_fractions(text, grid)
     else:
         got, want = [series_of_rational(f, 40)], [ref_series_of_rational(f, 40)]
     assert [list(map(_fields, row)) for row in got] == [list(map(_fields, row)) for row in want]
+
+
+# -- Outer-only factors divide whole packed rows ----------------------------------
+#
+# A denominator factor with constant term 1 and outer in every other term
+# divides rows packed into one integer each (_division._divide_packed), when
+# _division._packs finds that it pays.  Each case runs with that cost test and
+# with packing forced, against the reference's cell-by-cell division.
+
+def _xy(terms: dict) -> BiPoly:
+    return BiPoly.from_monomials("x", "y", terms)
+
+
+_outer_terms = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+                               st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+
+
+@st.composite
+def _outer_only(draw):
+    """1 + a signed sum of x^i * y^j, i >= 1: general, x*y-type or in x alone."""
+    shape = draw(st.sampled_from(("mixed", "xy", "x")))
+    if shape == "xy":
+        terms = {(k, k): draw(st.integers(-5, 5).filter(bool))
+                 for k in (1, draw(st.integers(1, 3)))}
+    elif shape == "x":
+        terms = {(i, 0): v for (i, _), v in draw(_outer_terms).items()}
+    else:
+        terms = draw(_outer_terms)
+    return _xy({(0, 0): 1, **terms}), draw(st.integers(1, 3))
+
+
+# Factors that divide cell by cell: a constant term 2 or 3 (1 - x/3 clears
+# to 3 - x), or a term in y alone.
+_other = st.sampled_from((Poly("x", [2, -1]), Poly("x", [1, Fraction(-1, 3)]), Poly("y", [1, -2]),
+                          _xy({(0, 0): 2, (1, 1): -1}), _xy({(0, 0): 1, (1, 0): -1, (0, 1): 3})))
+
+
+@st.composite
+def _outer_run(draw):
+    """(numer, denom): a run of outer-only factors, with a factor that is not
+    one before or after it or both, and a numerator with a monomial shift."""
+    run = draw(st.lists(_outer_only(), min_size=1, max_size=3))
+    before, after = ([(p, 1)] if (p := draw(st.one_of(st.none(), _other))) else []
+                     for _ in range(2))
+    numer = [(_xy({(draw(st.integers(0, 3)), draw(st.integers(0, 3))): 1}), 1)]
+    numer += [(_xy(t), 1) for t in draw(st.lists(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3).filter(bool),
+        min_size=1, max_size=3), max_size=1))]
+    return numer, before + run + after
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((1, -2, Fraction(3, 5), 2 ** 1300 + 1)), factors=_outer_run(),
+       nx=st.integers(0, 10), ny=st.integers(0, 10))
+# Every contribution to a cell has one sign, so no cancellation keeps the
+# cells small.
+@example(constant=1, factors=([], [(_xy({(0, 0): 1, (1, 0): -1, (1, 1): -1}), 3)]), nx=9, ny=9)
+# Row 7's bound, 2^7, is its one cell: 8-bit digits would leave no sign bit.
+@example(constant=1, factors=([], [(_xy({(0, 0): 1, (1, 1): -2}), 1)]), nx=8, ny=8)
+def test_packed_division_matches_the_reference_field_by_field(constant, factors, nx, ny):
+    # The numerator's monomial and a second numerator factor start the
+    # bound from rows of their own; a factor with constant term 2 before the
+    # run scales its steps by a power of 2, and one after it unpacks the
+    # run mid-box.  The constant 2^1300 + 1 puts the digit width past the
+    # crossover, where the cost test divides cell by cell.
+    f = RatFunc(constant, *factors)
+    grid = ref_bivariate_series(f, nx, ny)
+    want = [list(map(_fields, row)) for row in grid]
+    for packs in (_division._packs, lambda *args: True):
+        with mock.patch.object(_division, "_packs", packs):
+            assert [list(map(_fields, row)) for row in bivariate_series(f, nx, ny)] == want
+            got = bivariate_series(f, nx, ny, diagonal=True)
+            assert list(map(_fields, got)) == [want[i][i] for i in range(min(nx, ny))]
+
+
+def test_the_cost_test_packs_where_it_pays(monkeypatch):
+    runs = []
+    divide = _division._divide_packed
+    monkeypatch.setattr(_division, "_divide_packed",
+                        lambda *args: runs.append(args[5]) or divide(*args))
+    trib = printed_gf("trib.G")
+    # trib.G's mixed factor is outer-only: the diagonal at n = 200 takes
+    # 82-byte digits, under the crossover.
+    diagonal_series(trib, 200)
+    assert runs == [82]
+    # The same factor past the crossover, and a grid that unpacks 40,000
+    # cells for one step each, stay cell by cell.
+    runs.clear()
+    diagonal_series(trib.scale(2 ** 1300), 200)
+    bivariate_series(parse_ratfunc("1/(1-x*y)"), 200, 200)
+    assert runs == []
 
 
 def test_pascal_rows_match_math_comb():
