@@ -12,10 +12,15 @@ k-bonacci claims run under both index conventions:
 and the report records which convention passes.  A claim without
 conventions is about the shifted sequence, convention B.
 
-A termwise claim is a row naming two sides, and one rule, _termwise,
-checks every such row.  A side is a sequence, as integers over one
-denominator, with bounds (nu, delta) on the numerator and denominator
-degrees of its generating function P/Q, Q(0) != 0.  Two sides differ by
+One rule decides every claim: two sides are compared on as many terms
+as bounds on the degrees of their generating functions prove enough.
+Each check returns what series._first_mismatch returns: None, or the
+witness (where, lhs, rhs) at the first term where the sides differ.
+
+A termwise claim is a row naming two sides, and _termwise checks every
+such row.  A side is a sequence, as integers over one denominator, with
+bounds (nu, delta) on the numerator and denominator degrees of its
+generating function P/Q, Q(0) != 0.  Two sides differ by
 (P1 Q2 - P2 Q1)/(Q1 Q2), whose numerator has degree at most
 d = max(nu1 + delta2, nu2 + delta1), and a nonzero such series has a
 nonzero coefficient at or below d.  So max(n + 1, d + 1) terms either
@@ -37,9 +42,17 @@ The convolution's bound is the EGF argument of
 recurrences.convolution_terms.  The binomial transform's GF is
 A(z/(1 - z))/(1 - z), and an advance's is (A - its first s terms)/z^s;
 shifts of one side keep its denominator, and distinct sides share none.
-The two identity claims, fib.H.printed and trib.U_gf_identity, are
-decided by cross-multiplied rational-function identities, so neither
-verdict depends on n either.
+trib.U_gf_identity is a row of two RatFunc sides, both of degrees (3, 3),
+so 7 terms prove it.
+
+fib.H.printed is the rule in two variables, _cellwise: the printed GF
+against the brute-force convolution grid, which is fib.H.derived's grid
+and takes its degrees.  Two bivariate series P1/Q1 and P2/Q2, Q1 Q2
+nonzero at the origin, differ by N/(Q1 Q2), where N has total degree at
+most d = max(deg P1 + deg Q2, deg P2 + deg Q1).  A nonzero N's lowest
+homogeneous part, over Q1(0, 0) Q2(0, 0), is the difference's lowest, so
+the cells of total degree at most d decide the claim at every n, and
+scanning them in total-degree order gives a witness of least degree.
 
 Sides compute on Python ints over one cleared denominator, as
 series._pascal_sum does: a Pascal-row sum reads row m for j <= m/2
@@ -58,7 +71,7 @@ from operator import add, mul
 
 from .gfbuild import build_convolution_gf, printed_gf
 from .poly import Poly, _Frozen, _cleared
-from .ratfunc import compose_rational, identity_equal
+from .ratfunc import RatFunc, compose_rational
 from .residues import diagonal_rational
 from .series import (SequenceSpec, bivariate_series, convolution_grid, generate_sequence,
                      kbonacci, pascal_rows, _binomial_convolution_ints, _first_mismatch,
@@ -68,26 +81,13 @@ from .textform import parse_ratfunc
 CONVENTIONS = ("A", "B")
 
 
-class CheckResult(_Frozen):
-    __slots__ = _fields = ("passed", "first_mismatch", "lhs", "rhs")
-    _defaults = {"first_mismatch": None, "lhs": None, "rhs": None}
-    passed: bool
-    first_mismatch: int | str | None
-    lhs: str | None
-    rhs: str | None
-
-    def to_json_dict(self) -> dict:
-        return {"status": "pass" if self.passed else "fail",
-                "first_mismatch": self.first_mismatch, "lhs": self.lhs, "rhs": self.rhs}
-
-
 class Claim(_Frozen):
     __slots__ = _fields = ("id", "description", "expected_status", "check", "conventions", "note")
     _defaults = {"conventions": (), "note": ""}
     id: str
     description: str
     expected_status: str                       # "pass", "fail", or "either"
-    check: Callable[[int, str | None], CheckResult]
+    check: Callable[[int, str | None], tuple | None]  # None, or (where, lhs, rhs)
     conventions: tuple[str, ...]
     note: str
 
@@ -105,12 +105,14 @@ class ClaimReport(_Frozen):
     expected_status: str
     matched_expected: bool
     note: str
-    conventions: dict | None
+    conventions: dict | None                   # convention -> its check's witness
 
     def to_json_dict(self) -> dict:
         out = dict(zip(self._fields[:-1], self._values()))  # each field but conventions
         if self.conventions is not None:
-            out["conventions"] = {k: v.to_json_dict() for k, v in self.conventions.items()}
+            out["conventions"] = {c: {"status": "fail" if hit else "pass", **dict(zip(
+                ("first_mismatch", "lhs", "rhs"), hit or (None,) * 3))}
+                for c, hit in self.conventions.items()}
         return out
 
 
@@ -213,49 +215,40 @@ def _combo(divisor: int, *parts):
 def _termwise(lhs, rhs):
     """The check of a termwise claim: lhs against rhs, cross-multiplied, on
     max(n + 1, d + 1) terms, d = max(nu1 + delta2, nu2 + delta1)."""
-    def check(n: int, convention: str | None) -> CheckResult:
+    def check(n: int, convention: str | None) -> tuple | None:
         (nu1, delta1, terms1), (nu2, delta2, terms2) = lhs(convention), rhs(convention)
         count = max(n + 1, max(nu1 + delta2, nu2 + delta1) + 1)
         (a, da), (b, db) = terms1(count), terms2(count)
         hit = _first_mismatch(map(mul, a, repeat(db)), map(mul, b, repeat(da)))
-        if hit is None:
-            return CheckResult(True)
-        i = hit[0]
-        return CheckResult(False, i, str(Fraction(a[i], da)), str(Fraction(b[i], db)))
+        if hit is not None:
+            i = hit[0]
+            return i, str(Fraction(a[i], da)), str(Fraction(b[i], db))
     return check
 
 
-# -- identity checks ---------------------------------------------------------
+def _cellwise(lhs: RatFunc, rhs: RatFunc, rhs_grid) -> tuple | None:
+    """The termwise rule in two variables: the series of lhs against
+    rhs_grid(size), the size x size grid of rhs's series.
 
-def _check_fib_h_printed(n: int, convention=None) -> CheckResult:
-    # The derived GF's grid is the brute-force convolution grid, so the
-    # identity decides the claim at every n; the grids give the witness.
-    printed, derived = printed_gf("fib.H.printed"), printed_gf("fib.H.derived")
-    difference = printed - derived
-    if difference.is_zero:
-        return CheckResult(True)
-    # Scan by total degree so the reported witness has minimal order.  The
-    # two series differ by N/D with D(0, 0) != 0, so they first differ at a
-    # total degree no higher than N's (10 for these two GFs): the box of
-    # that size holds the witness.
-    size = _degree(difference.numer) + 1
-    fib = generate_sequence(kbonacci(2, shifted=True), size)
-    grid = bivariate_series(printed, size, size)
-    want = convolution_grid(fib, fib, size, size)
-    cells = [(i, s - i) for s in range(size) for i in range(s + 1)]
+    The cells of total degree at most d = max(nu1 + delta2, nu2 + delta1),
+    nu and delta the total degrees of each side's numerator and
+    denominator, are compared in total-degree order, so the witness
+    x^i*y^j has the least total degree.
+    """
+    d = max(_degree(lhs.numer) + _degree(rhs.denom), _degree(rhs.numer) + _degree(lhs.denom))
+    grid = bivariate_series(lhs, d + 1, d + 1)
+    want = rhs_grid(d + 1)
+    cells = [(i, s - i) for s in range(d + 1) for i in range(s + 1)]
     hit = _first_mismatch((grid[i][j] for i, j in cells), (want[i][j] for i, j in cells))
-    i, j = cells[hit[0]]
-    return CheckResult(False, f"x^{i}*y^{j}", *hit[1:])
+    if hit is not None:
+        i, j = cells[hit[0]]
+        return f"x^{i}*y^{j}", *hit[1:]
 
 
-def _check_trib_u_gf_identity(n: int, convention=None) -> CheckResult:
-    # Rational-function identity: truncation independent, a complete proof.
-    f = parse_ratfunc("z^3/(1-z-z^2-z^3)")
-    composed = compose_rational(f, Poly("x", [0, -1]), Poly("x", [1, -1]))
-    target = parse_ratfunc("-x^3/(1-2*x+2*x^3)")
-    if identity_equal(composed, target):
-        return CheckResult(True)
-    return CheckResult(False, "identity", str(composed), str(target))
+def _fib_grid(size: int) -> list[list[Fraction]]:
+    """The brute-force Fibonacci convolution grid, which is fib.H.derived's grid."""
+    fib = generate_sequence(kbonacci(2, shifted=True), size)
+    return convolution_grid(fib, fib, size, size)
 
 
 # -- registry ----------------------------------------------------------------
@@ -281,7 +274,8 @@ _CLAIMS = {claim.id: claim for claim in (
                "2 * printed equals the brute-force GF as a rational-function identity"),
     Claim("fib.H.printed",
           "Transcribed double GF vs the brute-force convolution grid",
-          "fail", _check_fib_h_printed,
+          "fail", lambda n, convention: _cellwise(
+              printed_gf("fib.H.printed"), printed_gf("fib.H.derived"), _fib_grid),
           note="the transcribed denominator's x^2*y and x^2*y^2 signs differ from the "
                "derived construction; first grid disagreement is at x^3*y^3"),
     Claim("trib.diag.printed",
@@ -303,9 +297,11 @@ _CLAIMS = {claim.id: claim for claim in (
           "(1/11)(U_n + U_{n-1} - 8 U_{n-2})",
           "pass", _termwise(_rat("trib.second_term"), _combo(11, (_U, {0: 1, -1: 1, -2: -8})))),
     Claim("trib.U_gf_identity",
-          "z^3/(1-z-z^2-z^3) at z = -x/(1-x) equals -x^3/(1-2x+2x^3), as a "
-          "cross-multiplied polynomial identity",
-          "pass", _check_trib_u_gf_identity),
+          "z^3/(1-z-z^2-z^3) at z = -x/(1-x) equals -x^3/(1-2x+2x^3), proved "
+          "termwise",
+          "pass", _termwise(_rat(lambda: compose_rational(
+              parse_ratfunc("z^3/(1-z-z^2-z^3)"), Poly("x", [0, -1]), Poly("x", [1, -1]))),
+              _rat(lambda: parse_ratfunc("-x^3/(1-2*x+2*x^3)")))),
     Claim("tetra.diag.printed",
           "Transcribed Tetranacci diagonal GF vs the brute-force self-convolution",
           "pass", _termwise(_rat("tetra.diag.printed"), _brute(4, 4)), CONVENTIONS),
@@ -328,22 +324,21 @@ def claim_ids() -> list[str]:
 
 
 def get_claim(claim_id: str) -> Claim:
-    try:
-        return _CLAIMS[claim_id]
-    except KeyError:
-        raise ValueError(f"unknown claim id: {claim_id}") from None
+    if claim_id not in _CLAIMS:
+        raise ValueError(f"unknown claim id: {claim_id}")
+    return _CLAIMS[claim_id]
 
 
 def run_claim(claim_id: str, n: int = 200) -> ClaimReport:
-    """Run one claim to truncation n (ignored by identity claims)."""
+    """Run one claim, comparing at least n + 1 terms where it is termwise."""
     if n < 0:
         raise ValueError("n must be >= 0")
     claim = get_claim(claim_id)
     start = time.perf_counter()
     results = {c: claim.check(n, c) for c in claim.conventions or (None,)}
-    passing = [c for c, res in results.items() if res.passed]
+    passing = [c for c, hit in results.items() if hit is None]
     # A failing claim surfaces the first convention's witness; all are in `conventions`.
-    lead = results[passing[0] if passing else next(iter(results))]
+    lead = None if passing else next(iter(results.values()))
     note = claim.note
     if claim.conventions:
         failing = ", ".join(c for c in claim.conventions if c not in passing)
@@ -351,12 +346,11 @@ def run_claim(claim_id: str, n: int = 200) -> ClaimReport:
                     + (failing and f"; fails under {failing}") if passing
                     else "fails under every convention")
         note = f"{verdicts}. {note}".strip()
-    runtime_ms = int((time.perf_counter() - start) * 1000)
     status = "pass" if passing else "fail"
     matched = claim.expected_status == "either" or status == claim.expected_status
-    return ClaimReport(claim.id, status, lead.first_mismatch, lead.lhs, lead.rhs, runtime_ms,
-                       claim.expected_status, matched, note,
-                       results if claim.conventions else None)
+    return ClaimReport(claim.id, status, *(lead or (None,) * 3),
+                       int((time.perf_counter() - start) * 1000), claim.expected_status,
+                       matched, note, results if claim.conventions else None)
 
 
 def run_all(n: int = 200) -> list[ClaimReport]:

@@ -161,8 +161,14 @@ def cmd_diagonal(args) -> int:
 
     if args.method in ("residue", "both"):
         residue_gf, report = diagonal_rational(f, check_terms=args.n)
-        payload["residue"] = dict(_reduced_text(residue_gf), crosscheck=report.to_json_dict())
-        lines.append(f"residue method: {payload['residue']['gf']}")
+        # A residue sum that its series cross-check refutes is no diagonal:
+        # it is withheld, and the report says why.
+        refuted = report.status == "method-assumption-violated"
+        found = (dict.fromkeys(("numerator", "denominator", "gf")) if refuted
+                 else _reduced_text(residue_gf))
+        payload["residue"] = dict(found, crosscheck=report.to_json_dict())
+        lines.append("residue method: no GF found, the series cross-check refutes the residue sum"
+                     if refuted else f"residue method: {found['gf']}")
         for pole in report.poles:
             tag = "kept" if pole.kept else "discarded"
             power = f"^{pole.multiplicity}" if pole.multiplicity > 1 else ""
@@ -171,7 +177,7 @@ def cmd_diagonal(args) -> int:
             lines.append(f"  series cross-check: not run (--n {args.n})")
         else:
             lines.append(f"  series cross-check ({report.checked_terms} terms): {report.status}")
-        if report.status == "method-assumption-violated":
+        if refuted:
             status = EXIT_METHOD
 
     if args.method in ("series", "both"):
@@ -192,11 +198,13 @@ def cmd_diagonal(args) -> int:
                          f"(confidence {confidence}), {payload['series']['gf']}")
 
     if args.method == "both":
-        # Without a series GF there is nothing to compare: the exit status
-        # is the residue report's alone.
-        if series_gf is None:
+        # Without a GF from each route there is nothing to compare: the exit
+        # status is the residue report's alone.
+        if series_gf is None or refuted:
             payload["match"] = None
-            lines.append(f"cross-check (residue vs series): undecided: {payload['series']['note']}")
+            why = (payload["series"]["note"] if series_gf is None
+                   else "the residue route found no GF")
+            lines.append(f"cross-check (residue vs series): undecided: {why}")
         else:
             payload["match"] = identity_equal(residue_gf, series_gf)
             lines.append("cross-check (residue vs series): "

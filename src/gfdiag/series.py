@@ -146,21 +146,25 @@ def generate_sequence(spec: SequenceSpec, n: int) -> list[Fraction]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    den = Poly("z", [Fraction(1)] + [-v for v in spec.coeffs])
-    num = den * Poly("z", spec.initial)
-    num = Poly.from_ints("z", num.prim[:spec.order], num.content)
+    num, den = _gf_parts(spec, "z")
     return _series_grid(Fraction(1), [(num, 1)], [(den, 1)], 1, n, True)[0]
 
 
 def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
-    """Rational generating function P(z)/(1 - sum coeffs[i] z^(i+1)).
+    """Rational generating function P(z)/(1 - sum coeffs[i] z^(i+1)), see _gf_parts."""
+    num, den = _gf_parts(spec, var)
+    return RatFunc(1, [(num, 1)], [(den, 1)])
 
-    P is the denominator times the initial terms, truncated below degree
-    spec.order, so only the numerator depends on the initial terms.
+
+def _gf_parts(spec: SequenceSpec, var: str) -> tuple[Poly, Poly]:
+    """(P, Q) of the spec's generating function P/Q: Q = 1 - sum coeffs[i] var^(i+1).
+
+    P is Q times the initial terms, truncated below degree spec.order, so
+    only the numerator depends on the initial terms.
     """
     den = Poly(var, [Fraction(1)] + [-v for v in spec.coeffs])
     num = den * Poly(var, spec.initial)
-    return RatFunc(1, [(Poly.from_ints(var, num.prim[:spec.order], num.content), 1)], [(den, 1)])
+    return Poly.from_ints(var, num.prim[:spec.order], num.content), den
 
 
 # ---------------------------------------------------------------------------

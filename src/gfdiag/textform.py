@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd
 
 from .poly import BiPoly, Poly, VARIABLES, _int_add
-from .ratfunc import RatFunc, _merge_factors
+from .ratfunc import RatFunc, _merge_factors, _narrowed
 
 
 class ParseError(ValueError):
@@ -198,16 +198,12 @@ def _expanded(names: tuple[str, ...], rows: list, den: int) -> _Term:
     """The term of one factor: the sum of rows[i][j] * names[0]^i * names[-1]^j, over den.
 
     rows must not be constant.  The factor's variables are the ones its
-    rows use: x + z - x is z alone, not z in x and z.
+    rows use, by ratfunc._narrowed: x + z - x is z alone, not z in x and z.
     """
-    if len(names) == 2:
-        if len(rows) == 1:
-            names = names[1:]
-        elif all(len(row) <= 1 for row in rows):
-            names, rows = names[:1], [[row[0] if row else 0 for row in rows]]
     poly = (Poly.from_ints(names[0], rows[0], Fraction(1, den)) if len(names) == 1
             else BiPoly.from_ints(*names, rows, Fraction(1, den)))
-    return _Term(Fraction(1), ((poly, 1),), (), names)
+    ((poly, _),) = _narrowed([(poly, 1)])
+    return _Term(Fraction(1), ((poly, 1),), (), poly.names)
 
 
 def _fold(terms) -> _Term:

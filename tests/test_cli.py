@@ -410,6 +410,43 @@ def test_diagonal_both_fails_when_the_two_gfs_differ(capsys):
     assert "cross-check (residue vs series): FAIL" in capsys.readouterr().out
 
 
+REFUTED = "residue method: no GF found, the series cross-check refutes the residue sum"
+
+
+def test_diagonal_withholds_a_residue_sum_that_its_cross_check_refutes(capsys):
+    # The residue sum of 1/(1-x-y) is 0, and the series diagonal starts 1, 2, 6:
+    # the sum is no diagonal, so neither the text nor the JSON prints it.
+    argv = ["diagonal", "--gf-text=1/(1-x-y)", "--method=residue", "--n=10"]
+    assert cli.main(argv) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == REFUTED
+    assert out[-1] == "  series cross-check (10 terms): method-assumption-violated"
+    assert cli.main(argv + ["--json"]) == 4
+    residue = json.loads(capsys.readouterr().out)["residue"]
+    assert [residue[key] for key in ("numerator", "denominator", "gf")] == [None] * 3
+    crosscheck = residue["crosscheck"]
+    assert (crosscheck["status"], crosscheck["first_mismatch"], crosscheck["lhs"],
+            crosscheck["rhs"]) == ("method-assumption-violated", 0, "0", "1")
+
+
+def test_diagonal_both_is_undecided_when_the_residue_sum_is_refuted(capsys):
+    # The diagonal of (x-y)/(1-x-y) is 0, which the series route finds.  The
+    # residue sum 1 is refuted by its own cross-check, so the routes are not
+    # compared: the exit is 4 on the residue report, with no FAIL line.
+    argv = ["diagonal", "--gf-text=(x-y)/(1-x-y)", "--n=30"]
+    assert cli.main(argv) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == REFUTED
+    assert out[-2:] == ["series method: order-0 recurrence (confidence 30), (0) / (1)",
+                        "cross-check (residue vs series): undecided: the residue route found "
+                        "no GF"]
+    assert cli.main(argv + ["--json"]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["match"], data["residue"]["gf"], data["series"]["gf"]) == \
+        (4, None, None, "(0) / (1)")
+    assert data["residue"]["crosscheck"]["status"] == "method-assumption-violated"
+
+
 def test_diagonal_catalog_both_methods():
     res = run_cli("diagonal", "--catalog", "trib.G", "--method", "both", "--n", "60",
                   "--json")

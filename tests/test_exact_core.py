@@ -25,7 +25,7 @@ from gfdiag import (
     parse_ratfunc,
     poly_gcd,
 )
-from gfdiag.claims import CheckResult, Claim, ClaimReport
+from gfdiag.claims import Claim, ClaimReport
 from gfdiag.gfbuild import CatalogEntry, ConvolutionGF
 from gfdiag.poly import VARIABLES
 from gfdiag.residues import DiagnosticReport, HKTransform, PartialFractions, PoleClass
@@ -544,8 +544,6 @@ RECORDS = [
     (DiagnosticReport, "poles status checked_terms first_mismatch lhs rhs",
      {"first_mismatch": None, "lhs": None, "rhs": None}),
     (PartialFractions, "poly_part parts", {}),
-    (CheckResult, "passed first_mismatch lhs rhs",
-     {"first_mismatch": None, "lhs": None, "rhs": None}),
     (Claim, "id description expected_status check conventions note",
      {"conventions": (), "note": ""}),
     (ClaimReport, "id status first_mismatch lhs rhs runtime_ms expected_status "
