@@ -54,10 +54,11 @@ homogeneous part, over Q1(0, 0) Q2(0, 0), is the difference's lowest, so
 the cells of total degree at most d decide the claim at every n, and
 scanning them in total-degree order gives a witness of least degree.
 
-Sides compute on Python ints over one cleared denominator, as
-series._pascal_sum does: a Pascal-row sum reads row m for j <= m/2
-only, since C(m,j) = C(m,m-j), and the two sides are compared
-cross-multiplied, so a term becomes a Fraction only as a witness.
+Sides compute on Python ints over one cleared denominator: a brute-force
+convolution through series._binomial_convolution_ints, the one Pascal-row
+oracle, and a binomial transform by additions alone, with no Pascal row.
+The two sides are compared cross-multiplied, so a term becomes a
+Fraction only as a witness.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .poly import Poly, _Frozen, _cleared
 from .ratfunc import RatFunc, compose_rational
 from .residues import diagonal_rational
 from .series import (SequenceSpec, bivariate_series, convolution_grid, generate_sequence,
-                     kbonacci, pascal_rows, _binomial_convolution_ints, _first_mismatch,
+                     kbonacci, _binomial_convolution_ints, _first_mismatch,
                      series_of_rational)
 from .textform import parse_ratfunc
 
@@ -167,22 +168,20 @@ def _brute(sa, sb):
 
 
 def _binomial(inner):
-    """The binomial transform sum_j C(m,j) a_j of a side.
+    """The binomial transform sum_j C(m,j) a_j of a side, by additions alone.
 
-    C(m,j) = C(m,m-j) folds row m: only j <= m/2 is read, against
-    a_j + a_{m-j}, and the middle term of an even row, read twice, is
-    taken off once.
+    With row_0 = a and row_{k+1}[j] = row_k[j] + row_k[j+1], row_k[j] is
+    sum_i C(k,i) a_{j+i}, so the transform's term m is row_m[0].
     """
     def side(convention):
         nu, delta, terms = inner(convention)
 
         def make(count):
-            a, den = terms(count)
+            row, den = terms(count)
             out = []
-            for m, row in enumerate(pascal_rows(count)):
-                h = m // 2
-                s = sum(map(mul, row[:h + 1], map(add, a, a[m::-1])))
-                out.append(s if m % 2 else s - row[h] * a[h])
+            while row:
+                out.append(row[0])
+                row = list(map(add, row, row[1:]))
             return out, den
         return max(nu, delta - 1), max(nu + 1, delta), make
     return side
@@ -286,9 +285,10 @@ _CLAIMS = {claim.id: claim for claim in (
           "Coefficient formula (1/11)(2^(n+1) T_{n+1} + (1/2) 2^n T_n + (5/2) 2^(n-1) "
           "T_{n-1}) vs the series of (1/11)(1+z+10z^2)/(1-2z-4z^2-8z^3)",
           "either", _termwise(_rat("trib.diag.term1"), _FIRST_TERM), CONVENTIONS,
-          note="recomputation finds a mismatch under both conventions (series term "
-               "20/11 at n=2 vs formula values 23/11 under B and 41/11 under A); "
-               "witnesses are the first disagreeing index per convention"),
+          note="recomputation finds the first disagreement at n=0 under both conventions "
+               "(series term 1/11 vs formula values 2/11 under B and 5/22 under A); "
+               "at n=2 the series term is 20/11 and the formula gives 23/11 under B "
+               "and 41/11 under A"),
     Claim("trib.U_binomial",
           "U_m = sum_{k>=1} T_{k-1} (-1)^k C(m+2,k) with U the series of 1/(1-2z+2z^3)",
           "pass", _termwise(_U, _U_BINOMIAL), CONVENTIONS),

@@ -24,7 +24,6 @@ from functools import cache
 
 from .claims import claim_ids, run_all, run_claim
 from .gfbuild import catalog_entry, catalog_ids, printed_gf
-from .ratfunc import identity_equal
 from .recurrences import convolution_terms, find_min_recurrence
 from .residues import DegeneratePoleError, diagonal_rational
 from .series import (
@@ -206,7 +205,9 @@ def cmd_diagonal(args) -> int:
                    else "the residue route found no GF")
             lines.append(f"cross-check (residue vs series): undecided: {why}")
         else:
-            payload["match"] = identity_equal(residue_gf, series_gf)
+            # Both GFs print reduced, with denominators normalized alike by
+            # RatFunc.reduced_fraction, so equal functions print equal text.
+            payload["match"] = payload["residue"]["gf"] == payload["series"]["gf"]
             lines.append("cross-check (residue vs series): "
                          f"{'pass' if payload['match'] else 'FAIL'}")
             if not payload["match"]:

@@ -15,13 +15,14 @@ integer points z0, plus one, interpolate them exactly.
 Everything runs on Python ints.  A BiPoly is already a rational content
 times integer rows: the substitution re-indexes the rows, the contents of
 the transform's numerator and factors fold into one rational scale kappa,
-and the rows are evaluated at each z0 by integer Horner.  A factor without
-t only divides the sum, so it enters the result as it is and is never
-evaluated.  At each point one subresultant PRS, poly._int_resultant, gives
-Res_t(P, Q) and the cofactor that inverts Q mod P, and one pseudo-division
-reduces num times that cofactor; partial fractions invert the same way.
-N and D are interpolated by integer divided differences, and a Fraction
-is built only for the reduced result.
+the kept factors are multiplied into P and the others with t into Q once,
+and the rows of the numerator, P and Q are evaluated at each z0 by integer
+Horner.  A factor without t only divides the sum, so it enters the result
+as it is and is never evaluated.  At each point one subresultant PRS,
+poly._int_resultant, gives Res_t(P, Q) and the cofactor that inverts Q
+mod P, and one pseudo-division reduces num times that cofactor; partial
+fractions invert the same way.  N and D are interpolated by integer
+divided differences, and a Fraction is built only for the reduced result.
 
 The pole-keeping rule is not proved here in general; diagonal_rational
 validates it per instance by comparing against the series diagonal and
@@ -36,7 +37,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .poly import (BiPoly, Poly, _Frozen, _horner, _int_add, _int_mul, _int_prem,
-                   _int_resultant, _power)
+                   _int_resultant)
 from .ratfunc import RatFunc
 from .series import _first_mismatch, diagonal_series, series_of_rational
 
@@ -240,9 +241,9 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     +-lc(P)^e * Res_t(P, Q), e = b - d_Q.  By Cramer's rule, D = Res *
     lc(P)^(e+1) and N = Res * lc(P)^e * [t^(d_P-1)] A, the determinant with
     that unknown's column replaced by num, are integer polynomials in z,
-    and the sum is kappa * N / D.  With eps_X the largest z-degree of X's
-    t-coefficients (for P and Q, at most the multiplicity-weighted sum of
-    their factors' inner degrees) and l_P the z-degree of lc(P):
+    and the sum is kappa * N / D.  P and Q are multiplied out once, as
+    BiPolys, and every degree is read off them: eps_X is the z-degree of X
+    and l_P that of lc(P), exact for P and Q since degrees add in Z[z][t]:
 
         deg D <= d_P*eps_Q + d_Q*eps_P + (e+1)*l_P
         deg N <= (d_P-1)*eps_Q + b*eps_P + eps_N
@@ -259,38 +260,28 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
         return RatFunc.zero()
     num_rows, kappa = h.numerator.rows, h.numerator.content
     inside = {pole.index for pole in kept}
-    p_factors, q_factors, t_free = [], [], []
+    P = Q = BiPoly.one("t", "z")
+    t_free = []
     for i, (p, m) in enumerate(h.denom_factors):
         kappa /= p.content ** m
         if i in inside:
-            p_factors.append((p, m))
+            P *= p ** m
         elif p.degree > 0:
-            q_factors.append((p, m))
+            Q *= p ** m
         else:
             t_free.append((Poly.from_ints("z", p.rows[0]), m))
-
-    def sizes(fs) -> tuple[int, int, int]:
-        return (sum(m * p.degree for p, m in fs), sum(m * p.inner_degree for p, m in fs),
-                sum(m * (len(p.rows[-1]) - 1) for p, m in fs))
-
-    def product_at(fs, z0: int) -> list[int]:
-        out = [1]
-        for p, m in fs:
-            out = _int_mul(out, _power([1], _at(p.rows, z0), m, _int_mul))
-        return out
-
-    (d_p, eps_p, l_p), (d_q, eps_q, l_q) = sizes(p_factors), sizes(q_factors)
+    d_p, eps_p, l_p = P.degree, P.inner_degree, len(P.rows[-1]) - 1
+    d_q, eps_q, l_q = Q.degree, Q.inner_degree, len(Q.rows[-1]) - 1
     b = max(d_q, len(num_rows) - d_p)
     e = b - d_q
-    eps_n = h.numerator.inner_degree
     points = max(d_p * eps_q + d_q * eps_p + (e + 1) * l_p,
-                 (d_p - 1) * eps_q + b * eps_p + eps_n) + 1
+                 (d_p - 1) * eps_q + b * eps_p + h.numerator.inner_degree) + 1
     budget = l_p + l_q + d_p * eps_q + d_q * eps_p
     good: list[tuple[int, int, int]] = []      # (z0, N(z0), D(z0))
     z0 = 0
     while len(good) < points:
         z0 = -z0 if z0 > 0 else 1 - z0
-        p, q = product_at(p_factors, z0), product_at(q_factors, z0)
+        p, q = _at(P.rows, z0), _at(Q.rows, z0)
         nd = (len(p), len(q)) == (d_p + 1, d_q + 1) and _values_at(_at(num_rows, z0), p, q, e)
         if nd:
             good.append((z0, *nd))

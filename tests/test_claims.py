@@ -175,7 +175,7 @@ def _side_terms(side, convention, count):
 
 
 def test_u_binomial_rhs_matches_comb_formula():
-    # The Pascal-row right-hand side against the formula summed term by term.
+    # The binomial-transform right-hand side against the formula summed term by term.
     from math import comb
     from gfdiag import generate_sequence, kbonacci
     for convention in ("A", "B"):
@@ -184,6 +184,17 @@ def test_u_binomial_rhs_matches_comb_formula():
             want = [sum(t[k - 1] * (-1) ** k * comb(m + 2, k) for k in range(1, m + 3))
                     for m in range(n + 1)]
             assert _side_terms(claims._U_BINOMIAL, convention, n + 1) == want
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(a=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40), den=st.integers(1, 60))
+def test_binomial_transform_side_matches_math_comb(a, den):
+    # The transform built by additions against sum_j C(m,j) a_j by math.comb,
+    # for an integer side over den and every count from 0 to 40.
+    from math import comb
+    side = claims._binomial(lambda convention: (0, 1, lambda count: (a[:count], den)))
+    want = [sum(comb(m, j) * a[j] for j in range(m + 1)) for m in range(len(a))]
+    assert side(None)[2](len(a)) == (want, den)
 
 
 def test_first_term_rhs_matches_fraction_formula():

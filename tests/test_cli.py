@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gfdiag import cli, parse_poly, parse_ratfunc
+from gfdiag import catalog_entry, catalog_ids, cli, identity_equal, parse_poly, parse_ratfunc
 
 
 def run_cli(*args, env=None):
@@ -408,6 +408,32 @@ def test_diagonal_both_fails_when_the_two_gfs_differ(capsys):
     assert data["residue"]["crosscheck"]["status"] == "ok"
     assert cli.main(argv) == 4
     assert "cross-check (residue vs series): FAIL" in capsys.readouterr().out
+
+
+def _random_convolution_text(seed: int) -> str:
+    from random import Random
+
+    from gfdiag import build_convolution_gf
+    from helpers import rand_sequence_spec
+
+    rng = Random(seed)
+    return str(build_convolution_gf(rand_sequence_spec(rng), rand_sequence_spec(rng)).F)
+
+
+@pytest.mark.parametrize("source, n", [
+    *((f"--catalog={i}", 40) for i in catalog_ids() if catalog_entry(i).kind == "bivariate-gf"),
+    *(pytest.param(f"--gf-text={_random_convolution_text(seed)}", 40, id=f"convolution-{seed}")
+      for seed in range(12)),
+    ("--gf-text=x^5*y^5/((1-x)*(1-y))", 5),
+])
+def test_diagonal_both_match_is_identity_equal(source, n, capsys):
+    # match compares the two printed GFs as text: it must decide as
+    # identity_equal does on the two functions that they print.
+    cli.main(["diagonal", source, "--method=both", f"--n={n}", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert data["match"] is not None
+    residue_gf, series_gf = (parse_ratfunc(data[route]["gf"]) for route in ("residue", "series"))
+    assert data["match"] == identity_equal(residue_gf, series_gf)
 
 
 REFUTED = "residue method: no GF found, the series cross-check refutes the residue sum"

@@ -213,6 +213,22 @@ def test_factor_without_t_is_not_interpolated(k, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("source, calls", [
+    ("trib.G", 13), ("penta.G", 31), ("1/((1+2*x)*(1-2*y)^2)", 3), ("1/((1-x)^6*(1-y)^6)", 38),
+])
+def test_residue_sum_takes_the_points_its_factor_degrees_prove(source, calls, monkeypatch):
+    # P and Q are multiplied out before any point is read; degrees add in
+    # Z[z][t], so the bounds read off the products, and the points, one
+    # _int_resultant each, are those of the factors' degrees summed to
+    # their multiplicities.
+    got = []
+    resultant = residues._int_resultant
+    monkeypatch.setattr(residues, "_int_resultant", lambda *a: got.append(a) or resultant(*a))
+    f = printed_gf(source) if source.endswith(".G") else parse_ratfunc(source)
+    diagonal_rational(f, check_terms=0)
+    assert len(got) == calls
+
+
 def test_factors_sharing_a_root_for_every_z_rejected():
     # 1 - y divides the mixed factor 1 - x - y + x*y = (1-x)*(1-y): after the
     # substitution both vanish at t = 1, and the mixed one is not kept.
