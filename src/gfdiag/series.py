@@ -43,6 +43,10 @@ the nx x ny box.
 The box is then divided in place by one denominator factor at a time, m
 times for multiplicity m, each factor with its own integer coefficients
 (the division kernels are in gfdiag._division, loaded on first use).
+Division by 1 - inner^j is a running sum over each class of columns mod
+j (itertools.accumulate), and a term in outer with coefficient +-1 adds
+or subtracts a whole row slice (map with operator.add or sub): both
+loops run in C.
 A few sparse factors cost fewer steps per row than their expanded
 product.  Each division runs only over the cells it can reach: the box
 keeps the number of rows and of columns that can be nonzero, starting
@@ -77,11 +81,24 @@ cost per cell dominates and loses where big-int arithmetic does: a cost
 test from k and the step count (_packs, at _PACK_BITS) picks the path
 first.
 
-A diagonal divides the same box in full, but builds Fractions for its
-diagonal cells only, n of them and not n^2.  Diagonal term i sits in the
-box at [i - a][i - b] for the net monomial outer^a * inner^b, and carries
+A diagonal divides the same box, but builds Fractions for its diagonal
+cells only, n of them and not n^2.  Diagonal term i sits in the box at
+[i - a][i - b] for the net monomial outer^a * inner^b, and carries
 c * D^(2i - a - b + 1): the terms from i = max(a, b) on are one sequence
-over a power of D^2, unscaled as a row is.
+over a power of D^2, unscaled as a row is.  Row n's diagonal cell is in
+column n + a - b.  Where every term (i, j, v) of the divisions from some
+run on has j <= i, as in the catalog's mixed factors, every convolution
+GF's and every factor in the outer variable alone, a cell on or right of
+that line reads only cells on or right of it.  So those divisions run
+over the band of each row from the line on, and leave the cells left of
+it as they stand: cell by cell, each row slice starts at the line; a
+packed row keeps only its band, with its diagonal cell as digit 0, where
+a second cost test (_bands) finds that it pays.  A band step shifts the
+row it reads right by i - j digits, where a whole-row step shifts it
+left by j, and a right shift drops the low digits exactly once their
+half-digit bias is added.  The band halves the cells either path
+divides, so the packing cost test counts the packed path's cost twice
+where only the per-cell path would keep the band.
 """
 
 from __future__ import annotations
@@ -251,6 +268,8 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     factors last (see the module docstring).  A run of outer-only factors
     divides packed rows instead where _packs finds that it pays; if it is
     the last run of a diagonal, it returns the diagonal's cells itself.
+    With diagonal, the runs after the last one with a term j > i divide
+    each row from its diagonal cell on only.
     """
     if diagonal:
         nx = ny = min(nx, ny)
@@ -303,7 +322,7 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
 
     # The division kernels load on first use, so that start-up without a
     # bytecode cache compiles none of them.
-    from ._division import _digit_bytes, _divide_box, _divide_packed, _packable, _packs
+    from ._division import _bands, _digit_bytes, _divide_box, _divide_packed, _packable, _packs
 
     # Class 0 is a factor in the inner variable alone (one row), 1 one in
     # the outer variable alone (one column), 2 a mixed factor; a class's
@@ -318,6 +337,15 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     divisions.sort(key=lambda t: (t[0] == 2, t[0] != first))
     runs = [list(run) for _, run in groupby(
         ((terms, f0) for _, terms, f0, m in divisions for _ in range(m)), lambda t: _packable(*t))]
+    # A diagonal reads cell [n][n + si - sj] of each row.  From the first run
+    # on whose terms (i, j, v), and every later run's, all have j <= i, a
+    # cell on or right of that line reads only cells on or right of it:
+    # those runs divide each row from the line on.
+    band = [None] * len(runs)
+    for p in reversed(range(len(runs)) if diagonal else ()):
+        if any(j > i for terms, _ in runs[p] for i, j, _ in terms):
+            break
+        band[p] = si - sj
     d, cells = 1, None
     for p, run in enumerate(runs):
         if _packable(*run[0]):
@@ -325,16 +353,20 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
             width = by if any(j for steps in stages for _, j, _ in steps) else reach[1]
             size = _digit_bytes(box, stages, bx, *reach)
             last = diagonal and p == len(runs) - 1
-            if _packs(8 * size, sum(map(len, stages)), bx, reach[0], not last):
+            # Cell by cell, the run keeps only the band where band[p] is set;
+            # packed, only where _bands also finds that it pays.
+            banded = last and band[p] is not None and _bands(8 * size, width, stages)
+            if _packs(8 * size, sum(map(len, stages)), bx, reach[0], not last,
+                      band[p] is not None and not banded):
                 if last:
-                    cells = _divide_packed(box, stages, bx, reach[0], width, size, si - sj)
+                    cells = _divide_packed(box, stages, bx, reach[0], width, size, si - sj, banded)
                 else:
-                    _divide_packed(full(), stages, bx, reach[0], width, size, None)
+                    _divide_packed(full(), stages, bx, reach[0], width, size, None, False)
                 reach = bx, width
                 continue
         for terms, f0 in run:
             # Only a term in outer (terms are sorted by it) reaches past the rows in reach.
-            reach = _divide_box(full() if terms[-1][0] else box, terms, f0, d, *reach)
+            reach = _divide_box(full() if terms[-1][0] else box, terms, f0, d, *reach, band[p])
             d *= f0
     if diagonal:
         # Cell i is box[i - si][i - sj], which carries c * d^(2i - si - sj + 1).

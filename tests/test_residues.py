@@ -213,20 +213,53 @@ def test_factor_without_t_is_not_interpolated(k, monkeypatch):
     assert len(calls) == 2
 
 
+# A convolution GF keeps 1 - x on both sides (gfbuild.build_convolution_gf).
+_CONVOLUTION_TEXT = "-9*(1-x)/((1-y)*(1-x)*(1-x-2*x*y))"
+
+
 @pytest.mark.parametrize("source, calls", [
-    ("trib.G", 13), ("penta.G", 31), ("1/((1+2*x)*(1-2*y)^2)", 3), ("1/((1-x)^6*(1-y)^6)", 38),
+    ("trib.G", 10), ("penta.G", 26), ("1/((1+2*x)*(1-2*y)^2)", 3), ("1/((1-x)^6*(1-y)^6)", 38),
+    (_CONVOLUTION_TEXT, 2),
 ])
 def test_residue_sum_takes_the_points_its_factor_degrees_prove(source, calls, monkeypatch):
     # P and Q are multiplied out before any point is read; degrees add in
     # Z[z][t], so the bounds read off the products, and the points, one
     # _int_resultant each, are those of the factors' degrees summed to
-    # their multiplicities.
+    # their multiplicities.  A factor on both sides cancels first: 1 - x
+    # in trib.G, penta.G and the convolution GF took 13, 31 and 4 points.
     got = []
     resultant = residues._int_resultant
     monkeypatch.setattr(residues, "_int_resultant", lambda *a: got.append(a) or resultant(*a))
     f = printed_gf(source) if source.endswith(".G") else parse_ratfunc(source)
     diagonal_rational(f, check_terms=0)
     assert len(got) == calls
+
+
+@pytest.mark.parametrize("text", [
+    _CONVOLUTION_TEXT,
+    "(1-y)^2/((1-x)*(1-y)^3)",
+    "y^3*(1-x)*(1-x*y)/((1-x)^2*(1-2*y)*(1-x*y))",
+    "(3*x-3)*(1-y)/((1-y)^2*(1-x)^2)",
+])
+def test_a_factor_on_both_sides_is_reported_but_not_summed(text):
+    # The pole report lists the factors as given, to their multiplicities
+    # (a t^k factor from y^3 after them); the sum is that of the function
+    # with each factor on both sides cancelled by the smaller multiplicity,
+    # up to sign and content, which go into the constant.
+    f = parse_ratfunc(text)
+    reduced = residues._cancelled(f)
+    assert reduced is not f
+    assert not {p.rows for p, _ in reduced.numer} & {p.rows for p, _ in reduced.denom}
+    rat, report = diagonal_rational(f, check_terms=30)
+    assert report.status == "ok"
+    assert [p.to_json_dict() for p in report.poles] == [
+        p.to_json_dict() for p in classify_poles(hk_transform(f))]
+    assert str(rat) == str(diagonal_rational(reduced, check_terms=0)[0])
+
+
+def test_a_factor_that_cancels_up_to_its_content_goes_into_the_constant():
+    f = parse_ratfunc("(3*x - 3)*(1 - y) / ((1 - y)^2*(1 - x)^2)")
+    assert str(residues._cancelled(f)) == "-3 / ((1 - y)*(1 - x))"
 
 
 def test_factors_sharing_a_root_for_every_z_rejected():

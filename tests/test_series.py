@@ -553,6 +553,87 @@ def test_packed_division_matches_the_reference_field_by_field(constant, factors,
             assert list(map(_fields, got)) == [want[i][i] for i in range(min(nx, ny))]
 
 
+# A diagonal reads cell [n][n + si - sj] of each row, si and sj the net
+# monomial's powers.  When every term (i, j, v) of the divisions from some
+# run on has j <= i, a cell on or right of that line reads only cells on or
+# right of it, and those runs divide each row from the line on: the packed
+# path (_division._divide_packed) where _division._bands finds that it
+# pays, the per-cell path (_division._divide_box) always.
+
+_band_terms = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(0, 3)).filter(
+    lambda t: t[1] <= t[0]), st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
+
+
+@st.composite
+def _band_factor(draw):
+    """A factor whose terms all have j <= i: general, or in x alone, with
+    constant term 1 (packable) or 2 (divided cell by cell)."""
+    terms = draw(_band_terms)
+    if draw(st.booleans()):
+        terms = {(i, 0): v for (i, _), v in terms.items()}
+    return _xy({(0, 0): draw(st.sampled_from((1, 1, 2))), **terms}), draw(st.integers(1, 2))
+
+
+@st.composite
+def _band_run(draw):
+    """(numer, denom): band factors after an optional factor in y alone or
+    with j > i, and a numerator monomial x^a * y^b, so the diagonal line
+    m = n + a - b starts left of the box (a < b), at its corner or right of
+    it, with an optional numerator factor in y that widens the rows."""
+    run = draw(st.lists(_band_factor(), min_size=1, max_size=3))
+    before = draw(st.sampled_from(([], [(Poly("y", [1, -1]), 1)], [(Poly("y", [1, -1, 2]), 2)],
+                                   [(_xy({(0, 0): 1, (1, 2): -1}), 1)])))
+    numer = [(_monomial(draw(st.integers(0, 4)), draw(st.integers(0, 4))), 1)]
+    if draw(st.booleans()):
+        tail = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        numer.append((Poly("y", [1, *tail]), 1))
+    return numer, before + run
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((1, -3, Fraction(2, 7), 2 ** 1300 + 1)), factors=_band_run(),
+       nx=st.integers(0, 30), ny=st.integers(0, 30))
+# The line starts two columns right of the corner, and 1 - x - x*y keeps
+# j <= i with j > 0: band rows shift right.
+@example(constant=1, factors=([(_monomial(2, 0), 1)],
+                              [(_xy({(0, 0): 1, (1, 0): -1, (1, 1): -1}), 2)]), nx=30, ny=30)
+# The line starts three rows below the corner: c0 stays 0 for three rows.
+@example(constant=1, factors=([(_monomial(0, 3), 1)],
+                              [(_xy({(0, 0): 1, (2, 1): -2, (1, 0): 1}), 1)]), nx=25, ny=30)
+# In x alone the rows keep the numerator's 3 columns, and c0 reaches them.
+@example(constant=1, factors=([(_monomial(1, 0), 1), (Poly("y", [1, 2, -1]), 1)],
+                              [(Poly("x", [1, -2, 1]), 2)]), nx=20, ny=20)
+def test_diagonal_band_matches_the_reference_field_by_field(constant, factors, nx, ny):
+    # Each case runs with the cost tests as they are, with packing and the
+    # band forced (in x alone too, where the band ends at the numerator's
+    # columns), and with packing forced and the band refused.
+    f = RatFunc(constant, *factors)
+    grid = ref_bivariate_series(f, nx, ny)
+    want = [_fields(grid[i][i]) for i in range(min(nx, ny))]
+    force = lambda *args: True
+    for packs, bands in ((_division._packs, _division._bands), (force, force),
+                         (force, lambda *args: False)):
+        with mock.patch.object(_division, "_packs", packs), \
+                mock.patch.object(_division, "_bands", bands):
+            assert list(map(_fields, bivariate_series(f, nx, ny, diagonal=True))) == want
+
+
+@_kernel_settings
+@given(e=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=12), j=st.integers(1, 14))
+@example(e=[], j=1)
+@example(e=[5, -2], j=3)
+def test_a_unit_inner_step_is_a_running_sum(e, j):
+    # Division by 1 - inner^j: e[m] += e[m - j], which _solve_row takes by
+    # itertools.accumulate over each class of m mod j.  Against the step
+    # loop, with an empty row and rows shorter than j among the cases.
+    want = e[:]
+    for m in range(j, len(want)):
+        want[m] += want[m - j]
+    got = e[:]
+    _division._solve_row(got, [(j, -1)])
+    assert got == want
+
+
 def test_the_cost_test_packs_where_it_pays(monkeypatch):
     runs = []
     divide = _division._divide_packed
@@ -569,6 +650,13 @@ def test_the_cost_test_packs_where_it_pays(monkeypatch):
     diagonal_series(trib.scale(2 ** 1300), 200)
     bivariate_series(parse_ratfunc("1/(1-x*y)"), 200, 200)
     assert runs == []
+    # A factor in x alone keeps only the diagonal's band cell by cell, but
+    # packed it shifts no column and keeps whole rows: its packed cost
+    # counts twice, and 76-byte digits (n = 300) stay cell by cell.
+    f = parse_ratfunc("1/((1+2*x)*(1-2*y)^2)")
+    diagonal_series(f, 200)
+    diagonal_series(f, 300)
+    assert runs == [51]
 
 
 def test_pascal_rows_match_math_comb():
