@@ -228,14 +228,17 @@ def _divide_packed(box: _Box, stages: list[list[tuple[int, int, int]]], count: i
         shapes = [g if n >= top and (g := c - starts[n - top]) in (0, top) else -1 - n
                   for n, c in enumerate(starts)]
     else:
-        starts = shapes = [0] * count
+        starts, shapes = [0] * count, None
 
-    def plans(steps: list[tuple[int, int, int]]) -> tuple[int, dict[int, tuple[list, int]]]:
-        """(low, plan of each shape).  low is the half-digit bias of the stage's largest
-        right shift, which every row the stage keeps carries.  A plan is the steps as
-        (i, k * left shift, v), whose loop stops at the first i past the row, and the sum
-        of the biases they bring in."""
-        low = bias & ((1 << k * max(i - j for i, j, _ in steps)) - 1) if band else 0
+    def plans(steps: list[tuple[int, int, int]]) -> tuple[int, dict[int, tuple[list, int]] | list]:
+        """(low, plans).  low is the half-digit bias of the stage's largest right shift,
+        which every row the stage keeps carries.  A plan is the steps as (i, k * left
+        shift, v), whose loop stops at the first i past the row, and the sum of the biases
+        they bring in, one for each shape.  Without band the steps shift every row alike,
+        by j digits, and bring in no bias: the plans are that one list of steps."""
+        if not band:
+            return 0, [(i, k * j, v) for i, j, v in steps]
+        low = bias & ((1 << k * max(i - j for i, j, _ in steps)) - 1)
         out = {}
         # Each shape's last row, which every step of its rows reaches.
         for shape, n in dict(zip(shapes, range(count))).items():
@@ -259,16 +262,18 @@ def _divide_packed(box: _Box, stages: list[list[tuple[int, int, int]]], count: i
     def divided(source: Iterable[int], group: list) -> Iterator[int]:
         plan = [(deque(maxlen=steps[-1][0]), any(j for _, j, _ in steps), *plans(steps))
                 for steps in group]
-        c = mask = mod = limit = None
+        c, mask = 0, ones
+        mod, limit = mask + 1, (mask >> 1) + 1
         for n, r in enumerate(source):
-            if starts[n] != c:
+            if shapes and starts[n] != c:
                 c = starts[n]
                 mask = ones >> k * c
                 mod, limit = mask + 1, (mask >> 1) + 1
-            for done, cut, low, shaped in plan:
-                ops, corr = shaped[shapes[n]]
-                if corr:
-                    r += corr
+            for done, cut, low, ops in plan:
+                if shapes:
+                    ops, corr = ops[shapes[n]]
+                    if corr:
+                        r += corr
                 for i, s, v in ops:
                     if i > n:
                         break

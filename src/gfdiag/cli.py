@@ -103,9 +103,10 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
         raise ParseError(f"malformed rational list {shown!r}: {exc}")
 
 
-def _reduced_text(f) -> dict:
-    num, den = f.reduced_fraction()
-    return {"numerator": str(num), "denominator": str(den), "gf": f"({num}) / ({den})"}
+def _gf_text(num, den) -> dict:
+    """The JSON fields of the generating function num / den, each polynomial printed once."""
+    num, den = str(num), str(den)
+    return {"numerator": num, "denominator": den, "gf": f"({num}) / ({den})"}
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +164,10 @@ def cmd_diagonal(args) -> int:
         # A residue sum that its series cross-check refutes is no diagonal:
         # it is withheld, and the report says why.
         refuted = report.status == "method-assumption-violated"
+        # diagonal_rational returns its GF reduced, its denominator normalized
+        # as RatFunc.reduced_fraction normalizes it, so it is printed as it is.
         found = (dict.fromkeys(("numerator", "denominator", "gf")) if refuted
-                 else _reduced_text(residue_gf))
+                 else _gf_text(*residue_gf.expand_to_single_fraction()))
         payload["residue"] = dict(found, crosscheck=report.to_json_dict())
         lines.append("residue method: no GF found, the series cross-check refutes the residue sum"
                      if refuted else f"residue method: {found['gf']}")
@@ -189,7 +192,7 @@ def cmd_diagonal(args) -> int:
         else:
             series_gf = gf_of_sequence(rec)
             confidence = args.n - 2 * rec.order
-            payload["series"] = dict(_reduced_text(series_gf),
+            payload["series"] = dict(_gf_text(*series_gf.reduced_fraction()),
                                      recurrence_order=rec.order,
                                      recurrence_coeffs=[str(c) for c in rec.coeffs],
                                      confidence=confidence)
@@ -227,7 +230,7 @@ def cmd_guess_gf(args) -> int:
                      lambda: {"terms": [str(t) for t in terms], "order": None,
                               "note": f"no recurrence of order <= {bound} fits"},
                      [f"no recurrence of order <= {bound} fits the supplied terms"])
-    gf = _reduced_text(gf_of_sequence(rec))
+    gf = _gf_text(*gf_of_sequence(rec).reduced_fraction())
     confidence = len(terms) - 2 * rec.order
     recurrence = " + ".join(f"({c})*a(n-{i})" for i, c in enumerate(rec.coeffs, 1)) or "0"
     return _emit(args, "guess-gf",

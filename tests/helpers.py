@@ -9,7 +9,8 @@ from typing import Iterable
 
 from gfdiag import BiPoly, PoleAtOriginError, Poly, RatFunc, SequenceSpec
 from gfdiag.poly import VARIABLES, _format_coeff_term, _power, as_fraction
-from gfdiag.textform import MAX_EXPONENT, MAX_SCALAR_BITS, ParseError, _tokenize
+from gfdiag.textform import (MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_SCALAR_BITS,
+                             ParseError, _tokenize)
 
 
 def rand_fraction(rng: Random, lo: int = -5, hi: int = 5, denom: int = 3) -> Fraction:
@@ -698,10 +699,22 @@ def _ref_capped(value):
     return value
 
 
+_REF_OPS = frozenset("+-*/^()")
+
+
+def _ref_literal(digits: str) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"an integer literal of {len(digits)} digits exceeds the limit "
+                         f"of {MAX_LITERAL_DIGITS} digits")
+    return int(digits)
+
+
 class _RefParser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
+    def __init__(self, tokens: list[str]):
+        self.tokens = [("var", t) if t in VARIABLES else ("op", t) if t in _REF_OPS
+                       else ("int", t) for t in tokens]
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -715,6 +728,12 @@ class _RefParser:
         kind, val = self.take()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}")
+
+    def nest(self, levels: int) -> None:
+        """Each open parenthesis and each unary minus sign nests one level."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and minus signs nest deeper than the cap {MAX_NESTING}")
 
     def parse(self):
         value = self.expr()
@@ -748,7 +767,10 @@ class _RefParser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return -self.unary()
+            self.nest(1)
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.primary()
 
     def primary(self):
@@ -759,7 +781,7 @@ class _RefParser:
             kind, exp = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            power = int(exp)
+            power = _ref_literal(exp)
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} exceeds the cap {MAX_EXPONENT}")
             scalar = value if isinstance(value, Fraction) else value.constant
@@ -773,12 +795,14 @@ class _RefParser:
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return Fraction(int(val))
+            return Fraction(_ref_literal(val))
         if kind == "var":
             return RatFunc(1, [(Poly.monomial(val, 1), 1)])
         if kind == "op" and val == "(":
+            self.nest(1)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {val!r}")
 

@@ -24,6 +24,7 @@ from gfdiag import (
     parse_poly,
     parse_ratfunc,
     poly_gcd,
+    textform,
 )
 from gfdiag.claims import Claim, ClaimReport
 from gfdiag.gfbuild import CatalogEntry, ConvolutionGF
@@ -456,9 +457,66 @@ def test_parse_matches_fold_through_ratfunc_add(data):
     # comes and after one.
     "(x+z-x)/(1-z)", "x + z - x + 1/(1-z)", "y*x + y - x*y + x", "x*y - x + x",
     "1/(1/(1-z) + x - x) + 1", "1/(1-z) + x - x", "x/(1-z) + z - x/(1-z)",
+    # The caps, checked inside a run of literals and variable powers: a
+    # variable's exponent summed over the run and after '^', a literal's
+    # power and digits, and the minus signs of each factor.
+    "x^600*x^600", "x^1001", "3*2^20000*x",
+    pytest.param(f"3*{'9' * 1500}^10*x", id="3*9{1500}^10*x"),
+    pytest.param(f"2*{'7' * 4301}*x", id="2*7{4301}*x"),
+    pytest.param("-" * 101 + "x*y", id="-{101}x*y"),
+    pytest.param("-" * 100 + "x*y", id="-{100}x*y"),
+    pytest.param("x*" + "-" * 101 + "y", id="x*-{101}y"),
+    pytest.param("x*" + "-" * 101 + "(1-y)", id="x*-{101}(1-y)"),
+    # Minus signs inside a run, a zero coefficient, which drops the variables,
+    # and a power 0 of a variable, which is a function and no factor.
+    "-x*-y", "x*--y^2*-3", "x*y*0*z", "x^0*y", "y*x^0*x", "x^0", "-0*x/(x-x)",
+    # A run that ends at '/' or '(' becomes one product, its variables in the
+    # order they came; a sum's only term stays factored.
+    "2*x/3", "(1/2)*x*y", "-1*(1 - x)", "y*x*y/(1-x)", "3*x*-(1-y)^2", "(x*y)",
 ])
 def test_parse_matches_fold_on_edge_cases(text):
     _same_parse(text)
+
+
+@st.composite
+def _printed_ratfunc(draw) -> str:
+    """str of a factored RatFunc: 1-4 Poly or BiPoly factors in one variable pair."""
+    names = draw(st.lists(st.sampled_from(VARIABLES), min_size=2, max_size=2, unique=True))
+    sides: tuple[list, list] = ([], [])
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, 2))
+        rows = [draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+                for _ in range(draw(st.integers(1, 4)) if kind == 2 else 1)]
+        p = (BiPoly(*names, [Poly(names[1], row) for row in rows]) if kind == 2
+             else Poly(names[kind], rows[0]))
+        if not p.is_zero:
+            sides[draw(st.booleans())].append((p, draw(st.integers(1, 3))))
+    constant = Fraction(draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1])),
+                        draw(st.integers(1, 12)))
+    return str(RatFunc(constant, *sides))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(text=_printed_ratfunc())
+def test_parse_matches_fold_on_printed_factored_functions(text):
+    _same_parse(text)
+
+
+def test_a_printed_polynomial_builds_no_term_per_monomial(monkeypatch):
+    # 40 terms with signs, unit and other coefficients, and powers of both
+    # variables: the text reads as monomials, added into one sum.
+    p = BiPoly("x", "y", [Poly("y", [(-1) ** (i * j) * (i + j) for j in range(1, 6)])
+                          for i in range(8)])
+    text = str(p)
+    assert text.count("*") > 40
+    built = []
+    init = textform._Term.__init__
+    monkeypatch.setattr(textform._Term, "__init__",
+                        lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
+    got = parse_ratfunc(text)
+    monkeypatch.undo()
+    assert len(built) <= 2
+    assert got == ref_parse_ratfunc(text) == RatFunc(1, [(p, 1)])
 
 
 def test_a_variable_that_cancels_out_of_a_sum_is_dropped():
@@ -469,9 +527,11 @@ def test_a_variable_that_cancels_out_of_a_sum_is_dropped():
     assert parse_ratfunc("x^2*y + x - x^2*y").variables == ("x",)
     assert parse_ratfunc("1/(1-z) + x - x").variables == ("z",)
     assert parse_ratfunc("x/(1-x) + y - y").variables == ("x",)
-    # A sum that passes three variables before one cancels is still refused.
-    with pytest.raises(ParseError, match="at most two variables are supported, found x, y, z"):
-        parse_ratfunc("x*y + z - x*y")
+    # A sum that passes three variables before one cancels takes the ones left.
+    for text in ("x*y + z - x*y", "z + x - x + y"):
+        assert parse_ratfunc(text) == parse_ratfunc(text.replace("x", "0"))
+    assert parse_ratfunc("x*y + z - x*y").variables == ("z",)
+    assert parse_ratfunc("z + x - x + y").variables == ("y", "z")
 
 
 def _catalog_texts() -> list[str]:
