@@ -4,7 +4,7 @@ sums and by series/recurrence detection, and an identity verification suite.
 """
 
 from .poly import BiPoly, Poly, Rational, poly_gcd
-from .ratfunc import RatFunc, compose_rational, identity_equal
+from .ratfunc import RatFunc, compose_rational
 from .textform import ParseError, parse_poly, parse_ratfunc
 from .series import (
     PoleAtOriginError,
@@ -52,7 +52,7 @@ __all__ = [
     "classify_poles", "compose_rational", "convolution_grid", "convolution_terms",
     "diagonal_rational", "diagonal_series", "find_min_recurrence",
     "generate_sequence", "get_claim", "gf_of_sequence", "hk_transform",
-    "identity_equal", "kbonacci", "parse_poly", "parse_ratfunc",
+    "kbonacci", "parse_poly", "parse_ratfunc",
     "partial_fractions", "poly_gcd", "printed_gf",
     "run_all", "run_claim", "series_of_rational",
 ]

@@ -117,6 +117,38 @@ class RatFunc(_Frozen):
     def is_univariate(self) -> bool:
         return len(self.variables) <= 1
 
+    def cancelled(self) -> "RatFunc":
+        """self with each factor on both sides cancelled by the smaller multiplicity;
+        self if none is.
+
+        Factors compare by their primitive rows, which fix the sign (see
+        gfdiag.poly): a factor c*p cancels against p, and c goes into the
+        constant.  Both diagonal routes and the series of a univariate
+        function read a function through this, so a factor that cancels,
+        such as the 1 - x of every convolution GF, is never expanded,
+        divided by, substituted or reported as a pole.
+        """
+        sides = [{}, {}]
+        for counts, factors in zip(sides, (self.numer, self.denom)):
+            for p, m in factors:
+                counts[p.rows] = counts.get(p.rows, 0) + m
+        numer, denom = sides
+        shared = {rows: min(numer[rows], denom[rows]) for rows in numer.keys() & denom.keys()}
+        if not shared:
+            return self
+        constant, kept = self.constant, []
+        for sign, factors in ((1, self.numer), (-1, self.denom)):
+            left, out = dict(shared), []
+            for p, m in factors:
+                c = min(m, left.get(p.rows, 0))
+                if c:
+                    left[p.rows] -= c
+                    constant *= p.content ** (sign * c)
+                if m > c:
+                    out.append((p, m - c))
+            kept.append(out)
+        return RatFunc(constant, *kept)
+
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
@@ -238,12 +270,6 @@ class RatFunc(_Frozen):
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def identity_equal(f: RatFunc, g: RatFunc) -> bool:
-    """Exact rational-function equality: f - g has a zero numerator, i.e.
-    the cross-multiplied polynomial identity holds."""
-    return (f - g).is_zero
 
 
 def compose_rational(f: RatFunc, s_numer: AnyPoly, s_denom: AnyPoly) -> RatFunc:

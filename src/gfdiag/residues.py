@@ -2,7 +2,7 @@
 
 Hautus-Klarner style: the diagonal of F(x, y) is the sum of the residues
 of F(z*t, 1/t)/t at its poles in t that stay bounded as z -> 0.  A
-factor on both sides of F cancels first, by the smaller multiplicity.
+factor on both sides of F cancels first (RatFunc.cancelled).
 Substitute, clear powers of t factor by factor, and keep the denominator
 factors whose roots all stay bounded, the pole at t = 0 included.  With P
 the product of the kept factors and Q that of the others, each to its
@@ -83,30 +83,21 @@ def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
     return BiPoly.from_ints("t", "z", out, p.content), k
 
 
-def _variables(f: RatFunc) -> tuple[str, str]:
-    """(outer, inner): the variables that become z*t and 1/t; x and y stand in for
-    the ones a function of one variable or none lacks."""
-    f_vars = f.variables
-    if any(v in ("t", "z") for v in f_vars):
-        raise ValueError("input variables t and z are reserved by the transform")
-    if len(f_vars) == 2:
-        return f_vars
-    if len(f_vars) == 1:
-        v = f_vars[0]
-        return ("x", v) if v == "y" else (v, "y")
-    return "x", "y"
-
-
 def hk_transform(f: RatFunc) -> HKTransform:
     """Substitute first_var -> z*t, second_var -> 1/t into a factored function.
 
     Every factor is multiplied by the minimal power of t making it
     polynomial; the cleared powers and the extra 1/t are balanced so the
-    result represents exactly F(z*t, 1/t)/t.
+    result represents exactly F(z*t, 1/t)/t.  x and y stand in for the
+    variables that a function of one variable or none lacks.
     """
     if f.is_zero:
         return HKTransform(BiPoly.zero("t", "z"), (), (), 0)
-    outer, inner = _variables(f)
+    f_vars = f.variables
+    if any(v in ("t", "z") for v in f_vars):
+        raise ValueError("input variables t and z are reserved by the transform")
+    outer, inner = f_vars if len(f_vars) == 2 else (
+        ("x", "y") if f_vars in ((), ("y",)) else (f_vars[0], "y"))
     numer = BiPoly.const("t", "z", f.constant)
     num_cleared = 0
     for p, m in f.numer:
@@ -164,13 +155,8 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
     in general not a rational function of z, and the series cross-check in
     diagonal_rational then reports the violation.
     """
-    return _classified(h.denom_factors)
-
-
-def _classified(factors: Sequence[tuple[BiPoly, int]]) -> list[PoleClass]:
-    """classify_poles on the transformed denominator factors alone."""
     out = []
-    for idx, (p, m) in enumerate(factors):
+    for idx, (p, m) in enumerate(h.denom_factors):
         d = p.degree
         if d <= 0:
             out.append(PoleClass(p, m, idx, False, "no dependence on t"))
@@ -332,35 +318,6 @@ class DiagnosticReport(_Frozen):
         }
 
 
-def _cancelled(f: RatFunc) -> RatFunc:
-    """f with each factor on both sides cancelled by the smaller multiplicity; f if none is.
-
-    Factors compare by their primitive rows, which fix the sign (see
-    gfdiag.poly), as the series kernel compares them: a factor c*p cancels
-    against p, and c goes into the constant.
-    """
-    sides = [{}, {}]
-    for counts, factors in zip(sides, (f.numer, f.denom)):
-        for p, m in factors:
-            counts[p.rows] = counts.get(p.rows, 0) + m
-    numer, denom = sides
-    shared = {rows: min(numer[rows], denom[rows]) for rows in numer.keys() & denom.keys()}
-    if not shared:
-        return f
-    constant, kept = f.constant, []
-    for sign, factors in ((1, f.numer), (-1, f.denom)):
-        left, out = dict(shared), []
-        for p, m in factors:
-            c = min(m, left.get(p.rows, 0))
-            if c:
-                left[p.rows] -= c
-                constant *= p.content ** (sign * c)
-            if m > c:
-                out.append((p, m - c))
-        kept.append(out)
-    return RatFunc(constant, *kept)
-
-
 def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, DiagnosticReport]:
     """Diagonal of a bivariate rational function as a rational function.
 
@@ -369,23 +326,15 @@ def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, Diag
     A mismatch is reported as status "method-assumption-violated" together
     with the first disagreeing index and both exact values.  With
     check_terms == 0 nothing is compared, and the status is "unchecked".
-    The sum is taken over the transform of f with every factor on both
-    sides cancelled, so a factor that cancels, such as the 1 - x of every
-    convolution GF, is never interpolated.  The poles reported are those
-    of f's factors as given: each is read off that transform, to f's
-    multiplicity, and only a factor that cancels in full is substituted
-    on its own.
+    f is read with every factor on both sides cancelled (RatFunc.cancelled),
+    and that one function is transformed, classified, summed and
+    cross-checked: a factor that cancels, such as the 1 - x of every
+    convolution GF, is never interpolated, and the poles reported are
+    those of the function summed, to their net multiplicities.
     """
-    h = hk_transform(reduced := _cancelled(f))
+    h = hk_transform(f := f.cancelled())
     poles = classify_poles(h)
-    kept = [p for p in poles if p.kept]
-    if reduced is not f:
-        outer, inner = _variables(f)
-        ours = {p: q for (p, _), (q, _) in zip(reduced.denom, h.denom_factors)}
-        poles = _classified([(ours[p] if p in ours else _substitute_factor(
-            BiPoly.embed(p, outer, inner))[0], m) for p, m in f.denom]
-            + list(h.denom_factors[len(reduced.denom):]))
-    result = _residue_sum(h, kept)
+    result = _residue_sum(h, [p for p in poles if p.kept])
     hit = _first_mismatch(series_of_rational(result, check_terms), diagonal_series(f, check_terms))
     if hit is None:
         return result, DiagnosticReport(tuple(poles), "ok" if check_terms else "unchecked",

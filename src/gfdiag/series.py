@@ -35,10 +35,10 @@ is first stripped of the largest monomial that divides it.  Over Q a
 univariate P/Q has a power series exactly when ord_0 Q <= ord_0 P, so
 the net monomial decides the pole at the origin and shifts the output;
 in two variables a stripped denominator factor must also have a constant
-term.  A stripped factor on both sides, up to sign, cancels by the
-smaller multiplicity: it is compared, not divided.  The numerator is the
-product of its factors' powers, each by repeated squaring, truncated to
-the nx x ny box.
+term.  A factor on both sides cancels before the kernel, by the smaller
+multiplicity (RatFunc.cancelled, which the residue route reads too): it
+is compared, not divided.  The numerator is the product of its factors'
+powers, each by repeated squaring, truncated to the nx x ny box.
 
 The box is then divided in place by one denominator factor at a time, m
 times for multiplicity m, each factor with its own integer coefficients
@@ -260,12 +260,13 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     Each factor is stripped of the largest monomial outer^a * inner^b that
     divides it.  The net monomial must be a power series and each stripped
     denominator factor must have a constant term, or PoleAtOriginError is
-    raised; the net monomial shifts the grid.  A stripped factor on both
-    sides cancels by the smaller multiplicity.  The numerator is the
-    product of the factors' powers, each by repeated squaring, truncated to
-    the box; the box is then divided by each denominator factor in turn, m
-    times for multiplicity m: the heavier univariate class first, the mixed
-    factors last (see the module docstring).  A run of outer-only factors
+    raised; the net monomial shifts the grid.  No factor cancels here:
+    series_of_rational and bivariate_series pass the factors of
+    RatFunc.cancelled.  The numerator is the product of the factors'
+    powers, each by repeated squaring, truncated to the box; the box is
+    then divided by each denominator factor in turn, m times for
+    multiplicity m: the heavier univariate class first, the mixed factors
+    last (see the module docstring).  A run of outer-only factors
     divides packed rows instead where _packs finds that it pays; if it is
     the last run of a diagonal, it returns the diagonal's cells itself.
     With diagonal, the runs after the last one with a term j > i divide
@@ -280,7 +281,7 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
 
     if constant == 0 or any(p.is_zero for p, _ in numer):
         return zeros()
-    scale, si, sj, stripped = constant, 0, 0, {1: {}, -1: {}}
+    scale, si, sj, numer_rows, denom_rows = constant, 0, 0, [], []
     for sign, factors in ((1, numer), (-1, denom)):
         for p, m in factors:
             s, rows = p.content, p.rows if inner else _lift(p, p.names[0])
@@ -291,25 +292,20 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
                 raise PoleAtOriginError("pole at the origin")
             if rows[0][0] < 0:
                 # The canonical sign is the last entry's: 1 - x - y comes as
-                # -1 * (-1 + x + y), whose constant term -1 would scale the
-                # box.  Both sides flip alike, so a shared factor compares equal.
+                # -1 * (-1 + x + y).  Flipped, every constant term the box
+                # is divided by is positive, as _unscaled needs.
                 s, rows = -s, tuple(tuple(-v for v in row) for row in rows)
             scale *= s ** (sign * m)
             si, sj = si + sign * m * a, sj + sign * m * b
-            stripped[sign][rows] = stripped[sign].get(rows, 0) + m
+            (numer_rows if sign > 0 else denom_rows).append((rows, m))
     if si < 0 or sj < 0:
         raise PoleAtOriginError("pole at the origin")
     bx, by = nx - si, ny - sj
     if bx <= 0 or by <= 0:
         return zeros()
-    numer_rows, denom_rows = stripped[1], stripped[-1]
-    for rows in numer_rows.keys() & denom_rows.keys():
-        net = numer_rows.pop(rows) - denom_rows.pop(rows)
-        if net:
-            (numer_rows if net > 0 else denom_rows)[rows] = abs(net)
     box: _Box = [[scale.numerator]]
     times = partial(_box_mul, nx=bx, ny=by)
-    for rows, m in numer_rows.items():
+    for rows, m in numer_rows:
         box = times(box, _power([[1]], rows, m, times))
     reach = len(box), max(map(len, box))
     # Rows past the reach are all 0: they are appended only once a
@@ -328,7 +324,7 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     # the outer variable alone (one column), 2 a mixed factor; a class's
     # weight is its division steps.
     divisions, weight = [], [0, 0, 0]
-    for rows, m in denom_rows.items():
+    for rows, m in denom_rows:
         terms = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
         kind = 0 if len(rows) == 1 else 1 if max(map(len, rows)) == 1 else 2
         weight[kind] += (len(terms) - 1) * m
@@ -387,6 +383,7 @@ def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
         raise ValueError("n must be >= 0")
     if not f.is_univariate:
         raise ValueError("series_of_rational requires a univariate function")
+    f = f.cancelled()
     return _series_grid(f.constant, f.numer, f.denom, 1, n, True)[0]
 
 
@@ -396,8 +393,9 @@ def bivariate_series(f: RatFunc, nx: int, ny: int, *, diagonal: bool = False) ->
     A univariate f's variable is the outer one.  With diagonal, the list
     [c[i][i] for i < min(nx, ny)] instead: the integer box is divided as
     for the grid, but only its min(nx, ny) diagonal cells are built as
-    Fractions.
+    Fractions.  A factor on both sides cancels first (RatFunc.cancelled).
     """
+    f = f.cancelled()
     return _series_grid(f.constant, f.numer, f.denom, nx, ny, diagonal=diagonal)
 
 

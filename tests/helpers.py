@@ -162,6 +162,14 @@ def ref_pascal_sum(row: list[int], a, b, m: int) -> Fraction:
     return sum((row[k] * a[k] * b[m - k] for k in range(min(len(row), m + 1))), Fraction(0))
 
 
+# -- Exact equality of rational functions ---------------------------------------
+
+def identity_equal(f: RatFunc, g: RatFunc) -> bool:
+    """Exact rational-function equality: f - g has a zero numerator, i.e.
+    the cross-multiplied polynomial identity holds."""
+    return (f - g).is_zero
+
+
 # -- Fraction references for the integer kernels of gfdiag.residues ------------
 #
 # The residue route's Fraction arithmetic that the integer extended PRS

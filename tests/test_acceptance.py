@@ -21,7 +21,6 @@ from gfdiag import (
     find_min_recurrence,
     generate_sequence,
     gf_of_sequence,
-    identity_equal,
     kbonacci,
     parse_poly,
     parse_ratfunc,
@@ -34,6 +33,7 @@ from gfdiag import (
 )
 from gfdiag.residues import classify_poles, hk_transform
 from helpers import (
+    identity_equal,
     rand_bipoly,
     rand_fraction,
     rand_poly,

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from gfdiag import claim_ids, claims, get_claim, run_all, run_claim
 from gfdiag import bivariate_series, gfbuild, parse_ratfunc, printed_gf, series_of_rational
 from gfdiag.poly import Poly
-from gfdiag.ratfunc import RatFunc, identity_equal
+from gfdiag.ratfunc import RatFunc
 from gfdiag.recurrences import _berlekamp_massey
 from gfdiag.series import SequenceSpec
 
-from helpers import rand_bipoly, rand_fraction, rand_univariate_ratfunc
+from helpers import identity_equal, rand_bipoly, rand_fraction, rand_univariate_ratfunc
 
 
 EXPECTED = {

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from gfdiag import catalog_entry, catalog_ids, cli, identity_equal, parse_poly, parse_ratfunc
+from gfdiag import catalog_entry, catalog_ids, cli, parse_poly, parse_ratfunc
+from helpers import identity_equal
 
 
 def run_cli(*args, env=None):
@@ -539,6 +540,30 @@ def test_diagonal_removable_monomial_pole():
         res = run_cli("diagonal", "--gf-text", text, "--method", "series")
         assert res.returncode == 3
         assert "pole at the origin" in res.stderr
+
+
+@pytest.mark.parametrize("text, gf", [
+    ("(x+y)/(x+y)", "(1) / (1)"),
+    ("(x-y)*(1-x)/((x-y)*(1-x*y))", "(1) / (1 - z)"),
+    ("(2*x+2*y)*(1-x)/((x+y)*(1-x*y))", "(2) / (1 - z)"),
+])
+def test_diagonal_cancels_a_factor_without_constant_term_on_both_sides(text, gf, capsys):
+    # Each factor on both sides cancels before either route reads the
+    # function, up to its content, so x - y and x + y are no pole at the origin.
+    for method in ("residue", "series", "both"):
+        assert cli.main(["diagonal", f"--gf-text={text}", f"--method={method}", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for route in {"both": ("residue", "series")}.get(method, (method,)):
+            assert data[route]["gf"] == gf
+        assert data.get("match", True) is True
+
+
+def test_diagonal_does_not_split_a_shared_factor_out_of_a_sum(capsys):
+    # x^2 + x*y = x*(x + y), but the sum is one factor, so x + y stays a
+    # pole at the origin.
+    for method in ("residue", "series", "both"):
+        assert cli.main(["diagonal", "--gf-text=(x^2+x*y)/(x+y)", f"--method={method}"]) == 3
+        assert "pole at the origin" in capsys.readouterr().err
 
 
 def test_diagonal_repeated_kept_factor_summed():

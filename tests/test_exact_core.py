@@ -20,7 +20,6 @@ from gfdiag import (
     Poly,
     RatFunc,
     compose_rational,
-    identity_equal,
     parse_poly,
     parse_ratfunc,
     poly_gcd,
@@ -32,6 +31,7 @@ from gfdiag.poly import VARIABLES
 from gfdiag.residues import DiagnosticReport, HKTransform, PartialFractions, PoleClass
 from gfdiag.series import SequenceSpec
 from helpers import (
+    identity_equal,
     poly_xgcd,
     rand_bipoly,
     rand_fraction,

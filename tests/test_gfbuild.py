@@ -18,7 +18,7 @@ from gfdiag import (
     printed_gf,
     series_of_rational,
 )
-from helpers import rand_sequence_spec
+from helpers import identity_equal, rand_sequence_spec
 
 
 def _grid_matches(a: SequenceSpec, b: SequenceSpec, size: int) -> bool:
@@ -150,7 +150,7 @@ def test_printed_gf_formula_entry_rejected():
 
 
 def test_display_prefers_positive_constant_terms():
-    from gfdiag import identity_equal, parse_ratfunc
+    from gfdiag import parse_ratfunc
     t = printed_gf("tetra.diag.printed")
     text = str(t)
     assert "(1 - 2*z - 4*z^2 - 8*z^3 - 16*z^4)" in text

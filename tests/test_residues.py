@@ -1,6 +1,7 @@
 """Residue-method diagonal extraction: the t-substitution, pole
 classification, residue sums, and partial fractions."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -11,13 +12,14 @@ from gfdiag import (
     BiPoly,
     DegeneratePoleError,
     Poly,
+    PoleAtOriginError,
     RatFunc,
+    bivariate_series,
     build_convolution_gf,
     classify_poles,
     diagonal_rational,
     diagonal_series,
     hk_transform,
-    identity_equal,
     parse_poly,
     parse_ratfunc,
     partial_fractions,
@@ -37,6 +39,7 @@ from gfdiag.residues import (
     _values_at,
 )
 from helpers import (
+    identity_equal,
     rand_fraction,
     rand_poly,
     rand_sequence_spec,
@@ -242,24 +245,44 @@ def test_residue_sum_takes_the_points_its_factor_degrees_prove(source, calls, mo
     "(3*x-3)*(1-y)/((1-y)^2*(1-x)^2)",
 ])
 def test_a_factor_on_both_sides_is_reported_but_not_summed(text):
-    # The pole report lists the factors as given, to their multiplicities
-    # (a t^k factor from y^3 after them); the sum is that of the function
-    # with each factor on both sides cancelled by the smaller multiplicity,
-    # up to sign and content, which go into the constant.
+    # A factor on both sides is reported and summed only to its net
+    # multiplicity: it cancels by the smaller one, up to sign and content,
+    # which go into the constant.  The report and the sum are both those of
+    # the cancelled function (a t^k factor from y^3 after its poles), and no
+    # reported factor is a factor of its numerator.
     f = parse_ratfunc(text)
-    reduced = residues._cancelled(f)
+    reduced = f.cancelled()
     assert reduced is not f
     assert not {p.rows for p, _ in reduced.numer} & {p.rows for p, _ in reduced.denom}
     rat, report = diagonal_rational(f, check_terms=30)
     assert report.status == "ok"
     assert [p.to_json_dict() for p in report.poles] == [
-        p.to_json_dict() for p in classify_poles(hk_transform(f))]
+        p.to_json_dict() for p in classify_poles(hk_transform(reduced))]
+    numer = {residues._substitute_factor(BiPoly.embed(p, "x", "y"))[0].rows
+             for p, _ in reduced.numer}
+    assert not numer & {pole.factor.rows for pole in report.poles}
     assert str(rat) == str(diagonal_rational(reduced, check_terms=0)[0])
 
 
 def test_a_factor_that_cancels_up_to_its_content_goes_into_the_constant():
     f = parse_ratfunc("(3*x - 3)*(1 - y) / ((1 - y)^2*(1 - x)^2)")
-    assert str(residues._cancelled(f)) == "-3 / ((1 - y)*(1 - x))"
+    reduced = f.cancelled()
+    assert str(reduced) == "-3 / ((1 - y)*(1 - x))"
+    assert reduced.cancelled() is reduced
+
+
+@pytest.mark.parametrize("text, poles", [
+    # trib.G's numerator has (1 - x)^2 and its denominator 1 - x, so 1 - x,
+    # (1 - t*z) after the substitution, is not a pole.
+    ("trib.G", ["(-1 - t - t^2 + t^3)", "(1 - z - z^2 - z^3 - 3*t*z + 2*t*z^2 + t*z^3 "
+                "+ 3*t^2*z^2 - t^2*z^3 - t^3*z^3)"]),
+    ("(1-y)^2/((1-x)*(1-y)^3)", ["(1 - t*z)", "(-1 + t)"]),
+])
+def test_the_pole_report_lists_the_cancelled_function_to_net_multiplicities(text, poles):
+    f = printed_gf(text) if text.endswith(".G") else parse_ratfunc(text)
+    _, report = diagonal_rational(f, check_terms=30)
+    assert [f"({pole.factor})" + (f"^{pole.multiplicity}" if pole.multiplicity > 1 else "")
+            for pole in report.poles] == poles
 
 
 def test_factors_sharing_a_root_for_every_z_rejected():
@@ -493,16 +516,23 @@ def _at_z(p: BiPoly, z0) -> Poly:
     return Poly("t", [c.evaluate(z0) for c in p.coeffs])
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(numer=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                             st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=3),
-       denom=st.lists(st.tuples(_denominator_factor(), st.integers(1, 3)), min_size=1, max_size=3),
-       share=st.booleans())
-def test_diagonal_rational_matches_series_beyond_convolutions(numer, denom, share):
+_NUMERATOR = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=3)
+_DENOMINATOR = st.lists(st.tuples(_denominator_factor(), st.integers(1, 3)),
+                        min_size=1, max_size=3)
+
+
+def _beyond_convolutions(numer: dict, denom: list, share: bool) -> RatFunc:
     if share:
         # p*q shares roots with p and with q for every z.
         denom = denom + [(denom[0][0] * denom[-1][0], 1)]
-    f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], denom)
+    return RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], denom)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(numer=_NUMERATOR, denom=_DENOMINATOR, share=st.booleans())
+def test_diagonal_rational_matches_series_beyond_convolutions(numer, denom, share):
+    f = _beyond_convolutions(numer, denom, share)
     h = hk_transform(f)
     poles = classify_poles(h)
     assume(not any(p.reason.startswith("mixed") for p in poles))
@@ -515,6 +545,38 @@ def test_diagonal_rational_matches_series_beyond_convolutions(numer, denom, shar
     rat, report = diagonal_rational(f, check_terms=12)
     assert report.status == "ok"
     assert list(series_of_rational(rat, 12)) == list(diagonal_series(f, 12))
+
+
+def _both_routes(f: RatFunc) -> tuple:
+    rat, report = diagonal_rational(f, check_terms=12)
+    return (str(rat), report.status, [p.to_json_dict() for p in report.poles],
+            diagonal_series(f, 12), bivariate_series(f, 6, 6))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(numer=_NUMERATOR, denom=_DENOMINATOR, share=st.booleans(),
+       p=st.one_of(st.sampled_from(({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -2},
+                                    {(1, 0): 2, (0, 2): 1})).map(
+                       lambda terms: BiPoly.from_monomials("x", "y", terms)),
+                   _denominator_factor()),
+       k=st.integers(1, 3), extra=st.sampled_from((0, 0, 1, -1)))
+def test_a_spurious_common_factor_changes_neither_route(numer, denom, share, p, k, extra):
+    # g * p^k / p^k is g, for p without a constant term (x + y, x - 2*y,
+    # 2*x + y^2) or from _denominator_factor, so both routes must give what
+    # they give for g: the same GF, status and pole report, the same series
+    # terms, or the same refusal.  g is a drawn function, in some draws
+    # times p or over p.
+    g = _beyond_convolutions(numer, denom, share)
+    if extra:
+        g = g * (RatFunc(1, [(p, 1)]) if extra > 0 else RatFunc(1, (), [(p, 1)]))
+    spurious = RatFunc(g.constant, g.numer + ((p, k),), g.denom + ((p, k),))
+    try:
+        want = _both_routes(g)
+    except (PoleAtOriginError, DegeneratePoleError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _both_routes(spurious)
+        return
+    assert _both_routes(spurious) == want
 
 
 def test_diagonal_rational_master_invariant_randomized():
