@@ -22,7 +22,6 @@ from .recurrences import convolution_terms, find_min_recurrence
 from .residues import (
     DegeneratePoleError,
     DiagnosticReport,
-    HKTransform,
     PartialFractions,
     PoleClass,
     classify_poles,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly", "CatalogEntry", "Claim", "ClaimReport",
-    "ConvolutionGF", "DegeneratePoleError", "DiagnosticReport", "HKTransform",
+    "ConvolutionGF", "DegeneratePoleError", "DiagnosticReport",
     "ParseError", "PartialFractions", "PoleAtOriginError", "PoleClass", "Poly",
     "RatFunc", "Rational", "SequenceSpec", "binomial_convolution_sequence",
     "bivariate_series", "build_convolution_gf",

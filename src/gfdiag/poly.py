@@ -132,6 +132,20 @@ def _lift(p, outer: str) -> tuple:
     return p.rows
 
 
+def _stripped(rows: Sequence[Sequence[int]]) -> tuple[int, int, tuple]:
+    """(a, b, rest): nonzero rows as names[0]^a * names[-1]^b * rest, a and b largest.
+
+    Only zeros are dropped, so primitive rows with the canonical sign stay
+    so.  The series kernel and RatFunc.cancelled strip factors by this.
+    Rows with a constant term are returned as they are.
+    """
+    if rows[0] and rows[0][0]:
+        return 0, 0, rows
+    a = rows.index(next(filter(None, rows)))
+    b = min([row.index(next(filter(None, row))) for row in rows if row])
+    return a, b, tuple(row[b:] for row in rows[a:])
+
+
 def _label(names: tuple[str, ...]) -> str:
     return names[0] if len(names) == 1 else f"({','.join(names)})"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .poly import AnyPoly, Poly, _Frozen, as_fraction, poly_gcd, unify
+from .poly import AnyPoly, Poly, _Frozen, _stripped, as_fraction, poly_gcd, unify
 
 
 def _constant_of(p: AnyPoly) -> Fraction | None:
@@ -55,6 +55,34 @@ def _narrowed(factors: list) -> list:
     return [(p if p.names == (var,) else Poly.from_ints(
         var, p.rows[0] if var == p.names[-1] else [row[0] if row else 0 for row in p.rows],
         p.content), m) for p, m in factors]
+
+
+def _rests(factors: Iterable) -> tuple[set, set]:
+    """(rests, split): the rows past each factor's largest monomial; split, where it is not 1.
+
+    The monomial is stripped by poly._stripped, and a monomial's rest, 1,
+    is not in split.
+    """
+    strips = [_stripped(p.rows) for p, _ in factors]
+    return ({rest for _, _, rest in strips},
+            {rest for a, b, rest in strips if (a or b) and rest != ((1,),)})
+
+
+def _split(factors: Iterable, rests: set) -> list:
+    """factors, with each one whose rows past its monomial are in rests split in two.
+
+    The monomial goes in one variable at a time, and the rest keeps the
+    factor's content and multiplicity.
+    """
+    out = []
+    for p, m in factors:
+        a, b, rest = _stripped(p.rows)
+        if rest in rests:
+            out += [(p._make(p.names, Fraction(1), rows), k * m)
+                    for rows, k in ((((), (1,)), a), (((0, 1),), b)) if k]
+            p = p._make(p.names, p.content, rest)
+        out.append((p, m))
+    return out
 
 
 class RatFunc(_Frozen):
@@ -123,13 +151,19 @@ class RatFunc(_Frozen):
 
         Factors compare by their primitive rows, which fix the sign (see
         gfdiag.poly): a factor c*p cancels against p, and c goes into the
-        constant.  Both diagonal routes and the series of a univariate
-        function read a function through this, so a factor that cancels,
-        such as the 1 - x of every convolution GF, is never expanded,
-        divided by, substituted or reported as a pole.
+        constant.  A factor that is a monomial times another side's factor,
+        each past its own monomial, is first written as that product: x -
+        x^2 cancels against 1 - x and leaves x.  Both diagonal routes and
+        the series of a univariate function read a function through this,
+        so a factor that cancels, such as the 1 - x of every convolution
+        GF, is never expanded, divided by, substituted or reported as a pole.
         """
+        both = self.numer, self.denom
+        (rests_n, split_n), (rests_d, split_d) = map(_rests, both)
+        if split_n & rests_d or split_d & rests_n:
+            both = _split(both[0], rests_d), _split(both[1], rests_n)
         sides = [{}, {}]
-        for counts, factors in zip(sides, (self.numer, self.denom)):
+        for counts, factors in zip(sides, both):
             for p, m in factors:
                 counts[p.rows] = counts.get(p.rows, 0) + m
         numer, denom = sides
@@ -137,7 +171,7 @@ class RatFunc(_Frozen):
         if not shared:
             return self
         constant, kept = self.constant, []
-        for sign, factors in ((1, self.numer), (-1, self.denom)):
+        for sign, factors in zip((1, -1), both):
             left, out = dict(shared), []
             for p, m in factors:
                 c = min(m, left.get(p.rows, 0))

@@ -2,28 +2,31 @@
 
 Hautus-Klarner style: the diagonal of F(x, y) is the sum of the residues
 of F(z*t, 1/t)/t at its poles in t that stay bounded as z -> 0.  A
-factor on both sides of F cancels first (RatFunc.cancelled).
-Substitute, clear powers of t factor by factor, and keep the denominator
-factors whose roots all stay bounded, the pole at t = 0 included.  With P
-the product of the kept factors and Q that of the others, each to its
-multiplicity, the residue sum over all roots of P is [t^(deg P - 1)] A /
-lc(P), where A = num * Q^(-1) mod P is P's part in the partial-fraction
-decomposition in t.  No root is ever named: the sum is kappa * N / D for
-two integer polynomials N and D in z, given by Cramer's rule, whose
-degrees are bounded a priori (see _residue_sum); their values at that many
-integer points z0, plus one, interpolate them exactly.
+factor on both sides of F cancels first (RatFunc.cancelled).  Substitute
+and clear powers of t factor by factor: the transform is a RatFunc in t
+and z, whose constructor merges the factors that the substitution makes
+equal.  Keep the denominator factors whose roots all stay bounded, the
+pole at t = 0 included.  With P the product of the kept factors and Q
+that of the others, each to its multiplicity, the residue sum over all
+roots of P is [t^(deg P - 1)] A / lc(P), where A = num * Q^(-1) mod P is
+P's part in the partial-fraction decomposition in t.  No root is ever
+named: the sum is kappa * N / D for two integer polynomials N and D in
+z, given by Cramer's rule, whose degrees are bounded a priori (see
+_residue_sum); their values at that many integer points z0, plus one,
+interpolate them exactly.
 
 Everything runs on Python ints.  A BiPoly is already a rational content
-times integer rows: the substitution re-indexes the rows, the contents of
-the transform's numerator and factors fold into one rational scale kappa,
-the kept factors are multiplied into P and the others with t into Q once,
-and the rows of the numerator, P and Q are evaluated at each z0 by integer
-Horner.  A factor without t only divides the sum, so it enters the result
-as it is and is never evaluated.  At each point one subresultant PRS,
-poly._int_resultant, gives Res_t(P, Q) and the cofactor that inverts Q
-mod P, and one pseudo-division reduces num times that cofactor; partial
-fractions invert the same way.  N and D are interpolated by integer
-divided differences, and a Fraction is built only for the reduced result.
+times integer rows: the substitution re-indexes the rows, the
+transform's numerator is expanded once, its content and the factors'
+fold into one rational scale kappa, the kept factors are multiplied into
+P and the others with t into Q once, and the rows of the numerator, P
+and Q are evaluated at each z0 by integer Horner.  A factor without t
+only divides the sum, so it enters the result as it is and is never
+evaluated.  At each point one subresultant PRS, poly._int_resultant,
+gives Res_t(P, Q) and the cofactor that inverts Q mod P, and one
+pseudo-division reduces num times that cofactor; partial fractions
+invert the same way.  N and D are interpolated by integer divided
+differences, and a Fraction is built only for the reduced result.
 
 The pole-keeping rule is not proved here in general; diagonal_rational
 validates it per instance by comparing against the series diagonal and
@@ -51,23 +54,6 @@ class DegeneratePoleError(ArithmeticError):
 # The substitution x -> z*t, y -> 1/t with t-clearing
 # ---------------------------------------------------------------------------
 
-class HKTransform(_Frozen):
-    """F(z*t, 1/t)/t in cleared form: numerator and factored denominator.
-
-    cleared records the power of t multiplied into each denominator factor
-    (aligned with denom_factors); balance_power is the residual power of t,
-    the denominator's cleared powers less the numerator's and the extra 1/t,
-    moved into the numerator (when positive) or appended to the denominator
-    as a t^k factor (when negative).
-    """
-
-    __slots__ = _fields = ("numerator", "denom_factors", "cleared", "balance_power")
-    numerator: BiPoly                       # variables (t, z)
-    denom_factors: tuple[tuple[BiPoly, int], ...]
-    cleared: tuple[int, ...]
-    balance_power: int
-
-
 def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
     """p(z*t, 1/t) * t^k with k minimal so the result is polynomial in t.
 
@@ -83,42 +69,26 @@ def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
     return BiPoly.from_ints("t", "z", out, p.content), k
 
 
-def hk_transform(f: RatFunc) -> HKTransform:
-    """Substitute first_var -> z*t, second_var -> 1/t into a factored function.
+def hk_transform(f: RatFunc) -> RatFunc:
+    """F(z*t, 1/t)/t for F = f, as a function of t and z, substituted factor by factor.
 
     Every factor is multiplied by the minimal power of t making it
-    polynomial; the cleared powers and the extra 1/t are balanced so the
-    result represents exactly F(z*t, 1/t)/t.  x and y stand in for the
-    variables that a function of one variable or none lacks.
+    polynomial; the cleared powers and the extra 1/t are balanced by one
+    power of t, in the numerator or the denominator.  RatFunc's constructor
+    merges the factors that the substitution makes equal.  x and y stand
+    in for the variables that a function of one variable or none lacks.
     """
-    if f.is_zero:
-        return HKTransform(BiPoly.zero("t", "z"), (), (), 0)
     f_vars = f.variables
-    if any(v in ("t", "z") for v in f_vars):
-        raise ValueError("input variables t and z are reserved by the transform")
     outer, inner = f_vars if len(f_vars) == 2 else (
         ("x", "y") if f_vars in ((), ("y",)) else (f_vars[0], "y"))
-    numer = BiPoly.const("t", "z", f.constant)
-    num_cleared = 0
-    for p, m in f.numer:
-        q, k = _substitute_factor(BiPoly.embed(p, outer, inner))
-        numer = numer * (q ** m)
-        num_cleared += k * m
-    denom: list[tuple[BiPoly, int]] = []
-    cleared: list[int] = []
-    den_cleared = 0
-    for p, m in f.denom:
-        q, k = _substitute_factor(BiPoly.embed(p, outer, inner))
-        denom.append((q, m))
-        cleared.append(k)
-        den_cleared += k * m
-    balance = den_cleared - num_cleared - 1
-    if balance > 0:
-        numer = numer * BiPoly.from_monomials("t", "z", {(balance, 0): Fraction(1)})
-    elif balance < 0:
-        denom.append((BiPoly.from_monomials("t", "z", {(-balance, 0): Fraction(1)}), 1))
-        cleared.append(0)
-    return HKTransform(numer, tuple(denom), tuple(cleared), balance)
+    sides, balance = ([], []), -1
+    for sign, factors in ((-1, f.numer), (1, f.denom)):
+        for p, m in factors:
+            q, k = _substitute_factor(BiPoly.embed(p, outer, inner))
+            sides[sign > 0].append((q, m))
+            balance += sign * k * m
+    sides[balance < 0].append((BiPoly.from_ints("t", "z", [[]] * abs(balance) + [[1]]), 1))
+    return RatFunc(f.constant, *sides)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +96,10 @@ def hk_transform(f: RatFunc) -> HKTransform:
 # ---------------------------------------------------------------------------
 
 class PoleClass(_Frozen):
-    __slots__ = _fields = ("factor", "multiplicity", "index", "kept", "reason", "leading_at_zero")
+    __slots__ = _fields = ("factor", "multiplicity", "kept", "reason", "leading_at_zero")
     _defaults = {"leading_at_zero": None}
     factor: BiPoly
     multiplicity: int
-    index: int                     # position in HKTransform.denom_factors
     kept: bool
     reason: str
     leading_at_zero: Fraction | None
@@ -145,8 +114,8 @@ class PoleClass(_Frozen):
         }
 
 
-def classify_poles(h: HKTransform) -> list[PoleClass]:
-    """Classify each factor p of t-degree d by e = deg_t p(t, 0).
+def classify_poles(h: RatFunc) -> list[PoleClass]:
+    """Classify each denominator factor p of h, of t-degree d, by e = deg_t p(t, 0).
 
     As z -> 0, e of p's roots tend to the roots of p(t, 0) and d - e
     escape to infinity.  A factor is kept when e = d, which includes t^k
@@ -156,22 +125,21 @@ def classify_poles(h: HKTransform) -> list[PoleClass]:
     diagonal_rational then reports the violation.
     """
     out = []
-    for idx, (p, m) in enumerate(h.denom_factors):
+    for p, m in h.denom:
         d = p.degree
         if d <= 0:
-            out.append(PoleClass(p, m, idx, False, "no dependence on t"))
+            out.append(PoleClass(p, m, False, "no dependence on t"))
             continue
         lead0 = p.content * p.rows[-1][0]
         e = max((i for i, row in enumerate(p.rows) if row and row[0]), default=-1)
         if e == d:
             origin = not any(p.rows[:-1])
             reason = "pole at the origin" if origin else "poles bounded as z -> 0"
-            out.append(PoleClass(p, m, idx, True, reason, lead0))
+            out.append(PoleClass(p, m, True, reason, lead0))
         elif e <= 0:
-            out.append(PoleClass(p, m, idx, False, "poles escape to infinity as z -> 0",
-                                 lead0))
+            out.append(PoleClass(p, m, False, "poles escape to infinity as z -> 0", lead0))
         else:
-            out.append(PoleClass(p, m, idx, False, f"mixed: {e} bounded roots, {d - e} "
+            out.append(PoleClass(p, m, False, f"mixed: {e} bounded roots, {d - e} "
                                  "escaping; diagonal is likely algebraic", lead0))
     return out
 
@@ -220,13 +188,15 @@ def _values_at(num: list[int], p: list[int], q: list[int], e: int) -> tuple[int,
     return p[-1] ** e * (a[d - 1] if len(a) >= d else 0) // c, r * p[-1] ** (e + 1)
 
 
-def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
+def _residue_sum(h: RatFunc, poles: Sequence[PoleClass]) -> RatFunc:
     """Residue sum over all roots of the kept factors, as a function of z.
 
-    Write h = kappa * num / (P * Q * C) on integers, P the kept factors, Q
-    the others that have t and C those without t, each to its multiplicity,
-    with t-degrees d_P, d_Q, d_N.  C only divides the residues, so it stays
-    out of Q and of the bounds below and enters the result as it is.
+    poles classifies h's denominator factors (classify_poles).  Write h =
+    kappa * num / (P * Q * C) on integers, num h's numerator expanded, P
+    the kept factors, Q the others that have t and C those without t, each
+    to its multiplicity, with t-degrees d_P, d_Q, d_N.  C only divides the
+    residues, so it stays out of Q and of the bounds below and enters the
+    result as it is.
     Where P and Q are coprime, num / (P*Q) = A/P + (regular at P's roots)
     with A = num * Q^(-1) mod P of degree below d_P, and the residues of
     A/P over the roots of P, repeated or shared by two kept factors, sum to
@@ -252,15 +222,18 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     mean Res is zero: a kept factor shares roots with one that is not kept
     for every z.
     """
-    if not kept:
+    if not any(pole.kept for pole in poles):
         return RatFunc.zero()
-    num_rows, kappa = h.numerator.rows, h.numerator.content
-    inside = {pole.index for pole in kept}
+    numerator = BiPoly.const("t", "z", h.constant)
+    for p, m in h.numer:
+        numerator *= p ** m
+    num_rows, kappa = numerator.rows, numerator.content
     P = Q = BiPoly.one("t", "z")
     t_free = []
-    for i, (p, m) in enumerate(h.denom_factors):
+    for pole in poles:
+        p, m = pole.factor, pole.multiplicity
         kappa /= p.content ** m
-        if i in inside:
+        if pole.kept:
             P *= p ** m
         elif p.degree > 0:
             Q *= p ** m
@@ -271,7 +244,7 @@ def _residue_sum(h: HKTransform, kept: list[PoleClass]) -> RatFunc:
     b = max(d_q, len(num_rows) - d_p)
     e = b - d_q
     points = max(d_p * eps_q + d_q * eps_p + (e + 1) * l_p,
-                 (d_p - 1) * eps_q + b * eps_p + h.numerator.inner_degree) + 1
+                 (d_p - 1) * eps_q + b * eps_p + numerator.inner_degree) + 1
     budget = l_p + l_q + d_p * eps_q + d_q * eps_p
     good: list[tuple[int, int, int]] = []      # (z0, N(z0), D(z0))
     z0 = 0
@@ -334,7 +307,7 @@ def diagonal_rational(f: RatFunc, check_terms: int = 100) -> tuple[RatFunc, Diag
     """
     h = hk_transform(f := f.cancelled())
     poles = classify_poles(h)
-    result = _residue_sum(h, [p for p in poles if p.kept])
+    result = _residue_sum(h, poles)
     hit = _first_mismatch(series_of_rational(result, check_terms), diagonal_series(f, check_terms))
     if hit is None:
         return result, DiagnosticReport(tuple(poles), "ok" if check_terms else "unchecked",

@@ -111,7 +111,8 @@ from itertools import accumulate, groupby, repeat
 from math import gcd
 from operator import add, mul
 
-from .poly import AnyPoly, Poly, _Frozen, _cleared, _int_add, _int_mul, _lift, _power, as_fraction
+from .poly import (AnyPoly, Poly, _Frozen, _cleared, _int_add, _int_mul, _lift, _power, _stripped,
+                   as_fraction)
 from .ratfunc import RatFunc
 
 
@@ -284,10 +285,7 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
     scale, si, sj, numer_rows, denom_rows = constant, 0, 0, [], []
     for sign, factors in ((1, numer), (-1, denom)):
         for p, m in factors:
-            s, rows = p.content, p.rows if inner else _lift(p, p.names[0])
-            a = next(i for i, row in enumerate(rows) if row)
-            b = min(next(j for j, v in enumerate(row) if v) for row in rows if row)
-            rows = tuple(row[b:] for row in rows[a:])
+            s, (a, b, rows) = p.content, _stripped(p.rows if inner else _lift(p, p.names[0]))
             if sign < 0 and rows[0][0] == 0:
                 raise PoleAtOriginError("pole at the origin")
             if rows[0][0] < 0:

@@ -201,21 +201,28 @@ def ref_part_numerator(num: Poly, cof: Poly, base: Poly) -> Poly | None:
     return (num.divrem(base)[1] * u).divrem(base)[1]
 
 
-def ref_residue_sum_at(h, kept, z0: int) -> Fraction | None:
-    """The kept factors' residue sum [t^(m*d-1)] A / lc(p)^m at z = z0, over Fraction."""
+def ref_residue_sum_at(h, poles, z0: int) -> Fraction | None:
+    """The kept factors' residue sum [t^(m*d-1)] A / lc(p)^m at z = z0, over Fraction.
+
+    h is a RatFunc in (t, z), and poles classify its denominator factors.
+    """
     def at(p):
         return Poly(p.outer, [c.evaluate(z0) for c in p.coeffs])
 
-    factors = [(at(p), m) for p, m in h.denom_factors]
-    num = at(h.numerator)
+    factors = [(at(pole.factor), pole.multiplicity) for pole in poles]
+    num = Poly.const("t", h.constant)
+    for p, m in h.numer:
+        num = num * at(p) ** m
     total = Fraction(0)
-    for pole in kept:
-        p, m = factors[pole.index]
+    for i, pole in enumerate(poles):
+        if not pole.kept:
+            continue
+        p, m = factors[i]
         if p.degree < pole.factor.degree:
             return None
         cof = Poly.one(p.var)
         for idx, (q, k) in enumerate(factors):
-            if idx != pole.index:
+            if idx != i:
                 cof = cof * q ** k
         a = ref_part_numerator(num, cof, p ** m)
         if a is None:

@@ -558,12 +558,17 @@ def test_diagonal_cancels_a_factor_without_constant_term_on_both_sides(text, gf,
         assert data.get("match", True) is True
 
 
-def test_diagonal_does_not_split_a_shared_factor_out_of_a_sum(capsys):
-    # x^2 + x*y = x*(x + y), but the sum is one factor, so x + y stays a
-    # pole at the origin.
+def test_diagonal_splits_a_shared_factor_out_of_a_sum(capsys):
+    # x^2 + x*y is x*(x + y): past its monomial x it is the denominator's
+    # x + y, which cancels, so no pole at the origin is left, and x has no
+    # diagonal term.
     for method in ("residue", "series", "both"):
-        assert cli.main(["diagonal", "--gf-text=(x^2+x*y)/(x+y)", f"--method={method}"]) == 3
-        assert "pole at the origin" in capsys.readouterr().err
+        assert cli.main(["diagonal", "--gf-text=(x^2+x*y)/(x+y)", f"--method={method}",
+                         "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for route in {"both": ("residue", "series")}.get(method, (method,)):
+            assert data[route]["gf"] == "(0) / (1)"
+        assert data.get("match", True) is True
 
 
 def test_diagonal_repeated_kept_factor_summed():
@@ -611,14 +616,35 @@ def test_internal_zero_division_is_not_a_method_error(monkeypatch):
                   "--n", "5"])
 
 
-def test_diagonal_accepts_one_variable():
+def test_diagonal_accepts_one_variable(capsys):
     # 1/(1-x) has no x^n*y^n term past n = 0: its diagonal is 1.
     res = run_cli("diagonal", "--gf-text", "1/(1-x)", "--method", "residue", "--n", "10")
     assert res.returncode == 0
     assert "residue method: (1) / (1)" in res.stdout
-    reserved = run_cli("diagonal", "--gf-text", "1/(1-z)", "--method", "residue")
-    assert reserved.returncode == 2
-    assert "reserved" in reserved.stderr
+    # The transform builds its own t and z, so inputs in t and z are read
+    # as any other variables: 1/(1-z) is a function of one variable too.
+    res = run_cli("diagonal", "--gf-text", "1/(1-z)", "--method", "residue")
+    assert res.returncode == 0
+    assert "residue method: (1) / (1)" in res.stdout
+    assert cli.main(["diagonal", "--gf-text=1/(1-t*z)", "--method=both", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["residue"]["gf"] == data["series"]["gf"] == "(1) / (1 - z)"
+    assert data["match"] is True
+
+
+# diagonal --catalog ID --method M --n 60 --json for the five bivariate
+# catalog GFs and M in residue and both: every GF, status, witness and pole
+# line, pinned byte for byte (key order included).
+GOLDEN_DIAGONAL = json.loads((Path(__file__).parent / "diagonal_golden.json").read_text())
+
+
+@pytest.mark.parametrize("golden", GOLDEN_DIAGONAL,
+                         ids=lambda doc: f"{doc['input']}-{doc['method']}")
+def test_diagonal_json_matches_golden_output(golden, capsys):
+    assert cli.main(["diagonal", "--catalog", golden["input"], "--method", golden["method"],
+                     "--n", str(golden["n"]), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert json.dumps(out, indent=2) == json.dumps(golden, indent=2)
 
 
 # -- guess-gf --------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gfdiag import (
 from gfdiag.claims import Claim, ClaimReport
 from gfdiag.gfbuild import CatalogEntry, ConvolutionGF
 from gfdiag.poly import VARIABLES
-from gfdiag.residues import DiagnosticReport, HKTransform, PartialFractions, PoleClass
+from gfdiag.residues import DiagnosticReport, PartialFractions, PoleClass
 from gfdiag.series import SequenceSpec
 from helpers import (
     identity_equal,
@@ -598,8 +598,7 @@ def test_ratfunc_display_round_trips_by_value():
 # the test after this one).
 RECORDS = [
     (SequenceSpec, "order coeffs initial", {}),
-    (HKTransform, "numerator denom_factors cleared balance_power", {}),
-    (PoleClass, "factor multiplicity index kept reason leading_at_zero",
+    (PoleClass, "factor multiplicity kept reason leading_at_zero",
      {"leading_at_zero": None}),
     (DiagnosticReport, "poles status checked_terms first_mismatch lhs rhs",
      {"first_mismatch": None, "lhs": None, "rhs": None}),

@@ -30,7 +30,6 @@ from gfdiag import (
 from gfdiag.poly import _cleared, _int_add, _int_mul, _int_prem, _int_resultant
 from gfdiag import residues
 from gfdiag.residues import (
-    HKTransform,
     PoleClass,
     _at,
     _interpolate,
@@ -58,27 +57,37 @@ def _trib_g() -> RatFunc:
     return printed_gf("trib.G")
 
 
+def _numerator(h: RatFunc) -> BiPoly:
+    """h's numerator in (t, z) expanded, its constant included, as _residue_sum expands it."""
+    out = BiPoly.const("t", "z", h.constant)
+    for p, m in h.numer:
+        out *= p ** m
+    return out
+
+
 # -- hk_transform -------------------------------------------------------------
 
 def test_transform_clears_golden_factor():
     h = hk_transform(parse_ratfunc("1/(1-y-y^2)"))
-    assert [str(p) for p, _ in h.denom_factors if p.degree > 0 and p.coeffs[0].degree >= 0] \
+    assert [str(p) for p, _ in h.denom if p.degree > 0 and p.coeffs[0].degree >= 0] \
         .count("-1 - t + t^2") == 1
 
 
 def test_transform_x_factor_needs_no_clearing():
+    # 1 - x becomes 1 - t*z with no power of t: the one t is the extra 1/t.
     h = hk_transform(parse_ratfunc("1/(1-x)"))
-    assert any(str(p) == "1 - t*z" for p, _ in h.denom_factors)
-    assert h.cleared[0] == 0
+    assert (h.constant, h.numer, [(str(p), m) for p, m in h.denom]) == (
+        1, (), [("1 - t*z", 1), ("t", 1)])
 
 
 def test_transform_pure_y_numerator_moves_t_to_denominator():
     h = hk_transform(parse_ratfunc("y"))
     # y becomes 1/t after clearing, so a t^2 factor lands in the denominator
     # (one t from the cleared numerator factor, one from the global 1/t).
-    pure = [p for p, _ in h.denom_factors if p.leading.degree == 0 and p.degree > 0]
+    pure = [p for p, _ in h.denom if p.leading.degree == 0 and p.degree > 0]
     assert len(pure) == 1 and pure[0].degree == 2
-    assert h.balance_power == -2
+    assert (BiPoly.from_monomials("t", "z", {(2, 0): 1}), 1) in h.denom
+    assert h.numer == ()
 
 
 def test_transform_represents_the_substitution_randomized():
@@ -97,7 +106,7 @@ def test_transform_represents_the_substitution_randomized():
             continue
         try:
             want = f.evaluate({"x": z0 * t0, "y": 1 / t0}) / t0
-            got = RatFunc(1, [(h.numerator, 1)], h.denom_factors).evaluate({"t": t0, "z": z0})
+            got = h.evaluate({"t": t0, "z": z0})
         except ZeroDivisionError:
             continue
         assert got == want
@@ -142,8 +151,7 @@ def test_classification_reports_mixed_factor():
 
 def test_fibonacci_residue_is_twice_the_transcribed_diagonal():
     h = hk_transform(_fib_h())
-    kept = [p for p in classify_poles(h) if p.kept][0]
-    got = _residue_sum(h, [kept])
+    got = _residue_sum(h, classify_poles(h))
     assert identity_equal(got, parse_ratfunc("2*z^2/((1-z)*(1-2*z-4*z^2))"))
 
 
@@ -154,22 +162,20 @@ def test_tribonacci_residue_matches_two_term_form():
 
 
 def test_zero_numerator_gives_zero_residue():
-    h0 = hk_transform(_fib_h())
-    kept = [p for p in classify_poles(h0) if p.kept][0]
-    zeroed = HKTransform(BiPoly.zero("t", "z"), h0.denom_factors, h0.cleared,
-                         h0.balance_power)
-    assert _residue_sum(zeroed, [kept]).is_zero
+    # fib.H's poles over a zero numerator: the sum is zero.
+    poles = classify_poles(hk_transform(_fib_h()))
+    assert any(pole.kept for pole in poles)
+    assert _residue_sum(RatFunc.zero(), poles).is_zero
 
 
 def test_residue_additive_in_numerator():
     rng = Random(1313)
     h0 = hk_transform(_fib_h())
-    kept = [p for p in classify_poles(h0) if p.kept][0]
+    poles = classify_poles(h0)
     for _ in range(50):
         n1 = BiPoly("t", "z", [rand_poly(rng, "z", 2) for _ in range(3)])
         n2 = BiPoly("t", "z", [rand_poly(rng, "z", 2) for _ in range(3)])
-        tr = lambda num: _residue_sum(
-            HKTransform(num, h0.denom_factors, h0.cleared, h0.balance_power), [kept])
+        tr = lambda num: _residue_sum(RatFunc(1, [(num, 1)], h0.denom), poles)
         lhs = tr(n1 + n2)
         rhs = tr(n1) + tr(n2)
         assert identity_equal(lhs, rhs)
@@ -177,28 +183,26 @@ def test_residue_additive_in_numerator():
 
 def test_residue_invariant_under_common_coprime_factor():
     h0 = hk_transform(_fib_h())
-    kept = [p for p in classify_poles(h0) if p.kept][0]
     q = BiPoly.from_monomials("t", "z", {(1, 1): Fraction(1), (0, 0): Fraction(1)})  # 1 + t*z
-    scaled = HKTransform(h0.numerator * q, h0.denom_factors + ((q, 1),),
-                         h0.cleared + (0,), h0.balance_power)
-    assert identity_equal(_residue_sum(h0, [kept]), _residue_sum(scaled, [kept]))
+    scaled = RatFunc(h0.constant, h0.numer + ((q, 1),), h0.denom + ((q, 1),))
+    assert identity_equal(_residue_sum(h0, classify_poles(h0)),
+                          _residue_sum(scaled, classify_poles(scaled)))
 
 
 def test_multiplicity_two_kept_factor_summed():
     # 1/(1-y-y^2)^2 depends on y alone: the diagonal is the constant term, 1.
     f = RatFunc(1, denom=[(parse_poly("1-y-y^2", "y"), 2)])
     h = hk_transform(f)
-    kept = [p for p in classify_poles(h) if p.kept][0]
-    assert kept.multiplicity == 2
-    assert identity_equal(_residue_sum(h, [kept]), RatFunc.one())
+    poles = classify_poles(h)
+    assert [p.multiplicity for p in poles if p.kept][0] == 2
+    assert identity_equal(_residue_sum(h, poles), RatFunc.one())
 
 
 def test_non_squarefree_kept_factor_summed_exactly():
     # 1/(1-y)^2 as a single factor: the diagonal is the constant term, 1.
     f = RatFunc(1, denom=[(parse_poly("1-2*y+y^2", "y"), 1)])
     h = hk_transform(f)
-    kept = [p for p in classify_poles(h) if p.kept][0]
-    assert identity_equal(_residue_sum(h, [kept]), RatFunc.one())
+    assert identity_equal(_residue_sum(h, classify_poles(h)), RatFunc.one())
 
 
 @pytest.mark.parametrize("k", [1, 40])
@@ -258,8 +262,7 @@ def test_a_factor_on_both_sides_is_reported_but_not_summed(text):
     assert report.status == "ok"
     assert [p.to_json_dict() for p in report.poles] == [
         p.to_json_dict() for p in classify_poles(hk_transform(reduced))]
-    numer = {residues._substitute_factor(BiPoly.embed(p, "x", "y"))[0].rows
-             for p, _ in reduced.numer}
+    numer = {p.rows for p, _ in hk_transform(reduced).numer}
     assert not numer & {pole.factor.rows for pole in report.poles}
     assert str(rat) == str(diagonal_rational(reduced, check_terms=0)[0])
 
@@ -277,6 +280,8 @@ def test_a_factor_that_cancels_up_to_its_content_goes_into_the_constant():
     ("trib.G", ["(-1 - t - t^2 + t^3)", "(1 - z - z^2 - z^3 - 3*t*z + 2*t*z^2 + t*z^3 "
                 "+ 3*t^2*z^2 - t^2*z^3 - t^3*z^3)"]),
     ("(1-y)^2/((1-x)*(1-y)^3)", ["(1 - t*z)", "(-1 + t)"]),
+    # y - x*y and 1 - x both become 1 - t*z, which the transform lists once.
+    ("y/((y-x*y)*(1-x))", ["(1 - t*z)^2", "(t)"]),
 ])
 def test_the_pole_report_lists_the_cancelled_function_to_net_multiplicities(text, poles):
     f = printed_gf(text) if text.endswith(".G") else parse_ratfunc(text)
@@ -315,7 +320,11 @@ def _tz_factor(draw, degrees) -> BiPoly:
 
 @st.composite
 def _transform(draw, kept_degrees, other_degrees):
-    """(h, kept): random factors in (t, z) with multiplicities 1-2, the first ones kept."""
+    """(h, poles): random factors in (t, z) with multiplicities 1-2, the first ones kept.
+
+    h is the drawn numerator over the factors, and poles classify h's
+    denominator, where a constant factor has gone into h's constant.
+    """
     n_kept = draw(st.integers(1, 2))
     multiplicities = st.integers(1, 2)
     factors = [(draw(_tz_factor(kept_degrees)), draw(multiplicities)) for _ in range(n_kept)]
@@ -328,31 +337,37 @@ def _transform(draw, kept_degrees, other_degrees):
         factors[0] = (p * BiPoly("t", "z", [Poly("z", [0, -1]), 1]), m)
         factors[-1] = (q * BiPoly("t", "z", [-c, 1]), k)
     numer = BiPoly("t", "z", [_z_poly(draw, 1) for _ in range(draw(st.integers(0, 8)))])
-    h = HKTransform(numer, tuple(factors), (0,) * len(factors), 0)
-    return h, [PoleClass(p, m, i, True, "kept") for i, (p, m) in enumerate(factors[:n_kept])]
+    h = RatFunc(1, [(numer, 1)], factors)
+    kept = [p for p, _ in factors[:n_kept]]
+    return h, [PoleClass(p, m, p in kept, "drawn") for p, m in h.denom]
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_residue_values_at_match_fraction_reference(data):
-    h, kept = data.draw(_transform(st.sampled_from((1, 2, 3, 4)), st.sampled_from((0, 1, 2))))
+    h, poles = data.draw(_transform(st.sampled_from((1, 2, 3, 4)), st.sampled_from((0, 1, 2))))
+    # A zero numerator makes h zero, with no poles left to classify.
+    assume(not h.is_zero)
     z0 = data.draw(st.sampled_from(_POINTS))
-    kappa = h.numerator.content
+    numerator = _numerator(h)
+    kappa = numerator.content
     p, q = [1], [1]
-    for i, (f, m) in enumerate(h.denom_factors):
+    for pole in poles:
+        f, m = pole.factor, pole.multiplicity
         kappa /= f.content ** m
         for _ in range(m):
-            if i < len(kept):
+            if pole.kept:
                 p = _int_mul(p, _at(f.rows, z0))
             else:
                 q = _int_mul(q, _at(f.rows, z0))
     # The route skips a point where P loses t-degree.
-    assume(len(p) == 1 + sum(pole.multiplicity * pole.factor.degree for pole in kept))
+    assume(len(p) == 1 + sum(pole.multiplicity * pole.factor.degree
+                             for pole in poles if pole.kept))
     # N is an integer from e = max(0, d_N - d_P - d_Q + 1) on.
-    num = _at(h.numerator.rows, z0)
+    num = _at(numerator.rows, z0)
     e = max(0, len(num) - len(p) - len(q) + 2) + data.draw(st.integers(0, 1))
     got = _values_at(num, p, q, e)
-    want = ref_residue_sum_at(h, kept, z0)
+    want = ref_residue_sum_at(h, poles, z0)
     if want is not None:
         assert got is not None and kappa * Fraction(*got) == want
     if got is None:
@@ -364,16 +379,16 @@ def test_residue_values_at_match_fraction_reference(data):
 def test_residue_sum_from_proved_point_count_matches_reference(data):
     # _residue_sum reads exactly the proved number of points; the function
     # it interpolates must hold at points it never read.
-    h, kept = data.draw(_transform(st.sampled_from((1, 2, 3)), st.sampled_from((0, 1, 2))))
+    h, poles = data.draw(_transform(st.sampled_from((1, 2, 3)), st.sampled_from((0, 1, 2))))
     checks = [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(13, 4), Fraction(-9, 7)]
     try:
-        got = _residue_sum(h, kept)
+        got = _residue_sum(h, poles)
     except DegeneratePoleError:
         # Res(P, Q) = 0 for every z: kept factors share roots with the others.
-        assert all(ref_residue_sum_at(h, kept, z) is None for z in checks)
+        assert all(ref_residue_sum_at(h, poles, z) is None for z in checks)
         return
     for z in checks:
-        want = ref_residue_sum_at(h, kept, z)
+        want = ref_residue_sum_at(h, poles, z)
         if want is not None:
             assert got.evaluate({"z": z}) == want
 
@@ -559,17 +574,24 @@ def _both_routes(f: RatFunc) -> tuple:
                                     {(1, 0): 2, (0, 2): 1})).map(
                        lambda terms: BiPoly.from_monomials("x", "y", terms)),
                    _denominator_factor()),
-       k=st.integers(1, 3), extra=st.sampled_from((0, 0, 1, -1)))
-def test_a_spurious_common_factor_changes_neither_route(numer, denom, share, p, k, extra):
+       k=st.integers(1, 3), extra=st.sampled_from((0, 0, 1, -1)),
+       shift=st.sampled_from(((0, 0), (0, 0), (1, 0), (0, 1), (2, 1))))
+def test_a_spurious_common_factor_changes_neither_route(numer, denom, share, p, k, extra,
+                                                        shift):
     # g * p^k / p^k is g, for p without a constant term (x + y, x - 2*y,
     # 2*x + y^2) or from _denominator_factor, so both routes must give what
     # they give for g: the same GF, status and pole report, the same series
     # terms, or the same refusal.  g is a drawn function, in some draws
-    # times p or over p.
+    # times p or over p.  In some, the numerator's factor is x^a*y^b*p, one
+    # polynomial, which past its monomial is p: it cancels all the same and
+    # leaves x^(a*k)*y^(b*k), by which g is multiplied for the comparison.
     g = _beyond_convolutions(numer, denom, share)
     if extra:
         g = g * (RatFunc(1, [(p, 1)]) if extra > 0 else RatFunc(1, (), [(p, 1)]))
-    spurious = RatFunc(g.constant, g.numer + ((p, k),), g.denom + ((p, k),))
+    monomial = BiPoly.from_monomials("x", "y", {shift: 1})
+    spurious = RatFunc(g.constant, g.numer + ((monomial * p, k),), g.denom + ((p, k),))
+    g = g * RatFunc(1, [(BiPoly.from_monomials("x", "y", {v: 1}), e * k)
+                        for v, e in zip(((1, 0), (0, 1)), shift) if e])
     try:
         want = _both_routes(g)
     except (PoleAtOriginError, DegeneratePoleError) as exc:

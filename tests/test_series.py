@@ -364,6 +364,19 @@ def test_bivariate_series_cancels_and_orders_factors_like_reference(constant, fa
     assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
 
 
+def test_a_factor_equal_past_its_monomial_cancels_before_any_division(monkeypatch):
+    # x - x^2 is x*(1 - x): its 1 - x cancels against the denominator's and
+    # its x against x^1000, so the box is divided by 1 - x*y alone, not
+    # 1000 times by 1 - x as well.
+    steps = []
+    packable = _division._packable
+    monkeypatch.setattr(_division, "_packable",
+                        lambda terms, f0: steps.append(terms) or packable(terms, f0))
+    f = parse_ratfunc("(x-x^2)^1000/(x^1000*(1-x)^1000*(1-x*y))")
+    assert diagonal_series(f, 20) == [1] * 20
+    assert steps and all(terms == [(0, 0, 1), (1, 1, -1)] for terms in steps)
+
+
 # -- Fractions built in lowest terms without the constructor --------------------
 #
 # _unscaled sets a bare Fraction's two slots; every value must be the one
