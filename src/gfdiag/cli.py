@@ -114,10 +114,7 @@ def _gf_text(num, den) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_expand(args) -> int:
-    f = parse_ratfunc(args.gf)
-    if not f.is_univariate:
-        raise ParseError("expand requires a univariate rational function")
-    values = [str(c) for c in series_of_rational(f, args.n)]
+    values = [str(c) for c in series_of_rational(parse_ratfunc(args.gf), args.n)]
     return _emit(args, "expand", lambda: {"input": args.gf, "n": args.n, "coefficients": values},
                  values, sep=" ")
 

@@ -57,32 +57,27 @@ def _narrowed(factors: list) -> list:
         p.content), m) for p, m in factors]
 
 
-def _rests(factors: Iterable) -> tuple[set, set]:
-    """(rests, split): the rows past each factor's largest monomial; split, where it is not 1.
-
-    The monomial is stripped by poly._stripped, and a monomial's rest, 1,
-    is not in split.
-    """
-    strips = [_stripped(p.rows) for p, _ in factors]
-    return ({rest for _, _, rest in strips},
-            {rest for a, b, rest in strips if (a or b) and rest != ((1,),)})
+# x and y in two variables, z in one: the unit factors a monomial splits into.
+_UNITS = (((), (1,)), ((0, 1),))
 
 
-def _split(factors: Iterable, rests: set) -> list:
-    """factors, with each one whose rows past its monomial are in rests split in two.
+def _split(factors: tuple) -> tuple:
+    """factors, each written as its largest monomial, one variable at a time,
+    times a rest with a constant term.
 
-    The monomial goes in one variable at a time, and the rest keeps the
-    factor's content and multiplicity.
+    The monomial is stripped by poly._stripped, and its units have content
+    1; the rest keeps the factor's content and multiplicity.  A unit with
+    content 1 is already split.
     """
     out = []
     for p, m in factors:
         a, b, rest = _stripped(p.rows)
-        if rest in rests:
+        if (a or b) and (p.content != 1 or p.rows not in _UNITS):
             out += [(p._make(p.names, Fraction(1), rows), k * m)
-                    for rows, k in ((((), (1,)), a), (((0, 1),), b)) if k]
+                    for rows, k in zip(_UNITS, (a, b)) if k]
             p = p._make(p.names, p.content, rest)
         out.append((p, m))
-    return out
+    return tuple(out)
 
 
 class RatFunc(_Frozen):
@@ -146,29 +141,27 @@ class RatFunc(_Frozen):
         return len(self.variables) <= 1
 
     def cancelled(self) -> "RatFunc":
-        """self with each factor on both sides cancelled by the smaller multiplicity;
-        self if none is.
+        """self with every factor's monomial split off and each factor on both
+        sides cancelled by the smaller multiplicity; self if neither changes it.
 
-        Factors compare by their primitive rows, which fix the sign (see
-        gfdiag.poly): a factor c*p cancels against p, and c goes into the
-        constant.  A factor that is a monomial times another side's factor,
-        each past its own monomial, is first written as that product: x -
-        x^2 cancels against 1 - x and leaves x.  Both diagonal routes and
-        the series of a univariate function read a function through this,
-        so a factor that cancels, such as the 1 - x of every convolution
-        GF, is never expanded, divided by, substituted or reported as a pole.
+        Each factor is written as its largest monomial, one variable at a
+        time, times a rest with a constant term: x - x^2 is x * (1 - x).
+        Factors then compare by their primitive rows, which fix the sign
+        (see gfdiag.poly): a factor c*p cancels against p, and c goes into
+        the constant.  So f.cancelled().cancelled() is f.cancelled().  Both
+        diagonal routes and the series of a univariate function read a
+        function through this, so a factor that cancels, such as the 1 - x
+        of every convolution GF, is never expanded, divided by, substituted
+        or reported as a pole.
         """
-        both = self.numer, self.denom
-        (rests_n, split_n), (rests_d, split_d) = map(_rests, both)
-        if split_n & rests_d or split_d & rests_n:
-            both = _split(both[0], rests_d), _split(both[1], rests_n)
+        both = _split(self.numer), _split(self.denom)
         sides = [{}, {}]
         for counts, factors in zip(sides, both):
             for p, m in factors:
                 counts[p.rows] = counts.get(p.rows, 0) + m
         numer, denom = sides
         shared = {rows: min(numer[rows], denom[rows]) for rows in numer.keys() & denom.keys()}
-        if not shared:
+        if not shared and both == (self.numer, self.denom):
             return self
         constant, kept = self.constant, []
         for sign, factors in zip((1, -1), both):

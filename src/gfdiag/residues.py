@@ -3,9 +3,9 @@
 Hautus-Klarner style: the diagonal of F(x, y) is the sum of the residues
 of F(z*t, 1/t)/t at its poles in t that stay bounded as z -> 0.  A
 factor on both sides of F cancels first (RatFunc.cancelled).  Substitute
-and clear powers of t factor by factor: the transform is a RatFunc in t
-and z, whose constructor merges the factors that the substitution makes
-equal.  Keep the denominator factors whose roots all stay bounded, the
+factor by factor, and balance the power of t each factor holds or needs
+cleared by one power of t: the transform is a RatFunc in t and z, whose
+constructor merges the factors that the substitution makes equal.  Keep the denominator factors whose roots all stay bounded, the
 pole at t = 0 included.  With P the product of the kept factors and Q
 that of the others, each to its multiplicity, the residue sum over all
 roots of P is [t^(deg P - 1)] A / lc(P), where A = num * Q^(-1) mod P is
@@ -55,28 +55,31 @@ class DegeneratePoleError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def _substitute_factor(p: BiPoly) -> tuple[BiPoly, int]:
-    """p(z*t, 1/t) * t^k with k minimal so the result is polynomial in t.
+    """(q, k) with q = p(z*t, 1/t) * t^k a polynomial in t with a term free of t.
 
     The monomial x^i * y^j becomes t^(i-j+k) * z^i, so the integer rows are
     only re-indexed, one to one: they keep gcd 1, and the content is kept up
-    to its sign.
+    to its sign.  k is negative where p's power of t, its leading zero
+    t-rows, is held by the factor itself: x becomes z, with k = -1.
     """
     k = max([0] + [len(row) - 1 - i for i, row in enumerate(p.rows) if row])
     out = [[0] * len(p.rows) for _ in range(len(p.rows) + k)]
     for i, row in enumerate(p.rows):
         for j, v in enumerate(row):
             out[i - j + k][i] = v
-    return BiPoly.from_ints("t", "z", out, p.content), k
+    held = next(i for i, row in enumerate(out) if any(row))
+    return BiPoly.from_ints("t", "z", out[held:], p.content), k - held
 
 
 def hk_transform(f: RatFunc) -> RatFunc:
     """F(z*t, 1/t)/t for F = f, as a function of t and z, substituted factor by factor.
 
-    Every factor is multiplied by the minimal power of t making it
-    polynomial; the cleared powers and the extra 1/t are balanced by one
-    power of t, in the numerator or the denominator.  RatFunc's constructor
-    merges the factors that the substitution makes equal.  x and y stand
-    in for the variables that a function of one variable or none lacks.
+    Each factor is substituted and its power of t moved out
+    (_substitute_factor), so no factor holds a power of t; those powers
+    and the extra 1/t are balanced by one power of t, in the numerator or
+    the denominator.  RatFunc's constructor merges the factors that the
+    substitution makes equal.  x and y stand in for the variables that a
+    function of one variable or none lacks.
     """
     f_vars = f.variables
     outer, inner = f_vars if len(f_vars) == 2 else (

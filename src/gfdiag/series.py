@@ -376,12 +376,12 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
 
 
 def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
-    """First n Taylor coefficients of a univariate rational function."""
+    """First n Taylor coefficients of a rational function that is univariate once cancelled."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not f.is_univariate:
-        raise ValueError("series_of_rational requires a univariate function")
     f = f.cancelled()
+    if not f.is_univariate:
+        raise ValueError("expand requires a univariate rational function")
     return _series_grid(f.constant, f.numer, f.denom, 1, n, True)[0]
 
 

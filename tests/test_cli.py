@@ -53,6 +53,8 @@ def test_expand_takes_a_sum_whose_second_variable_cancels():
 @pytest.mark.parametrize("text, terms", [
     ("1/(1-z) + x - x", ["1", "1", "1", "1"]),
     ("x/(1-z) + z - x/(1-z)", ["0", "1", "0", "0"]),
+    # The univariate check reads the function once cancelled.
+    ("(x+y)/(x+y)", ["1", "0", "0", "0"]),
 ])
 def test_expand_takes_a_sum_with_a_denominator_whose_variable_cancels(text, terms):
     res = run_cli("expand", text, "--n", "4")
@@ -546,10 +548,13 @@ def test_diagonal_removable_monomial_pole():
     ("(x+y)/(x+y)", "(1) / (1)"),
     ("(x-y)*(1-x)/((x-y)*(1-x*y))", "(1) / (1 - z)"),
     ("(2*x+2*y)*(1-x)/((x+y)*(1-x*y))", "(2) / (1 - z)"),
+    ("x^2*y/((x-x^2)*(1-y))", "(z) / (1 - z)"),
+    ("x*y/((x-x^2)*(1-2*y))", "(z) / (1 - 2*z)"),
 ])
 def test_diagonal_cancels_a_factor_without_constant_term_on_both_sides(text, gf, capsys):
     # Each factor on both sides cancels before either route reads the
     # function, up to its content, so x - y and x + y are no pole at the origin.
+    # x - x^2 is x*(1 - x) whatever the other side holds, so its x cancels.
     for method in ("residue", "series", "both"):
         assert cli.main(["diagonal", f"--gf-text={text}", f"--method={method}", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

@@ -19,10 +19,13 @@ from gfdiag import (
     ParseError,
     Poly,
     RatFunc,
+    catalog_entry,
+    catalog_ids,
     compose_rational,
     parse_poly,
     parse_ratfunc,
     poly_gcd,
+    printed_gf,
     textform,
 )
 from gfdiag.claims import Claim, ClaimReport
@@ -567,6 +570,18 @@ def test_parse_matches_fold_on_catalog_and_bench_texts(monkeypatch):
     assert len(catalog) >= 10 and len(bench) == 96
     for text in catalog + bench:
         _same_parse(text)
+
+
+def test_cancelled_is_idempotent_on_catalog_and_bench_texts(monkeypatch):
+    # Once every monomial is split off and every shared factor cancelled, a
+    # second call finds nothing to do and returns its argument.
+    gfs = [printed_gf(i) for i in catalog_ids() if catalog_entry(i).build is not None]
+    gfs += [parse_ratfunc(text) for text in _catalog_texts() + _bench_texts(monkeypatch)]
+    assert len(gfs) > 100
+    for f in gfs:
+        once = f.cancelled()
+        assert once.cancelled() is once
+        assert identity_equal(once, f)
 
 
 def test_ratfunc_display_round_trips_by_value():

@@ -136,9 +136,16 @@ def test_classification_discards_z_leading_factor():
 
 
 def test_classification_keeps_pure_t_power():
-    h = hk_transform(parse_ratfunc("x/(1-x*y)"))
-    poles = classify_poles(h)
-    assert any(p.reason == "pole at the origin" and p.kept for p in poles)
+    # y/(1-x*y) becomes 1/(t^2*(1-z)), and x/(1-x*y) becomes z*t/(t*(1-z)),
+    # whose power of t is no pole; neither has a diagonal.
+    poles = classify_poles(hk_transform(parse_ratfunc("y/(1-x*y)")))
+    assert [(str(p.factor), p.multiplicity, p.kept, p.reason) for p in poles if p.kept] == [
+        ("t^2", 1, True, "pole at the origin")]
+    poles = classify_poles(hk_transform(parse_ratfunc("x/(1-x*y)")))
+    assert not any(p.kept for p in poles)
+    for text in ("y/(1-x*y)", "x/(1-x*y)"):
+        rat, report = diagonal_rational(parse_ratfunc(text), check_terms=12)
+        assert (str(rat), report.status) == ("0", "ok")
 
 
 def test_classification_reports_mixed_factor():
@@ -280,7 +287,7 @@ def test_a_factor_that_cancels_up_to_its_content_goes_into_the_constant():
     ("trib.G", ["(-1 - t - t^2 + t^3)", "(1 - z - z^2 - z^3 - 3*t*z + 2*t*z^2 + t*z^3 "
                 "+ 3*t^2*z^2 - t^2*z^3 - t^3*z^3)"]),
     ("(1-y)^2/((1-x)*(1-y)^3)", ["(1 - t*z)", "(-1 + t)"]),
-    # y - x*y and 1 - x both become 1 - t*z, which the transform lists once.
+    # y - x*y is y*(1 - x), and its y cancels: (1 - x)^2 becomes (1 - t*z)^2.
     ("y/((y-x*y)*(1-x))", ["(1 - t*z)^2", "(t)"]),
 ])
 def test_the_pole_report_lists_the_cancelled_function_to_net_multiplicities(text, poles):
@@ -575,9 +582,10 @@ def _both_routes(f: RatFunc) -> tuple:
                        lambda terms: BiPoly.from_monomials("x", "y", terms)),
                    _denominator_factor()),
        k=st.integers(1, 3), extra=st.sampled_from((0, 0, 1, -1)),
-       shift=st.sampled_from(((0, 0), (0, 0), (1, 0), (0, 1), (2, 1))))
+       shift=st.sampled_from(((0, 0), (0, 0), (1, 0), (0, 1), (2, 1))),
+       into_denominator=st.booleans())
 def test_a_spurious_common_factor_changes_neither_route(numer, denom, share, p, k, extra,
-                                                        shift):
+                                                        shift, into_denominator):
     # g * p^k / p^k is g, for p without a constant term (x + y, x - 2*y,
     # 2*x + y^2) or from _denominator_factor, so both routes must give what
     # they give for g: the same GF, status and pole report, the same series
@@ -585,13 +593,21 @@ def test_a_spurious_common_factor_changes_neither_route(numer, denom, share, p, 
     # times p or over p.  In some, the numerator's factor is x^a*y^b*p, one
     # polynomial, which past its monomial is p: it cancels all the same and
     # leaves x^(a*k)*y^(b*k), by which g is multiplied for the comparison.
+    # In others, with a >= 1, x^a*y^b multiplies g's first denominator
+    # factor instead and stands in the numerator to that factor's
+    # multiplicity, which leaves g as it is.
     g = _beyond_convolutions(numer, denom, share)
     if extra:
         g = g * (RatFunc(1, [(p, 1)]) if extra > 0 else RatFunc(1, (), [(p, 1)]))
     monomial = BiPoly.from_monomials("x", "y", {shift: 1})
-    spurious = RatFunc(g.constant, g.numer + ((monomial * p, k),), g.denom + ((p, k),))
-    g = g * RatFunc(1, [(BiPoly.from_monomials("x", "y", {v: 1}), e * k)
-                        for v, e in zip(((1, 0), (0, 1)), shift) if e])
+    if into_denominator and shift[0]:
+        (d, m), *rest = g.denom
+        spurious = RatFunc(g.constant, g.numer + ((p, k), (monomial, m)),
+                           ((monomial * d, m), *rest, (p, k)))
+    else:
+        spurious = RatFunc(g.constant, g.numer + ((monomial * p, k),), g.denom + ((p, k),))
+        g = g * RatFunc(1, [(BiPoly.from_monomials("x", "y", {v: 1}), e * k)
+                            for v, e in zip(((1, 0), (0, 1)), shift) if e])
     try:
         want = _both_routes(g)
     except (PoleAtOriginError, DegeneratePoleError) as exc:
