@@ -54,10 +54,13 @@ homogeneous part, over Q1(0, 0) Q2(0, 0), is the difference's lowest, so
 the cells of total degree at most d decide the claim at every n, and
 scanning them in total-degree order gives a witness of least degree.
 
-Sides compute on Python ints over one cleared denominator: a brute-force
-convolution through series._binomial_convolution_ints, the one Pascal-row
-oracle, and a binomial transform by additions alone, with no Pascal row.
-The two sides are compared cross-multiplied, so a term becomes a
+Sides compute on Python ints over one denominator.  A series, of a
+RatFunc or of a spec's generating function, comes from the series
+kernel's univariate exit as its integers (series._integers), never as
+Fractions.  A brute-force convolution sums those integers with half
+Pascal rows in series._binomial_convolution_ints, the one Pascal-row
+oracle, and a binomial transform takes additions alone, with no Pascal
+row.  The two sides are compared cross-multiplied, so a term becomes a
 Fraction only as a witness.
 """
 
@@ -71,12 +74,12 @@ from math import lcm
 from operator import add, mul
 
 from .gfbuild import build_convolution_gf, printed_gf
-from .poly import Poly, _Frozen, _cleared
+from .poly import Poly, _Frozen
 from .ratfunc import RatFunc, compose_rational
 from .residues import diagonal_rational
 from .series import (SequenceSpec, bivariate_series, convolution_grid, generate_sequence,
-                     kbonacci, _binomial_convolution_ints, _first_mismatch,
-                     series_of_rational)
+                     kbonacci, _binomial_convolution_ints, _first_mismatch, _integers,
+                     _sequence, _taylor)
 from .textform import parse_ratfunc
 
 CONVENTIONS = ("A", "B")
@@ -137,8 +140,7 @@ def _rat(source):
     """The series of a RatFunc: printed_gf(source) for an id, else source()."""
     def side(convention):
         f = printed_gf(source) if isinstance(source, str) else source()
-        return (_degree(f.numer), _degree(f.denom),
-                lambda count: _cleared(series_of_rational(f, count)))
+        return _degree(f.numer), _degree(f.denom), lambda count: _integers(*_taylor(f, count))
     return side
 
 
@@ -148,7 +150,7 @@ def _scaled(s, r: int = 1):
         spec = _spec(s, convention)
 
         def make(count):
-            a, den = _cleared(generate_sequence(spec, count))
+            a, den = _integers(*_sequence(spec, count))
             return [v * r ** m for m, v in enumerate(a)], den
         return spec.order - 1, spec.order, make
     return side
@@ -157,12 +159,13 @@ def _scaled(s, r: int = 1):
 def _brute(sa, sb):
     """The brute-force binomial convolution sum_j C(m,j) a_j b_{m-j} of two specs."""
     def side(convention):
-        a, b = _spec(sa, convention), _spec(sb, convention)
+        a = _spec(sa, convention)
+        b = a if sb == sa else _spec(sb, convention)
 
         def make(count):
-            ta = generate_sequence(a, count)
-            return _binomial_convolution_ints(ta, ta if b == a else generate_sequence(b, count),
-                                              count)
+            ia, la = _integers(*_sequence(a, count))
+            ib, lb = (ia, la) if b is a else _integers(*_sequence(b, count))
+            return _binomial_convolution_ints(ia, ib, count), la * lb
         return a.order * b.order - 1, a.order * b.order, make
     return side
 

@@ -8,9 +8,10 @@ Everything here is exact.  The inner loops run on Python ints, not on
 Fraction, and build the Fraction results only at the end.  A polynomial
 is already an integer part times a rational content (see gfdiag.poly):
 the Taylor division recurrence (one or two variables) reads the integer
-parts and folds the contents into one rational scale.  The Pascal-row
-sums take sequences, whose denominators are cleared once, and read each
-row n for k <= n/2 only, since C(n,k) = C(n,n-k): a convolution's pair
+parts and folds the contents into one rational scale.  A binomial
+convolution takes sequences, whose denominators are cleared once, and
+builds half rows of Pascal's triangle, row n for k <= n/2 only, each from
+the half row before it, since C(n,k) = C(n,n-k): a convolution's pair
 a_k b_{n-k} + a_{n-k} b_k is one product, doubled, when both sides clear
 to the same integers, as every self-convolution does.  Division by
 the constant term d0 of the denominator is deferred by carrying
@@ -22,7 +23,10 @@ constructor, which takes a full gcd per value.  Every prime of
 den * d0^m divides den * d0, a far smaller number, so one gcd with it
 proves most terms already reduced.  Only a term that fails this screen is
 reduced, first by the screen's gcd and then, if the screen still fails,
-by one full gcd.
+by one full gcd.  A univariate series leaves the kernel as these
+integers, and becomes Fractions (_unscaled) for generate_sequence and
+series_of_rational, or integers over one denominator (_integers) for the
+sides of gfdiag.claims, which never hold it as Fractions.
 
 One kernel, _series_grid, computes every series here: the Taylor series
 of a univariate function (one row, its variable the inner one), the
@@ -113,7 +117,7 @@ from operator import add, mul
 
 from .poly import (AnyPoly, Poly, _Frozen, _cleared, _int_add, _int_mul, _lift, _power, _stripped,
                    as_fraction)
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, _narrowed
 
 
 class PoleAtOriginError(ArithmeticError):
@@ -152,7 +156,8 @@ def kbonacci(k: int, shifted: bool = False) -> SequenceSpec:
     shifted=True:  generating function z/(1 - z - ... - z^k), a_0 = 0.
     """
     numer = [(Poly("z", [0, 1]), 1)] if shifted else []
-    initial = _series_grid(Fraction(1), numer, [(Poly("z", [1] + [-1] * k), 1)], 1, k, True)[0]
+    initial = _unscaled(*_series_grid(Fraction(1), numer, [(Poly("z", [1] + [-1] * k), 1)],
+                                      1, k, True))
     return SequenceSpec(k, (Fraction(1),) * k, tuple(initial))
 
 
@@ -162,10 +167,15 @@ def generate_sequence(spec: SequenceSpec, n: int) -> list[Fraction]:
     They are the series of its generating function P/Q (see
     gf_of_sequence), so they come from the one series kernel.
     """
+    return _unscaled(*_sequence(spec, n))
+
+
+def _sequence(spec: SequenceSpec, n: int) -> tuple:
+    """generate_sequence(spec, n) as _series_grid's univariate exit."""
     if n < 0:
         raise ValueError("n must be >= 0")
     num, den = _gf_parts(spec, "z")
-    return _series_grid(Fraction(1), [(num, 1)], [(den, 1)], 1, n, True)[0]
+    return _series_grid(Fraction(1), [(num, 1)], [(den, 1)], 1, n, True)
 
 
 def gf_of_sequence(spec: SequenceSpec, var: str = "z") -> RatFunc:
@@ -202,8 +212,9 @@ def _coprime(nums: list[int], dens: list[int]) -> list[Fraction]:
     return out
 
 
-def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
-    """[e[m] / (den * d0^m)]: the division the integer recurrence deferred, in lowest terms.
+def _unscaled(e: list[int], d0: int, den: int, shift: int = 0) -> list[Fraction]:
+    """[0] * shift + [e[m] / (den * d0^m)]: the division the integer recurrence
+    deferred, in lowest terms.
 
     den and d0 must be positive, as _series_grid's sign flip makes every
     constant term and the scale's denominator.  Every prime of den * d0^m
@@ -213,12 +224,12 @@ def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
     of that gcd its denominator holds, and takes one full gcd only if it
     still fails.
     """
-    n, r = len(e), den * d0
+    n, r, head = len(e), den * d0, [Fraction(0)] * shift
     if not n:
-        return []
+        return head
     dens = [den] * n if d0 == 1 else list(accumulate(repeat(d0, n - 1), mul, initial=den))
     if r == 1:
-        return _coprime(e, dens)
+        return head + _coprime(e, dens)
     nums = e[:]
     for m, g in enumerate(map(gcd, e, repeat(r))):
         if g != 1:
@@ -230,7 +241,16 @@ def _unscaled(e: list[int], d0: int, den: int) -> list[Fraction]:
                 g = gcd(v, dm)
                 v, dm = v // g, dm // g
             nums[m], dens[m] = v, dm
-    return _coprime(nums, dens)
+    return head + _coprime(nums, dens)
+
+
+def _integers(e: list[int], d0: int, den: int, shift: int) -> tuple[list[int], int]:
+    """The terms _unscaled(e, d0, den, shift) builds, as ints over one
+    denominator, den * d0^(len(e) - 1), with no Fraction and no gcd."""
+    top = max(len(e) - 1, 0)
+    if d0 != 1:
+        e = [v * d0 ** (top - m) for m, v in enumerate(e)]
+    return [0] * shift + e, den * d0 ** top
 
 
 _Box = list[list[int]]
@@ -249,14 +269,17 @@ def _box_mul(a: _Box, b: _Box, nx: int, ny: int) -> _Box:
 
 def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
                  denom: Sequence[tuple[AnyPoly, int]], nx: int, ny: int,
-                 inner: bool = False, *, diagonal: bool = False) -> list:
+                 inner: bool = False, *, diagonal: bool = False) -> list | tuple:
     """Grid c[n][m] of outer^n * inner^m, n < nx and m < ny, of constant * numer / denom.
 
     With diagonal, only [c[i][i] for i < min(nx, ny)]: the box is divided
     in full, and only its diagonal cells become Fractions.
 
     numer and denom are products of (polynomial, multiplicity) factors; a
-    Poly's variable is the inner one if inner, else the outer one.
+    Poly's variable is the inner one if inner, else the outer one.  With
+    inner, the one row stays the kernel's integers, the univariate exit
+    (e, d0, den, shift): _unscaled(*exit) is the row c[0], and
+    _integers(*exit) the row over one denominator.
 
     Each factor is stripped of the largest monomial outer^a * inner^b that
     divides it.  The net monomial must be a power series and each stripped
@@ -277,7 +300,9 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
         nx = ny = min(nx, ny)
     zero = Fraction(0)
 
-    def zeros() -> list:
+    def zeros() -> list | tuple:
+        if inner:
+            return [], 1, 1, ny
         return [zero] * nx if diagonal else [[zero] * ny for _ in range(nx)]
 
     if constant == 0 or any(p.is_zero for p, _ in numer):
@@ -369,20 +394,32 @@ def _series_grid(constant: Fraction, numer: Sequence[tuple[AnyPoly, int]],
             full()
             cells = [box[i - si][i - sj] for i in range(i0, nx)]
         den = scale.denominator * d ** (2 * i0 - si - sj + 1)
-        return [zero] * i0 + _unscaled(cells, d * d, den)
+        return _unscaled(cells, d * d, den, i0)
+    if inner:
+        return full()[0], d, scale.denominator * d, sj
     return [[zero] * ny for _ in range(si)] + [
-        [zero] * sj + _unscaled(row, d, scale.denominator * d ** (n + 1))
-        for n, row in enumerate(full())]
+        _unscaled(row, d, scale.denominator * d ** (n + 1), sj) for n, row in enumerate(full())]
 
 
 def series_of_rational(f: RatFunc, n: int) -> list[Fraction]:
     """First n Taylor coefficients of a rational function that is univariate once cancelled."""
+    return _unscaled(*_taylor(f, n))
+
+
+def _taylor(f: RatFunc, n: int) -> tuple:
+    """series_of_rational(f, n) as _series_grid's univariate exit.
+
+    f is cancelled, and its factors narrowed to the one variable they use
+    (ratfunc._narrowed), so x*(1-y)/(1-y) is the univariate x.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     f = f.cancelled()
-    if not f.is_univariate:
+    factors = _narrowed([*f.numer, *f.denom])
+    if any(len(p.names) > 1 for p, _ in factors):
         raise ValueError("expand requires a univariate rational function")
-    return _series_grid(f.constant, f.numer, f.denom, 1, n, True)[0]
+    k = len(f.numer)
+    return _series_grid(f.constant, factors[:k], factors[k:], 1, n, True)
 
 
 def bivariate_series(f: RatFunc, nx: int, ny: int, *, diagonal: bool = False) -> list:
@@ -435,52 +472,62 @@ def pascal_rows(limit: int) -> Iterator[list[int]]:
         row = [1, *map(add, row, row[1:]), 1]
 
 
+def _half_rows(limit: int) -> Iterator[list[int]]:
+    """Yield half rows 0..limit-1 of Pascal's triangle: row n is [C(n,k) for k <= n // 2].
+
+    Half row n + 1 is built from half row n alone: C(n+1,k) = C(n,k-1) +
+    C(n,k), and when n is odd, C(n+1,(n+1)/2) = 2 C(n,(n-1)/2), since
+    C(n,(n+1)/2) = C(n,(n-1)/2).
+    """
+    row = [1]
+    for n in range(limit):
+        yield row
+        row = [1, *map(add, row, row[1:]), *((row[-1] << 1,) if n % 2 else ())]
+
+
 def _pascal_sum(row: list[int], a: list[int], b: list[int], m: int) -> int:
     """sum_k C(n,k) a_k b_{m-k} over k <= min(n, m), for row n of Pascal's triangle."""
     return sum(map(mul, row, map(mul, a, b[m::-1])))
 
 
-def _folded_pascal_sum(row: list[int], a: list[int], b: list[int], n: int) -> int:
-    """sum_k C(n,k) a_k b_{n-k} over the full row n, reading only k <= n/2.
+def _folded_pascal_sum(half: list[int], a: list[int], b: list[int], n: int) -> int:
+    """sum_k C(n,k) a_k b_{n-k} over the full row n, from its half row (_half_rows).
 
     C(n,k) = C(n,n-k) pairs a_k b_{n-k} with a_{n-k} b_k; when n is even
     the middle pair is the middle term twice, so it is taken off once.  For
     a is b the pair is one product, doubled.
     """
-    h = n // 2
-    half = row[:h + 1]
     if a is b:
         s = sum(map(mul, half, map(mul, a, a[n::-1]))) << 1
     else:
         s = sum(map(mul, half, map(add, map(mul, a, b[n::-1]), map(mul, a[n::-1], b))))
-    return s if n % 2 else s - row[h] * a[h] * b[h]
+    return s if n % 2 else s - half[-1] * a[n // 2] * b[n // 2]
 
 
 def binomial_convolution_sequence(a: Sequence[Fraction], b: Sequence[Fraction],
                                   count: int) -> list[Fraction]:
-    """[sum_k C(n,k) a_k b_{n-k} for n in range(count)], sharing Pascal rows."""
+    """[sum_k C(n,k) a_k b_{n-k} for n in range(count)], a and b each cleared
+    to integers once (a only, when b is a)."""
     if count < 0:
         raise ValueError("n must be >= 0")
     if len(a) < count or len(b) < count:
         raise ValueError(f"need at least {count} terms")
-    sums, den = _binomial_convolution_ints(a, b, count)
-    return _unscaled(sums, 1, den)
-
-
-def _binomial_convolution_ints(a: Sequence[Fraction], b: Sequence[Fraction],
-                               count: int) -> tuple[list[int], int]:
-    """(sums, den): den * sum_k C(n,k) a_k b_{n-k} for n in range(count), as ints.
-
-    The one convolution oracle loop: folded Pascal-row sums over the first
-    count terms of a and b, each cleared to integers once (a only, when b
-    is a), with one product per pair when both clear to the same integers.
-    """
     ia, la = _cleared(a[:count])
     ib, lb = (ia, la) if b is a else _cleared(b[:count])
-    if ia == ib:  # a self-convolution: _folded_pascal_sum takes one product per pair
-        ib = ia
-    return [_folded_pascal_sum(row, ia, ib, n)
-            for n, row in enumerate(pascal_rows(count))], la * lb
+    return _unscaled(_binomial_convolution_ints(ia, ib, count), 1, la * lb)
+
+
+def _binomial_convolution_ints(a: list[int], b: list[int], count: int) -> list[int]:
+    """[sum_k C(n,k) a_k b_{n-k} for n in range(count)] for integer a and b.
+
+    The one convolution oracle loop: each half row is built from the one
+    before it and read once by _folded_pascal_sum, and no row outlives the
+    call.  When a and b are equal, as every self-convolution's integers
+    are, each pair takes one product.
+    """
+    if a == b:
+        b = a
+    return [_folded_pascal_sum(half, a, b, n) for n, half in enumerate(_half_rows(count))]
 
 
 def convolution_grid(a: Sequence[Fraction], b: Sequence[Fraction],

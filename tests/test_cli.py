@@ -55,11 +55,19 @@ def test_expand_takes_a_sum_whose_second_variable_cancels():
     ("x/(1-z) + z - x/(1-z)", ["0", "1", "0", "0"]),
     # The univariate check reads the function once cancelled.
     ("(x+y)/(x+y)", ["1", "0", "0", "0"]),
+    # Once cancelled, x is narrowed to the one variable it uses.
+    ("x*(1-y)/(1-y)", ["0", "1", "0", "0"]),
 ])
 def test_expand_takes_a_sum_with_a_denominator_whose_variable_cancels(text, terms):
     res = run_cli("expand", text, "--n", "4")
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == terms
+
+
+def test_expand_refuses_a_function_left_in_two_variables():
+    res = run_cli("expand", "x*y/(1-y)", "--n", "4")
+    assert res.returncode == 2
+    assert "expand requires a univariate rational function" in res.stderr
 
 
 def test_expand_pole_at_origin_exits_3():

@@ -9,7 +9,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gfdiag import (
     BiPoly,
@@ -304,6 +304,34 @@ def test_bivariate_series_matches_fraction_reference(numer, d00, denom, nx, ny):
     den = BiPoly.from_monomials("x", "y", {**denom, (0, 0): d00})
     f = RatFunc(1, [(BiPoly.from_monomials("x", "y", numer), 1)], [(den, 1)])
     assert bivariate_series(f, nx, ny) == ref_bivariate_series(f, nx, ny)
+
+
+@_kernel_settings
+@given(constant=st.sampled_from((0, 1, -2, Fraction(3, 5))),
+       numer=st.lists(_z_factor(), max_size=2), denom=st.lists(_z_factor(), max_size=3),
+       n=st.integers(0, 12))
+@example(constant=1, numer=[(Poly("z", [1, Fraction(-1, 3)]), 1, 0)],
+         denom=[(Poly("z", [Fraction(5, 2), Fraction(-1, 7), 0, 0, 3]), 1, 0)], n=300)
+@example(constant=0, numer=[], denom=[(Poly("z", [2, 1]), 1, 0)], n=0)
+@example(constant=1, numer=[(Poly("z", [0, 0, 3]), 1, 2)], denom=[], n=1)
+def test_integer_exit_matches_series_of_rational(constant, numer, denom, n):
+    # The claims read a series as ints over one denominator, d0 ** (n - 1)
+    # times the row's: constant terms such as 2, 5/2 and 6 clear to d0 != 1.
+    order = sum(k * m for _, m, k in numer) - sum(k * m for _, m, k in denom)
+    assume(order >= 0 or constant == 0)
+    f = RatFunc(constant, [(p, m) for p, m, _ in numer], [(p, m) for p, m, _ in denom])
+    ints, den = series._integers(*series._taylor(f, n))
+    assert len(ints) == n
+    assert [Fraction(v, den) for v in ints] == series_of_rational(f, n)
+
+
+@_kernel_settings
+@given(coeffs=st.lists(_rational, max_size=3), data=st.data(), n=st.integers(0, 12))
+def test_integer_exit_matches_generate_sequence(coeffs, data, n):
+    initial = data.draw(st.lists(_rational, min_size=len(coeffs), max_size=len(coeffs)))
+    spec = SequenceSpec(len(coeffs), coeffs, initial)
+    ints, den = series._integers(*series._sequence(spec, n))
+    assert [Fraction(v, den) for v in ints] == generate_sequence(spec, n)
 
 
 @st.composite
@@ -677,6 +705,14 @@ def test_pascal_rows_match_math_comb():
     assert len(rows) == 60
     for n, row in enumerate(rows):
         assert row == [comb(n, k) for k in range(n + 1)]
+
+
+def test_half_rows_match_math_comb():
+    # Rows of both parities: an odd row's successor ends in twice its last entry.
+    rows = list(series._half_rows(60))
+    assert len(rows) == 60
+    for n, row in enumerate(rows):
+        assert row == [comb(n, k) for k in range(n // 2 + 1)]
 
 
 @_kernel_settings
